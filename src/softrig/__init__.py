@@ -13,17 +13,16 @@ from .errors import (ContractError, DomainError, FitError, ScenarioError,
                      SingularityError, SoftrigError, StallError,
                      ThermalTimeoutError)
 from .geometry import (BETA, STIFFNESS_STATES, AgentConfig, GeometryParams,
-                       Pose2, StiffnessState, cc_transform, global_pose,
-                       segment_joint, wheel_anchor_points, wheel_poses_body,
-                       wrap_angle)
-from .jacobian import (F_point_global, delta_coeff, hybrid_jacobian,
-                       rigid_jacobian, soft_jacobian, spiral_center_frame)
+                       Pose2, StiffnessState, cc_transform,
+                       wheel_anchor_points, wheel_poses_body, wrap_angle)
+from .jacobian import (delta_coeff, hybrid_jacobian, rigid_jacobian,
+                       soft_jacobian)
 from .planner import (PlannerParams, PlanResult, PlanStep, config_error,
                       damped_speeds, fk_reference, plan_motion,
                       weighted_distance)
 from .scenario import (Scenario, example_scenario_dict, load_scenario,
                        sample_scenario, scenario_from_dict)
-from .simulator import SimRow, Trajectory, fk_step, fk_step_detailed, rollout
+from .simulator import SimRow, Trajectory, fk_step_detailed, rollout
 from .spiral import (SPIRALS, SpiralFit, SpiralModel, kappa_from_theta,
                      rate_coeffs, refit_oracle, spiral_model, spiral_point,
                      sweep_curve, theta_from_kappa)

@@ -92,7 +92,7 @@ def _run_one(scn: Scenario, out_dir: str, args) -> int:
         return EXIT_NO_CONVERGE
     gating = scn.thermal_gating and not args.no_thermal
     try:
-        traj = rollout(scn.q0, plan, scn.geometry, thermal_params=scn.thermal,
+        traj = rollout(plan, scn.geometry, thermal_params=scn.thermal,
                        thermal_gating=gating, max_wait=args.max_wait)
     except ThermalTimeoutError as exc:
         print(f"{scn.label}: thermal timeout: {exc}", file=sys.stderr)

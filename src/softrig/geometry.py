@@ -256,13 +256,6 @@ def cc_transform(kappa: float, j: int, geom: GeometryParams) -> Pose2:
     return Pose2.from_xytheta(half_mid + chord_x, chord_y, alpha)
 
 
-def segment_joint(j: int, geom: GeometryParams) -> np.ndarray:
-    """Body-frame position of the joint between segment j and the middle link."""
-    _check_segment(j)
-    x = -geom.mid_link / 2 if j == 1 else geom.mid_link / 2
-    return np.array([x, 0.0])
-
-
 def wheel_anchor_points(geom: GeometryParams) -> np.ndarray:
     """Wheel contact positions relative to their segment-end frames, (2, 4).
 
@@ -295,7 +288,3 @@ def wheel_poses_body(kappa1: float, kappa2: float, geom: GeometryParams):
         headings[i] = rel + BETA[i]
     return positions, headings
 
-
-def global_pose(q: AgentConfig) -> Pose2:
-    """World pose of the body frame."""
-    return Pose2.from_xytheta(q.x, q.y, q.phi)

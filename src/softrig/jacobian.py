@@ -29,67 +29,26 @@ import math
 import numpy as np
 
 from .errors import ContractError
-from .geometry import (AgentConfig, GeometryParams, Pose2, StiffnessState,
-                       cc_transform, global_pose)
-from .spiral import rate_coeffs, spiral_model
-
-# fit-frame x axes for modes 2 and 3 are mirrored against the reference
-# table; flip the tabulated centre x so the centre lands on the curve side
-_CX_SIGN = (1.0, -1.0, -1.0)
-
-_FD_REL_STEP = 1e-6
-
-
-def body_origin_in_segment_frame(kappa: float, j: int,
-                                 geom: GeometryParams) -> np.ndarray:
-    """Body-frame origin seen from the segment-end frame {b_j}."""
-    return cc_transform(kappa, j, geom).inverse().xy
-
-
-def spiral_center_frame(q: AgentConfig, mode: int, j: int,
-                        geom: GeometryParams) -> Pose2:
-    """World pose of the spiral-centre frame for a deformation mode.
-
-    The centre sits at the tabulated offset from the segment-end frame
-    {b_j} on the side that holds still (modes 2 and 3) or on the moving
-    side seen relatively (mode 1), mirrored to the bend direction, axes
-    aligned with {b_j}.
-    """
-    sp = spiral_model(mode)
-    if j not in (1, 2):
-        raise ContractError(f"segment index must be 1 or 2, got {j}")
-    kap = q.kappa(j)
-    bend = -1.0 if kap < 0 else 1.0
-    centre = Pose2.from_xytheta(_CX_SIGN[mode - 1] * sp.cx_over_l * geom.seg_len,
-                                bend * sp.cy_over_l * geom.seg_len, 0.0)
-    return global_pose(q).compose(cc_transform(kap, j, geom)).compose(centre)
-
-
-def F_point_global(q: AgentConfig, mode: int, j: int, geom: GeometryParams,
-                   kappa: float | None = None) -> np.ndarray:
-    """World position of the body origin as segment j bends.
-
-    The segment-end frame {b_j} is frozen at the current configuration and
-    the body origin is placed along the arc for the requested curvature
-    (default: the current one, which returns (q.x, q.y) exactly).  The
-    value is routed through the mode's spiral-centre frame, which cancels
-    algebraically; the mode only selects that frame.
-    """
-    centre_frame = spiral_center_frame(q, mode, j, geom)
-    anchor = global_pose(q).compose(cc_transform(q.kappa(j), j, geom))
-    kap = q.kappa(j) if kappa is None else kappa
-    local = body_origin_in_segment_frame(kap, j, geom)
-    centre_to_anchor = centre_frame.inverse().compose(anchor)
-    return centre_frame.apply(centre_to_anchor.apply(local))
+from .geometry import AgentConfig, GeometryParams, StiffnessState
+from .spiral import rate_coeffs
 
 
 def delta_coeff(q: AgentConfig, mode: int, j: int,
                 geom: GeometryParams) -> np.ndarray:
     """Position-rate column entry: d(body origin)/d(kappa_j) * K_mode.
 
-    Central finite difference of the frozen-anchor chain, one sided at the
-    curvature bound.  Mode 1 leaves the body frame stationary, so its
-    pose contribution is identically zero and is not defined here.
+    Closed-form derivative of the body origin along the constant-curvature
+    arc with the segment-end frame {b_j} frozen (Webster & Jones, IJRR
+    2010).  With l = seg_len, alpha = kappa_j * l and h = mid_link / 2,
+    expressed in the body frame it is
+
+        x = +/- l^2 (alpha - sin alpha) / alpha^2
+        y = l h + l^2 (1 - cos alpha) / alpha^2
+
+    with + for segment 1 and - for segment 2, rotated to the world by the
+    body heading.  Near alpha = 0 both fractions use their series.  Mode 1
+    leaves the body frame stationary, so its pose contribution is
+    identically zero and is not defined here.
     """
     if mode not in (2, 3):
         raise ContractError(
@@ -98,18 +57,19 @@ def delta_coeff(q: AgentConfig, mode: int, j: int,
         raise ContractError(f"segment index must be 1 or 2, got {j}")
     kap = q.kappa(j)
     k_gain, _, _ = rate_coeffs(mode, kap, geom.seg_len)
-    bound = geom.kappa_max
-    step = _FD_REL_STEP * bound
-    hi = min(kap + step, bound)
-    lo = max(kap - step, -bound)
-    f_hi = body_origin_in_segment_frame(hi, j, geom)
-    f_lo = body_origin_in_segment_frame(lo, j, geom)
-    d_local = (f_hi - f_lo) / (hi - lo)
-    alpha = kap * geom.seg_len
-    ang = q.phi + (-alpha if j == 1 else alpha)
-    c, s = math.cos(ang), math.sin(ang)
-    return k_gain * np.array([c * d_local[0] - s * d_local[1],
-                              s * d_local[0] + c * d_local[1]])
+    l = geom.seg_len
+    alpha = kap * l
+    if abs(alpha) < 1e-3:
+        a2 = alpha * alpha
+        sin_part = alpha * (1.0 / 6.0 - a2 / 120.0)
+        cos_part = 0.5 - a2 / 24.0
+    else:
+        sin_part = (alpha - math.sin(alpha)) / (alpha * alpha)
+        cos_part = (1.0 - math.cos(alpha)) / (alpha * alpha)
+    dx = l * l * sin_part if j == 1 else -l * l * sin_part
+    dy = l * geom.mid_link / 2 + l * l * cos_part
+    c, s = math.cos(q.phi), math.sin(q.phi)
+    return k_gain * np.array([c * dx - s * dy, s * dx + c * dy])
 
 
 def rigid_jacobian(q: AgentConfig) -> np.ndarray:

@@ -40,7 +40,6 @@ class PlannerParams:
     weights: tuple = (1.0, 1.0, 0.05, 0.001, 0.001)
     max_steps: int = 10000
     integrator: str = "euler"
-    progress_hysteresis: bool = False
 
     def __post_init__(self):
         if self.dt <= 0 or self.lam <= 0:
@@ -62,6 +61,7 @@ class PlanStep:
     config: AgentConfig
     stiffness: StiffnessState
     speeds: np.ndarray
+    saturated: bool                 # the step's curvature clamp engaged
 
 
 @dataclass
@@ -122,11 +122,19 @@ def damped_speeds(jac: np.ndarray, err: np.ndarray, lam: float,
                   mu: float) -> np.ndarray:
     """Damped least-squares drive inputs for one hypothesis step.
 
+    Solves (Ja^T Ja + mu^2 I) u = Ja^T (lam * err) on the active columns Ja
+    only (the 5 x 2 soft block or the 5 x 3 rigid block).  By the
+    push-through identity (Wampler, IEEE SMC 1986) this equals
+    J^T (J J^T + mu^2 I)^-1 (lam * err), but the 5 x 5 Gram matrix there
+    has rank-deficient J J^T, so its conditioning is set by mu^2 alone.
     Columns of zeros (the inactive regime) get exactly zero input.
     """
-    rhs = lam * err
-    gram = jac @ jac.T + (mu * mu) * np.eye(jac.shape[0])
-    return jac.T @ np.linalg.solve(gram, rhs)
+    active = np.flatnonzero(jac.any(axis=0))
+    ja = jac[:, active]
+    gram = ja.T @ ja + (mu * mu) * np.eye(active.size)
+    ups = np.zeros(jac.shape[1])
+    ups[active] = np.linalg.solve(gram, ja.T @ (lam * err))
+    return ups
 
 
 def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
@@ -153,18 +161,18 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
             return PlanResult(q0, target, params, steps, configs, distances,
                               True, n_switches,
                               time.perf_counter() - t_start)
-        candidates: dict[int, tuple[float, np.ndarray, AgentConfig]] = {}
+        candidates: dict[int, tuple[float, np.ndarray, AgentConfig, bool]] = {}
         for idx, s in enumerate(STIFFNESS_STATES):
             if s.index == 3 and (abs(q.kappa1) > uniform_bound
                                  or abs(q.kappa2) > uniform_bound):
                 continue
             jac = hybrid_jacobian(q, s, geom)
             ups = damped_speeds(jac, err, params.lam, params.mu)
-            q_next, _ = fk_step_detailed(q, s, ups, params.dt, geom,
-                                         params.integrator, jac=jac)
+            q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom,
+                                           params.integrator, jac=jac)
             d_next = weighted_distance(config_error(target, q_next),
                                        params.weights)
-            candidates[idx] = (d_next, ups, q_next)
+            candidates[idx] = (d_next, ups, q_next, sat)
         best_idx = min(candidates, key=lambda i: candidates[i][0])
         best_progress = dist - candidates[best_idx][0]
         if best_progress <= params.eps_progress:
@@ -176,24 +184,19 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                     for i, c in candidates.items()})
         chosen = best_idx
         if prev_idx is not None and prev_idx != best_idx and prev_idx in candidates:
-            d_hold, _, q_hold = candidates[prev_idx]
-            if params.progress_hysteresis:
-                # alternative reading: retain only while distance still drops
-                retain = dist - d_hold > params.eps_progress
-            else:
-                # retain while the pattern still changes the configuration,
-                # so a curvature fix is finished before the mode is released.
-                # A pattern that no longer gains ground is let go even if it
-                # keeps moving (it may be pinned at a curvature bound).
-                retain = (dist - d_hold > 0.0
-                          and weighted_distance(config_error(q_hold, q),
-                                                params.weights)
-                          > params.eps_progress)
-            if retain:
+            d_hold, _, q_hold, _ = candidates[prev_idx]
+            # retain while the pattern still changes the configuration, so a
+            # curvature fix is finished before the mode is released.  A
+            # pattern that no longer gains ground is let go even if it keeps
+            # moving (it may be pinned at a curvature bound).
+            if (dist - d_hold > 0.0
+                    and weighted_distance(config_error(q_hold, q),
+                                          params.weights)
+                    > params.eps_progress):
                 chosen = prev_idx
-        d_next, ups, q_next = candidates[chosen]
+        _, ups, q_next, sat = candidates[chosen]
         steps.append(PlanStep(step_no * params.dt, q,
-                              STIFFNESS_STATES[chosen], ups))
+                              STIFFNESS_STATES[chosen], ups, sat))
         if prev_idx is not None and chosen != prev_idx:
             n_switches += 1
         prev_idx = chosen

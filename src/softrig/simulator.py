@@ -1,16 +1,16 @@
 """Forward kinematics stepping and plan playback.
 
-``fk_step`` advances the configuration under the regime-gated Jacobian and
-is the single integration path shared by the planner and the simulator, so
-plans replay to the same trajectory they were made with.  ``rollout``
-replays a plan with the segment thermal loops in the loop: at every
-stiffness change the motion pauses (drive speeds zero) until both segments
-report the commanded phase, unless gating is disabled.
+``fk_step_detailed`` advances the configuration under the regime-gated
+Jacobian; the planner integrates every step with it.  ``rollout`` replays
+the configurations the planner already integrated with the segment thermal
+loops in the loop: at every stiffness change the motion pauses (drive
+speeds zero) until both segments report the commanded phase, unless gating
+is disabled.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -71,12 +71,6 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
     return _clipped(arr, bound), saturated
 
 
-def fk_step(q: AgentConfig, s: StiffnessState, speeds, dt: float,
-            geom: GeometryParams, integrator: str = "euler",
-            jac: np.ndarray | None = None) -> AgentConfig:
-    return fk_step_detailed(q, s, speeds, dt, geom, integrator, jac)[0]
-
-
 @dataclass(frozen=True)
 class SimRow:
     t: float
@@ -132,33 +126,28 @@ class Trajectory:
         return runs
 
 
-def rollout(q0: AgentConfig, plan, geom: GeometryParams,
+def rollout(plan: PlanResult, geom: GeometryParams,
             thermal_params: th.ThermalParams | None = None,
             thermal_gating: bool = True,
-            integrator: str | None = None,
-            dt: float | None = None,
             max_wait: float = 60.0) -> Trajectory:
-    """Replay a plan from q0; returns the full row-per-step trajectory.
+    """Replay a plan; returns the full row-per-step trajectory.
 
-    ``plan`` needs ``steps`` (each with ``stiffness`` and ``speeds``) and a
-    ``params`` carrying default dt and integrator.  With gating on, motion
-    holds (speeds zero) after each stiffness change until both segments
-    reach the commanded phase; longer than max_wait raises
-    ThermalTimeoutError.
+    Motion rows carry the plan's own configurations, speeds and saturation
+    flags at the plan's dt, so the replay matches the plan exactly; geom is
+    the geometry the plan was made for.  With gating on, motion holds
+    (speeds zero) after each stiffness change until both segments reach
+    the commanded phase; longer than max_wait raises ThermalTimeoutError.
     """
     params = thermal_params if thermal_params is not None else th.ThermalParams()
-    dt = float(dt if dt is not None else plan.params.dt)
-    integrator = integrator if integrator is not None else getattr(
-        plan.params, "integrator", "euler")
+    dt = float(plan.params.dt)
     st1 = th.initial_state(params)
     st2 = th.initial_state(params)
-    q = q0
     t = 0.0
     rows: list[SimRow] = []
     prev_cmd: StiffnessState | None = None
     zero = np.zeros(5)
     for step in plan.steps:
-        cmd = step.stiffness
+        q, cmd = step.config, step.stiffness
         if cmd != prev_cmd:
             st1 = th.command(st1, cmd.soft1, params)
             st2 = th.command(st2, cmd.soft2, params)
@@ -181,21 +170,18 @@ def rollout(q0: AgentConfig, plan, geom: GeometryParams,
                 st1, st2 = n1, n2
                 t += dt
                 waited += dt
-        ups = np.asarray(step.speeds, dtype=float)
-        q_next, sat = fk_step_detailed(q, cmd, ups, dt, geom, integrator)
         n1, u1 = th.thermal_step(st1, params, dt)
         n2, u2 = th.thermal_step(st2, params, dt)
-        rows.append(SimRow(t, q, cmd, ups,
+        rows.append(SimRow(t, q, cmd, step.speeds,
                            st1.temperature, u1, st1.phase,
                            st2.temperature, u2, st2.phase,
-                           paused=False, saturated=sat))
+                           paused=False, saturated=step.saturated))
         st1, st2 = n1, n2
-        q = q_next
         t += dt
     last_cmd = prev_cmd if prev_cmd is not None else StiffnessState(False, False)
-    rows.append(SimRow(t, q, last_cmd, zero,
+    rows.append(SimRow(t, plan.final_config, last_cmd, zero,
                        st1.temperature, th.duty(st1, params), st1.phase,
                        st2.temperature, th.duty(st2, params), st2.phase,
                        paused=False, saturated=False))
-    return Trajectory(rows=rows, dt=dt, integrator=integrator,
+    return Trajectory(rows=rows, dt=dt, integrator=plan.params.integrator,
                       thermal_gating=thermal_gating)

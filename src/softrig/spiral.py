@@ -221,10 +221,15 @@ def _spiral_residual(pts: np.ndarray, centre: np.ndarray):
 
 
 def _start_centres(pts: np.ndarray):
-    """The five starting centres the fit is run from."""
+    """The four starting centres the fit is run from.
+
+    The fit-frame origin is not one of them: the mode-1 sweep curls its
+    last sample back onto it, and a centre on a sample leaves the spiral
+    undefined.
+    """
     mean = pts.mean(axis=0)
     span = pts.max(axis=0) - pts.min(axis=0)
-    return [mean, mean + 0.25 * span, mean - 0.25 * span, pts[0] * 0.5, np.zeros(2)]
+    return [mean, mean + 0.25 * span, mean - 0.25 * span, pts[0] * 0.5]
 
 
 def _solve_centre(pts: np.ndarray, centre0: np.ndarray):

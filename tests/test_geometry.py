@@ -6,8 +6,8 @@ import pytest
 from softrig.errors import ContractError, DomainError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               Pose2, StiffnessState, cc_transform,
-                              global_pose, segment_joint, wheel_anchor_points,
-                              wheel_poses_body, wrap_angle)
+                              wheel_anchor_points, wheel_poses_body,
+                              wrap_angle)
 
 GEOM = GeometryParams()
 
@@ -132,11 +132,6 @@ def test_cc_transform_rejects_over_bend():
         cc_transform(0.0, 3, GEOM)
 
 
-def test_segment_joint_positions():
-    np.testing.assert_allclose(segment_joint(1, GEOM), [-0.015, 0.0])
-    np.testing.assert_allclose(segment_joint(2, GEOM), [0.015, 0.0])
-
-
 def test_wheel_layout_straight():
     anchors = wheel_anchor_points(GEOM)
     assert anchors.shape == (2, 4)
@@ -162,6 +157,6 @@ def test_wheel_headings_follow_bend():
 
 def test_global_pose_matches_config():
     q = AgentConfig(0.3, -0.2, 1.1, 0.0, 0.0)
-    g = global_pose(q)
+    g = Pose2.from_xytheta(q.x, q.y, q.phi)
     np.testing.assert_allclose(g.xy, [0.3, -0.2])
     assert math.isclose(g.theta, 1.1)

@@ -5,12 +5,10 @@ import pytest
 
 from softrig.errors import ContractError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
-                              StiffnessState, cc_transform, global_pose,
-                              wrap_angle)
-from softrig.jacobian import (F_point_global, delta_coeff, hybrid_jacobian,
-                              rigid_jacobian, soft_jacobian,
-                              spiral_center_frame)
-from softrig.simulator import fk_step
+                              Pose2, StiffnessState, cc_transform, wrap_angle)
+from softrig.jacobian import (delta_coeff, hybrid_jacobian, rigid_jacobian,
+                              soft_jacobian)
+from softrig.simulator import fk_step_detailed
 from softrig.spiral import rate_coeffs
 
 GEOM = GeometryParams()
@@ -102,30 +100,35 @@ def test_hybrid_jacobian_gating():
     np.testing.assert_allclose(full[:, 2:], rigid_jacobian(q))
 
 
-def test_f_point_identity_at_current_curvature():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        for mode, j in ((2, 1), (2, 2), (3, 1), (3, 2)):
-            q = random_config(rng, uniform=mode == 3)
-            p = F_point_global(q, mode, j, GEOM)
-            np.testing.assert_allclose(p, [q.x, q.y], atol=1e-13)
-
-
 def test_delta_coeff_matches_direct_difference():
-    # the chain rate against a plain finite difference of the frozen-anchor
-    # body position, converted through dkappa/dt = K * v
+    # the closed form against a central difference of the body origin seen
+    # from the frozen segment-end frame, rotated to the world and converted
+    # through dkappa/dt = K * v.  At the curvature bound the step shrinks
+    # into the 1e-9 slack cc_transform allows past it, so the bound itself
+    # is differenced centrally too.
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        for mode, j in ((2, 1), (2, 2), (3, 1), (3, 2)):
-            q = random_config(rng, kappa_frac=0.7, uniform=mode == 3)
-            kap = q.kappa(j)
-            k_gain, _, _ = rate_coeffs(mode, kap, GEOM.seg_len)
-            d = delta_coeff(q, mode, j, GEOM)
-            h = 1e-7 * GEOM.kappa_max
-            p_hi = F_point_global(q, mode, j, GEOM, kappa=kap + h)
-            p_lo = F_point_global(q, mode, j, GEOM, kappa=kap - h)
-            fd = (p_hi - p_lo) / (2 * h) * k_gain
-            np.testing.assert_allclose(d, fd, rtol=1e-4, atol=1e-4)
+    l, kmax = GEOM.seg_len, GEOM.kappa_max
+    cases = []
+    for mode, j in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        bound = GEOM.kappa_max_uniform if mode == 3 else GEOM.kappa_max
+        for kap in (0.0, 1e-7 / l, -4e-4 / l, 9e-4 / l, bound, -bound):
+            cases.append((AgentConfig(0.1, -0.2, rng.uniform(-math.pi, math.pi),
+                                      kap, kap), mode, j))
+        for _ in range(20):
+            cases.append((random_config(rng, kappa_frac=0.7, uniform=mode == 3),
+                          mode, j))
+    for q, mode, j in cases:
+        kap = q.kappa(j)
+        h = min(1e-6 * kmax, kmax * (1 + 5e-10) - abs(kap))
+        k_gain, _, _ = rate_coeffs(mode, kap, l)
+        anchor = Pose2.from_xytheta(q.x, q.y, q.phi).compose(
+            cc_transform(kap, j, GEOM))
+        hi = cc_transform(kap + h, j, GEOM).inverse().xy
+        lo = cc_transform(kap - h, j, GEOM).inverse().xy
+        fd = k_gain * anchor.rot @ (hi - lo) / (2 * h)
+        d = delta_coeff(q, mode, j, GEOM)
+        assert np.linalg.norm(d - fd) <= 1e-6 * np.linalg.norm(fd), (
+            f"mode {mode} segment {j} kappa {kap:.6g}")
 
 
 def test_delta_coeff_rejects_stationary_mode():
@@ -140,26 +143,14 @@ def test_stationary_anchor_under_integration():
     # driving v1 with segment 2 soft must keep the {b2}-side anchor frame
     # fixed in the world: the far unit orbits while that end stands still
     q = AgentConfig(0.02, -0.05, 0.3, 10.0, 5.0)
-    anchor0 = global_pose(q).compose(cc_transform(q.kappa2, 2, GEOM))
+    anchor0 = Pose2.from_xytheta(q.x, q.y, q.phi).compose(
+        cc_transform(q.kappa2, 2, GEOM))
     ups = np.array([0.02, 0.0, 0.0, 0.0, 0.0])
     for _ in range(400):
-        q = fk_step(q, S01, ups, 0.005, GEOM, integrator="rk4")
-    anchor1 = global_pose(q).compose(cc_transform(q.kappa2, 2, GEOM))
+        q = fk_step_detailed(q, S01, ups, 0.005, GEOM, integrator="rk4")[0]
+    anchor1 = Pose2.from_xytheta(q.x, q.y, q.phi).compose(
+        cc_transform(q.kappa2, 2, GEOM))
     np.testing.assert_allclose(anchor1.mat, anchor0.mat, atol=5e-6)
-
-
-def test_spiral_center_frame_rides_the_anchor():
-    q = AgentConfig(0.1, 0.2, -0.7, -22.0, 31.0)
-    frame = spiral_center_frame(q, 2, 2, GEOM)
-    anchor = global_pose(q).compose(cc_transform(q.kappa2, 2, GEOM))
-    assert math.isclose(wrap_angle(frame.theta - anchor.theta), 0.0,
-                        abs_tol=1e-12)
-    # centre offset magnitude is the tabulated centre distance
-    from softrig.spiral import spiral_model
-    sp = spiral_model(2)
-    dist = np.linalg.norm(frame.xy - anchor.xy)
-    expect = math.hypot(sp.cx_over_l, sp.cy_over_l) * GEOM.seg_len
-    assert math.isclose(dist, expect, rel_tol=1e-12)
 
 
 def test_first_order_rates_match_integration():
@@ -175,7 +166,7 @@ def test_first_order_rates_match_integration():
         else:
             ups[2:] = rng.uniform(-0.01, 0.01, 3)
         jac = hybrid_jacobian(q, s, GEOM)
-        q1 = fk_step(q, s, ups, dt, GEOM, integrator="rk4")
+        q1 = fk_step_detailed(q, s, ups, dt, GEOM, integrator="rk4")[0]
         diff = q1.as_array() - q.as_array()
         diff[2] = wrap_angle(diff[2])
         np.testing.assert_allclose(diff / dt, jac @ ups, atol=5e-7)

@@ -15,7 +15,7 @@ GEOM = GeometryParams()
 def make_plan():
     q0 = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
     target = AgentConfig(0.05, 0.02, 0.2, 40.0, 0.0)
-    return q0, plan_motion(q0, target, GEOM, PlannerParams())
+    return plan_motion(q0, target, GEOM, PlannerParams())
 
 
 def read_rows(path):
@@ -28,7 +28,7 @@ def read_rows(path):
 
 
 def test_plan_csv_layout(tmp_path):
-    q0, plan = make_plan()
+    plan = make_plan()
     path = str(tmp_path / "plan.csv")
     outputs.write_plan_csv(path, plan)
     header, rows = read_rows(path)
@@ -43,8 +43,8 @@ def test_plan_csv_layout(tmp_path):
 
 
 def test_trajectory_and_thermal_csv(tmp_path):
-    q0, plan = make_plan()
-    traj = rollout(q0, plan, GEOM)
+    plan = make_plan()
+    traj = rollout(plan, GEOM)
     tpath = str(tmp_path / "trajectory.csv")
     outputs.write_trajectory_csv(tpath, traj)
     header, rows = read_rows(tpath)
@@ -107,8 +107,8 @@ def test_render_frame_svg_structure():
 
 
 def test_save_keyframes(tmp_path):
-    q0, plan = make_plan()
-    traj = rollout(q0, plan, GEOM, thermal_gating=False)
+    plan = make_plan()
+    traj = rollout(plan, GEOM, thermal_gating=False)
     out = str(tmp_path / "frames")
     paths = outputs.save_keyframes(traj, out, GEOM, every=40)
     expect = len(range(0, len(traj.rows) - 1, 40)) + 1

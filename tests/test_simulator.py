@@ -8,7 +8,7 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState)
 from softrig.jacobian import hybrid_jacobian
 from softrig.planner import PlannerParams, plan_motion
-from softrig.simulator import Trajectory, fk_step, fk_step_detailed, rollout
+from softrig.simulator import Trajectory, fk_step_detailed, rollout
 from softrig.thermal import PHASE_RIGID, PHASE_SOFT, ThermalParams
 
 GEOM = GeometryParams()
@@ -20,14 +20,14 @@ S11 = StiffnessState(True, True)
 def small_plan():
     q0 = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
     target = AgentConfig(0.05, 0.02, 0.2, 40.0, 0.0)
-    return q0, plan_motion(q0, target, GEOM, PlannerParams())
+    return plan_motion(q0, target, GEOM, PlannerParams())
 
 
 def test_euler_step_is_exact_first_order():
     q = AgentConfig(0.01, -0.02, 0.4, 8.0, -6.0)
     ups = np.array([0.02, -0.01, 0.0, 0.0, 0.0])
     jac = hybrid_jacobian(q, S01, GEOM)
-    q1 = fk_step(q, S01, ups, 0.05, GEOM)
+    q1 = fk_step_detailed(q, S01, ups, 0.05, GEOM)[0]
     expect = q.as_array() + 0.05 * (jac @ ups)
     np.testing.assert_allclose(q1.as_array(), expect, atol=1e-15)
 
@@ -35,19 +35,19 @@ def test_euler_step_is_exact_first_order():
 def test_rk4_converges_to_euler_for_small_dt():
     q = AgentConfig(0.0, 0.0, 0.0, 5.0, 5.0)
     ups = np.array([0.03, 0.0, 0.0, 0.0, 0.0])
-    qe = fk_step(q, S01, ups, 1e-6, GEOM, integrator="euler")
-    qr = fk_step(q, S01, ups, 1e-6, GEOM, integrator="rk4")
+    qe = fk_step_detailed(q, S01, ups, 1e-6, GEOM, integrator="euler")[0]
+    qr = fk_step_detailed(q, S01, ups, 1e-6, GEOM, integrator="rk4")[0]
     np.testing.assert_allclose(qe.as_array(), qr.as_array(), atol=1e-12)
 
 
 def test_unknown_integrator_and_bad_inputs():
     q = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ContractError):
-        fk_step(q, RIGID, np.zeros(5), 0.05, GEOM, integrator="heun")
+        fk_step_detailed(q, RIGID, np.zeros(5), 0.05, GEOM, integrator="heun")
     with pytest.raises(ContractError):
-        fk_step(q, RIGID, np.zeros(4), 0.05, GEOM)
+        fk_step_detailed(q, RIGID, np.zeros(4), 0.05, GEOM)
     with pytest.raises(ContractError):
-        fk_step(q, RIGID, np.zeros(5), 0.0, GEOM)
+        fk_step_detailed(q, RIGID, np.zeros(5), 0.0, GEOM)
 
 
 def test_curvature_clipping_flags_saturation():
@@ -66,8 +66,8 @@ def test_curvature_clipping_flags_saturation():
 
 
 def test_rollout_without_gating_replays_plan():
-    q0, plan = small_plan()
-    traj = rollout(q0, plan, GEOM, thermal_gating=False)
+    plan = small_plan()
+    traj = rollout(plan, GEOM, thermal_gating=False)
     assert not any(row.paused for row in traj.rows)
     assert len(traj.rows) == len(plan.steps) + 1
     np.testing.assert_allclose(traj.final_config.as_array(),
@@ -78,10 +78,10 @@ def test_rollout_without_gating_replays_plan():
 
 
 def test_rollout_gating_pauses_at_stiffness_changes():
-    q0, plan = small_plan()
+    plan = small_plan()
     labels = [lab for lab, _ in plan.runs()]
     assert len(labels) >= 2  # needs at least one switch to exercise gating
-    traj = rollout(q0, plan, GEOM)
+    traj = rollout(plan, GEOM)
     blocks = traj.pause_blocks()
     boundaries = len(labels) - 1 + (1 if labels[0] != "00" else 0)
     assert len(blocks) == boundaries
@@ -98,8 +98,8 @@ def test_rollout_gating_pauses_at_stiffness_changes():
 
 
 def test_rollout_thermal_phases_track_commands():
-    q0, plan = small_plan()
-    traj = rollout(q0, plan, GEOM)
+    plan = small_plan()
+    traj = rollout(plan, GEOM)
     for row in traj.rows:
         if row.paused:
             continue
@@ -110,14 +110,14 @@ def test_rollout_thermal_phases_track_commands():
 
 
 def test_rollout_times_out_on_tiny_budget():
-    q0, plan = small_plan()
+    plan = small_plan()
     with pytest.raises(ThermalTimeoutError):
-        rollout(q0, plan, GEOM, max_wait=0.2)
+        rollout(plan, GEOM, max_wait=0.2)
 
 
 def test_rollout_time_axis_is_uniform():
-    q0, plan = small_plan()
-    traj = rollout(q0, plan, GEOM)
+    plan = small_plan()
+    traj = rollout(plan, GEOM)
     ts = [row.t for row in traj.rows]
     steps = np.diff(ts)
     np.testing.assert_allclose(steps, plan.params.dt, atol=1e-12)
