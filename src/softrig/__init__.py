@@ -23,11 +23,10 @@ from .planner import (PlannerParams, PlanResult, PlanStep, config_error,
 from .scenario import (Scenario, example_scenario_dict, load_scenario,
                        sample_scenario, scenario_from_dict)
 from .simulator import SimRow, Trajectory, fk_step_detailed, rollout
-from .spiral import (SPIRALS, SpiralFit, SpiralModel, kappa_from_theta,
-                     rate_coeffs, refit_oracle, spiral_model, spiral_point,
-                     sweep_curve, theta_from_kappa)
+from .spiral import (SPIRALS, SpiralFit, SpiralModel, rate_coeffs,
+                     refit_oracle, spiral_model, sweep_curve,
+                     theta_from_kappa)
 from .thermal import (ThermalParams, ThermalState, command, duty,
-                      initial_state, is_ready, sensor_voltage, thermal_step,
-                      transition_time)
-from .wheelmodel import (VelocityInput, WheelSpeeds, body_twist_from_wheels,
-                         config_matrix, rigid_block, soft_block, wheel_speeds)
+                      initial_state, is_ready, thermal_step, transition_time)
+from .wheelmodel import (WheelSpeeds, body_twist_from_wheels, config_matrix,
+                         rigid_block, soft_block, wheel_speeds)

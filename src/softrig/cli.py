@@ -25,7 +25,7 @@ from . import __version__, outputs
 from .errors import (FitError, ScenarioError, SoftrigError, StallError,
                      ThermalTimeoutError)
 from .geometry import GeometryParams
-from .planner import PlannerParams, plan_motion
+from .planner import plan_motion
 from .scenario import Scenario, load_scenario, sample_scenario
 from .simulator import rollout
 
@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default ./out)")
     run.add_argument("--no-thermal", action="store_true",
                      help="skip thermal gating during playback")
-    run.add_argument("--integrator", choices=("euler", "rk4"),
-                     help="override the scenario integrator")
     run.add_argument("--preset", choices=("default", "unweighted"),
                      default="default",
                      help="distance metric preset for the planner")
@@ -73,12 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_preset(scn: Scenario, args) -> Scenario:
-    planner = scn.planner
     if args.preset == "unweighted":
-        planner = dataclasses.replace(planner, weights=(1.0,) * 5)
-    if args.integrator:
-        planner = dataclasses.replace(planner, integrator=args.integrator)
-    if planner is not scn.planner:
+        planner = dataclasses.replace(scn.planner, weights=(1.0,) * 5)
         scn = dataclasses.replace(scn, planner=planner)
     return scn
 
@@ -92,7 +86,7 @@ def _run_one(scn: Scenario, out_dir: str, args) -> int:
         return EXIT_NO_CONVERGE
     gating = scn.thermal_gating and not args.no_thermal
     try:
-        traj = rollout(plan, scn.geometry, thermal_params=scn.thermal,
+        traj = rollout(plan, thermal_params=scn.thermal,
                        thermal_gating=gating, max_wait=args.max_wait)
     except ThermalTimeoutError as exc:
         print(f"{scn.label}: thermal timeout: {exc}", file=sys.stderr)

@@ -228,14 +228,30 @@ def _check_segment(j: int) -> None:
 # constant-curvature kinematics
 # ---------------------------------------------------------------------------
 
+def arc_chord(kappa: float, length: float) -> tuple[float, float]:
+    """End point of a circular arc from its start, tangent along +x.
+
+    The arc has the given length and signed curvature and bends toward +y
+    for positive kappa: (sin(a) / kappa, 2 sin^2(a / 2) / kappa) with
+    a = kappa * length.  The rise is written with the half-angle sine,
+    since 1 - cos(a) cancels for small a; below |a| = 1e-6 both entries
+    use their series, so the map is smooth through the straight arc.
+    """
+    alpha = kappa * length
+    if abs(alpha) < 1e-6:
+        # sin(a)/kappa = l*(1 - a^2/6), 2 sin^2(a/2)/kappa = l*a/2 to O(a^3)
+        return length * (1.0 - alpha * alpha / 6.0), length * alpha / 2.0
+    half = math.sin(alpha / 2.0)
+    return math.sin(alpha) / kappa, 2.0 * half * half / kappa
+
+
 def cc_transform(kappa: float, j: int, geom: GeometryParams) -> Pose2:
     """Transform from the body frame {b0} to the segment-end frame {bj}.
 
     The segment bends as an arc of length seg_len and curvature kappa; the
     middle link contributes a straight mid_link/2 run before the arc.  The
     end frame rotates by -alpha for segment 1 and +alpha for segment 2,
-    alpha = kappa * seg_len.  Near kappa = 0 the translation uses the series
-    limit so the map is smooth through the straight configuration.
+    alpha = kappa * seg_len.  The arc itself is ``arc_chord``.
     """
     _check_segment(j)
     l, half_mid = geom.seg_len, geom.mid_link / 2
@@ -244,13 +260,7 @@ def cc_transform(kappa: float, j: int, geom: GeometryParams) -> Pose2:
             f"segment {j} curvature {kappa:.6g} exceeds the full-circle bound "
             f"{geom.kappa_max:.6g}")
     alpha = kappa * l
-    if abs(alpha) < 1e-6:
-        # sin(a)/kappa = l*(1 - a^2/6), (1-cos(a))/kappa = l*a/2 to O(a^3)
-        chord_x = l * (1.0 - alpha * alpha / 6.0)
-        chord_y = l * alpha / 2.0
-    else:
-        chord_x = math.sin(alpha) / kappa
-        chord_y = (1.0 - math.cos(alpha)) / kappa
+    chord_x, chord_y = arc_chord(kappa, l)
     if j == 1:
         return Pose2.from_xytheta(-(half_mid + chord_x), chord_y, -alpha)
     return Pose2.from_xytheta(half_mid + chord_x, chord_y, alpha)

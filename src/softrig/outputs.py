@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .geometry import (AgentConfig, GeometryParams, StiffnessState,
-                       cc_transform, wheel_poses_body)
+                       arc_chord, cc_transform, wheel_poses_body)
 from .planner import PlanResult
 from .simulator import Trajectory
 from .spiral import SPIRALS, refit_oracle, sweep_curve, theta_from_kappa
@@ -23,6 +23,8 @@ from .thermal import ThermalParams
 
 SOFT_COLOR = "#1f77b4"
 RIGID_COLOR = "#d62728"
+FRAME_SIZE = 640              # SVG frame side, pixels
+FRAME_WORLD = 0.35            # half side of the drawn world box, metres
 
 
 def _fmt(x: float) -> str:
@@ -146,19 +148,14 @@ def _arc_points(kappa: float, j: int, geom: GeometryParams, n: int = 24):
     x0 = sign * geom.mid_link / 2
     pts = []
     for i in range(n + 1):
-        s = geom.seg_len * i / n
-        a = kappa * s
-        if abs(a) < 1e-9:
-            cx, cy = s, 0.5 * a * s
-        else:
-            cx, cy = math.sin(a) / kappa, (1 - math.cos(a)) / kappa
+        cx, cy = arc_chord(kappa, geom.seg_len * i / n)
         pts.append((x0 + sign * cx, cy))
     return pts
 
 
-def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
-                 size: int = 640, world: float = 0.35) -> str:
-    """One SVG snapshot of the agent pose, world box +-world metres."""
+def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str:
+    """One SVG snapshot of the agent pose, world box +-FRAME_WORLD metres."""
+    size, world = FRAME_SIZE, FRAME_WORLD
     scale = size / (2 * world)
 
     def to_px(p):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class PlannerParams:
     eps_progress: float = 1e-5    # smallest distance drop counted as progress
     weights: tuple = (1.0, 1.0, 0.05, 0.001, 0.001)
     max_steps: int = 10000
-    integrator: str = "euler"
 
     def __post_init__(self):
         if self.dt <= 0 or self.lam <= 0:
@@ -86,14 +86,8 @@ class PlanResult:
 
     def runs(self) -> list[tuple[str, int]]:
         """Consecutive same-stiffness spans as (label, step count)."""
-        out: list[tuple[str, int]] = []
-        for step in self.steps:
-            label = step.stiffness.label()
-            if out and out[-1][0] == label:
-                out[-1] = (label, out[-1][1] + 1)
-            else:
-                out.append((label, 1))
-        return out
+        labels = (step.stiffness.label() for step in self.steps)
+        return [(label, sum(1 for _ in run)) for label, run in groupby(labels)]
 
     def summary(self) -> dict:
         return {
@@ -168,8 +162,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                 continue
             jac = hybrid_jacobian(q, s, geom)
             ups = damped_speeds(jac, err, params.lam, params.mu)
-            q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom,
-                                           params.integrator, jac=jac)
+            q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom, jac=jac)
             d_next = weighted_distance(config_error(target, q_next),
                                        params.weights)
             candidates[idx] = (d_next, ups, q_next, sat)

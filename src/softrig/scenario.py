@@ -21,6 +21,7 @@ from .planner import PlannerParams
 from .thermal import ThermalParams
 
 _CONFIG_KEYS = ("x", "y", "phi", "kappa1", "kappa2")
+POSE_BOX = 0.3                # half side of the sampled position box, metres
 
 
 @dataclass(frozen=True)
@@ -116,31 +117,25 @@ def load_scenario(path: str) -> Scenario:
 
 
 def sample_scenario(rng: np.random.Generator, index: int = 0,
-                    geometry: GeometryParams | None = None,
-                    planner: PlannerParams | None = None,
-                    thermal: ThermalParams | None = None,
-                    thermal_gating: bool = True,
-                    pose_box: float = 0.3) -> Scenario:
-    """Random start and target inside the workspace box.
+                    thermal_gating: bool = True) -> Scenario:
+    """Random start and target inside the workspace box, default parameters.
 
-    Positions are uniform in +-pose_box metres, headings over the circle,
+    Positions are uniform in +-POSE_BOX metres, headings over the circle,
     curvatures over the reachable single-segment range.
     """
-    geometry = geometry if geometry is not None else GeometryParams()
-    planner = planner if planner is not None else PlannerParams()
-    thermal = thermal if thermal is not None else ThermalParams()
+    geometry = GeometryParams()
     kb = geometry.kappa_max
 
     def draw() -> AgentConfig:
         return AgentConfig(
-            x=float(rng.uniform(-pose_box, pose_box)),
-            y=float(rng.uniform(-pose_box, pose_box)),
+            x=float(rng.uniform(-POSE_BOX, POSE_BOX)),
+            y=float(rng.uniform(-POSE_BOX, POSE_BOX)),
             phi=float(rng.uniform(-math.pi, math.pi)),
             kappa1=float(rng.uniform(-kb, kb)),
             kappa2=float(rng.uniform(-kb, kb)))
 
     return Scenario(q0=draw(), target=draw(), geometry=geometry,
-                    planner=planner, thermal=thermal,
+                    planner=PlannerParams(), thermal=ThermalParams(),
                     thermal_gating=thermal_gating,
                     label=f"sample-{index:03d}")
 

@@ -10,6 +10,7 @@ is disabled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,7 +32,7 @@ def _kappa_bound(s: StiffnessState, geom: GeometryParams) -> float:
 
 
 def _clipped(arr: np.ndarray, bound: float) -> AgentConfig:
-    return AgentConfig(arr[0], arr[1], arr[2],
+    return AgentConfig(float(arr[0]), float(arr[1]), arr[2],
                        float(np.clip(arr[3], -bound, bound)),
                        float(np.clip(arr[4], -bound, bound)))
 
@@ -90,9 +91,6 @@ class SimRow:
 @dataclass
 class Trajectory:
     rows: list[SimRow]
-    dt: float
-    integrator: str
-    thermal_gating: bool
 
     @property
     def final_config(self) -> AgentConfig:
@@ -101,42 +99,32 @@ class Trajectory:
     def pause_blocks(self) -> list[tuple[int, int]]:
         """Contiguous paused spans as (first row index, row count)."""
         blocks = []
-        start = None
-        for i, row in enumerate(self.rows):
-            if row.paused and start is None:
-                start = i
-            elif not row.paused and start is not None:
-                blocks.append((start, i - start))
-                start = None
-        if start is not None:
-            blocks.append((start, len(self.rows) - start))
+        start = 0
+        for paused, run in groupby(self.rows, key=lambda row: row.paused):
+            count = sum(1 for _ in run)
+            if paused:
+                blocks.append((start, count))
+            start += count
         return blocks
 
     def stiffness_runs(self) -> list[tuple[str, int]]:
         """Plan-order stiffness labels with motion-row counts."""
-        runs: list[tuple[str, int]] = []
-        for row in self.rows[:-1]:
-            if row.paused:
-                continue
-            label = row.stiffness.label()
-            if runs and runs[-1][0] == label:
-                runs[-1] = (label, runs[-1][1] + 1)
-            else:
-                runs.append((label, 1))
-        return runs
+        labels = (row.stiffness.label() for row in self.rows[:-1]
+                  if not row.paused)
+        return [(label, sum(1 for _ in run)) for label, run in groupby(labels)]
 
 
-def rollout(plan: PlanResult, geom: GeometryParams,
+def rollout(plan: PlanResult,
             thermal_params: th.ThermalParams | None = None,
             thermal_gating: bool = True,
             max_wait: float = 60.0) -> Trajectory:
     """Replay a plan; returns the full row-per-step trajectory.
 
     Motion rows carry the plan's own configurations, speeds and saturation
-    flags at the plan's dt, so the replay matches the plan exactly; geom is
-    the geometry the plan was made for.  With gating on, motion holds
-    (speeds zero) after each stiffness change until both segments reach
-    the commanded phase; longer than max_wait raises ThermalTimeoutError.
+    flags at the plan's dt, so the replay matches the plan exactly.  With
+    gating on, motion holds (speeds zero) after each stiffness change until
+    both segments reach the commanded phase; longer than max_wait raises
+    ThermalTimeoutError.
     """
     params = thermal_params if thermal_params is not None else th.ThermalParams()
     dt = float(plan.params.dt)
@@ -183,5 +171,4 @@ def rollout(plan: PlanResult, geom: GeometryParams,
                        st1.temperature, th.duty(st1, params), st1.phase,
                        st2.temperature, th.duty(st2, params), st2.phase,
                        paused=False, saturated=False))
-    return Trajectory(rows=rows, dt=dt, integrator=plan.params.integrator,
-                      thermal_gating=thermal_gating)
+    return Trajectory(rows)

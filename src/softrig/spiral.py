@@ -101,34 +101,6 @@ def theta_from_kappa(mode: int, kappa: float, seg_len: float) -> float:
     return theta
 
 
-def kappa_from_theta(mode: int, theta: float, seg_len: float) -> float:
-    """Curvature for a spiral angle, inverse of theta_from_kappa."""
-    sp = spiral_model(mode)
-    if not (sp.theta_lo - _THETA_TOL <= theta <= sp.theta_hi + _THETA_TOL):
-        raise DomainError(
-            f"mode {mode} theta {theta:.6g} outside [{sp.theta_lo:.6g}, "
-            f"{sp.theta_hi:.6g}]")
-    return sp.m * (theta - math.pi) / seg_len
-
-
-def spiral_point(mode: int, theta: float, seg_len: float,
-                 bend_sign: int = 1) -> np.ndarray:
-    """Point on the mode's spiral in the centre frame.
-
-    b takes the sign opposite to the bend: b = -bend_sign * b_mag.
-    """
-    sp = spiral_model(mode)
-    if bend_sign not in (1, -1):
-        raise ContractError(f"bend_sign must be +1 or -1, got {bend_sign}")
-    if not (sp.theta_lo - _THETA_TOL <= theta <= sp.theta_hi + _THETA_TOL):
-        raise DomainError(
-            f"mode {mode} theta {theta:.6g} outside [{sp.theta_lo:.6g}, "
-            f"{sp.theta_hi:.6g}]")
-    b = -bend_sign * sp.b_mag
-    rho = sp.a_over_l * seg_len * math.exp(b * theta)
-    return np.array([rho * math.cos(theta), rho * math.sin(theta)])
-
-
 def rate_coeffs(mode: int, kappa: float, seg_len: float):
     """Speed-to-rate gains of a deformation mode at one curvature.
 
@@ -312,7 +284,7 @@ def _fit_log_spiral(pts: np.ndarray):
 
 
 def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
-                 bend_sign: int = 1, max_rel_residual: float = 0.10) -> SpiralFit:
+                 max_rel_residual: float = 0.10) -> SpiralFit:
     """Refit a mode's spiral from pure arc geometry.
 
     Sweeps the bend from straight to the mode bound in n_samples steps and
@@ -322,12 +294,10 @@ def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
     solve stops once the Gauss-Newton-scaled gradient is 1e-12 of the
     residual norm, so the constants are the converged optimum rather than
     wherever a solver happened to stop.  Reports them in the reference
-    convention: lengths over seg_len, b with the sign opposite to the bend,
-    the centre y mirrored with it.  Raises FitError when the rms residual
-    exceeds max_rel_residual of the mean radius.
+    convention for the positive bend: lengths over seg_len and b negative,
+    opposite to the bend.  Raises FitError when the rms residual exceeds
+    max_rel_residual of the mean radius.
     """
-    if bend_sign not in (1, -1):
-        raise ContractError(f"bend_sign must be +1 or -1, got {bend_sign}")
     if n_samples < 10:
         raise ContractError(f"need at least 10 sweep samples, got {n_samples}")
     sp = spiral_model(mode)
@@ -345,9 +315,9 @@ def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
     return SpiralFit(
         mode=mode,
         a_over_l=a / l,
-        b=-bend_sign * abs(b),
+        b=-abs(b),
         cx_over_l=centre[0] / l,
-        cy_over_l=bend_sign * centre[1] / l,
+        cy_over_l=centre[1] / l,
         rms_residual=rms,
         theta_span=float(abs(theta[-1] - theta[0])),
     )

@@ -9,8 +9,7 @@ single thermal pole,
 
 with u in [0, u_max].  The integrator only runs while the duty output is
 unclamped and is kept non-negative, so the loop heats from ambient to the
-soft setpoint without winding past the sensor ceiling.  A sensor map to
-volts mirrors the bench instrumentation and flags out-of-range readings.
+soft setpoint without winding past the sensor ceiling.
 """
 from __future__ import annotations
 
@@ -20,6 +19,7 @@ from .errors import ContractError, ThermalTimeoutError
 
 PHASE_SOFT = "soft"
 PHASE_RIGID = "rigid"
+_TRANSITION_DT = 0.01         # s, integration step of transition_time
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,7 @@ class ThermalParams:
     setpoint_rigid: float = 25.0
     t_melt: float = 62.0          # phase goes soft at or above
     t_solid: float = 55.0         # phase goes rigid at or below
-    sensor_t_lo: float = 0.0
-    sensor_t_hi: float = 85.0
-    sensor_v_lo: float = 1.1
-    sensor_v_hi: float = 3.3
+    sensor_t_hi: float = 85.0     # deg C, ceiling of the sensor range
 
     def __post_init__(self):
         if self.tau <= 0 or self.gain <= 0:
@@ -46,8 +43,6 @@ class ThermalParams:
             raise ContractError("duty limit must be positive, PI gains >= 0")
         if not self.t_solid < self.t_melt:
             raise ContractError("solidify threshold must sit below melt")
-        if not self.sensor_t_lo < self.sensor_t_hi:
-            raise ContractError("sensor range must be increasing")
 
 
 @dataclass(frozen=True)
@@ -70,11 +65,17 @@ def command(state: ThermalState, soft: bool, params: ThermalParams) -> ThermalSt
     return replace(state, setpoint=target)
 
 
-def duty(state: ThermalState, params: ThermalParams) -> float:
-    """Clamped PI heater duty for the current state."""
+def _pi_law(state: ThermalState,
+            params: ThermalParams) -> tuple[float, float, float]:
+    """(setpoint error, unclamped PI output, duty clamped to [0, u_max])."""
     err = state.setpoint - state.temperature
     raw = params.kp * err + params.ki * state.integral
-    return min(max(raw, 0.0), params.u_max)
+    return err, raw, min(max(raw, 0.0), params.u_max)
+
+
+def duty(state: ThermalState, params: ThermalParams) -> float:
+    """Clamped PI heater duty for the current state."""
+    return _pi_law(state, params)[2]
 
 
 def _phase_after(temperature: float, previous: str, params: ThermalParams) -> str:
@@ -90,9 +91,7 @@ def thermal_step(state: ThermalState, params: ThermalParams,
     """Advance the loop by dt; returns (new state, applied duty)."""
     if dt <= 0:
         raise ContractError(f"thermal step dt must be positive, got {dt}")
-    err = state.setpoint - state.temperature
-    raw = params.kp * err + params.ki * state.integral
-    u = min(max(raw, 0.0), params.u_max)
+    err, raw, u = _pi_law(state, params)
     integral = state.integral
     if raw == u:
         # conditional integration: hold the integrator while clamped
@@ -109,25 +108,16 @@ def is_ready(state: ThermalState, soft: bool) -> bool:
     return state.phase == (PHASE_SOFT if soft else PHASE_RIGID)
 
 
-def sensor_voltage(temperature: float,
-                   params: ThermalParams) -> tuple[float, bool]:
-    """Bench sensor reading in volts and an in-range flag."""
-    span_t = params.sensor_t_hi - params.sensor_t_lo
-    span_v = params.sensor_v_hi - params.sensor_v_lo
-    frac = (temperature - params.sensor_t_lo) / span_t
-    in_range = 0.0 <= frac <= 1.0
-    frac = min(max(frac, 0.0), 1.0)
-    return params.sensor_v_lo + frac * span_v, in_range
-
-
-def transition_time(params: ThermalParams, to_soft: bool, dt: float = 0.01,
+def transition_time(params: ThermalParams, to_soft: bool,
                     t_limit: float = 120.0) -> float:
     """Simulated time for a settled segment to switch phase.
 
     Starts from the steady state of the opposite command (ambient for
     rigid, the soft equilibrium for soft) and integrates until the phase
-    flips.  Raises ThermalTimeoutError past t_limit.
+    flips in steps of _TRANSITION_DT.  Raises ThermalTimeoutError past
+    t_limit.
     """
+    dt = _TRANSITION_DT
     if to_soft:
         state = command(initial_state(params), soft=True, params=params)
     else:

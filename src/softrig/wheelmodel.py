@@ -29,33 +29,11 @@ _RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class VelocityInput:
-    """Velocity input ups = (v1, v2, u0, v0, r0)."""
-
-    v1: float = 0.0
-    v2: float = 0.0
-    u0: float = 0.0
-    v0: float = 0.0
-    r0: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v1, self.v2, self.u0, self.v0, self.r0])
-
-    @classmethod
-    def from_array(cls, v) -> "VelocityInput":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (5,):
-            raise ContractError(f"velocity input must have 5 entries, got {v.shape}")
-        return cls(*v.tolist())
-
-
-@dataclass(frozen=True)
 class WheelSpeeds:
     """Angular rates of wheels 1..4 plus a drive-limit flag."""
 
     omega: np.ndarray
     saturated: bool = False
-    scale: float = 1.0
 
 
 def soft_block(geom: GeometryParams) -> np.ndarray:
@@ -108,12 +86,11 @@ def _check_exclusive(ups: np.ndarray, s: StiffnessState) -> None:
 
 
 def wheel_speeds(q: AgentConfig, s: StiffnessState, ups,
-                 geom: GeometryParams,
-                 omega_max: float = OMEGA_MAX_DEFAULT) -> WheelSpeeds:
+                 geom: GeometryParams) -> WheelSpeeds:
     """Wheel rates for a velocity input, uniformly rescaled at the drive limit.
 
     The input must respect regime exclusivity.  If any |omega| exceeds
-    omega_max the whole vector is scaled down so the demanded motion
+    OMEGA_MAX_DEFAULT the whole vector is scaled down so the demanded motion
     direction is preserved, and the result is flagged.
     """
     ups = np.asarray(ups, dtype=float)
@@ -122,9 +99,8 @@ def wheel_speeds(q: AgentConfig, s: StiffnessState, ups,
     _check_exclusive(ups, s)
     omega = config_matrix(q, s, geom) @ ups
     peak = np.max(np.abs(omega))
-    if peak > omega_max:
-        scale = omega_max / peak
-        return WheelSpeeds(omega * scale, saturated=True, scale=scale)
+    if peak > OMEGA_MAX_DEFAULT:
+        return WheelSpeeds(omega * (OMEGA_MAX_DEFAULT / peak), saturated=True)
     return WheelSpeeds(omega, saturated=False)
 
 

@@ -44,7 +44,7 @@ def study():
     rollouts = {}
     for i, plan in enumerate(plans):
         if plan is not None and plan.converged:
-            rollouts[i] = rollout(plan, GEOM)
+            rollouts[i] = rollout(plan)
     return {"scenarios": scenarios, "plans": plans, "rollouts": rollouts,
             "plan_time": plan_time}
 

@@ -117,12 +117,23 @@ def test_cc_transform_mirror_symmetry():
 def test_cc_transform_smooth_through_zero():
     # series branch must match the exact formula at the switch point
     kap = 1e-6 / GEOM.seg_len
-    exact = np.array([math.sin(1e-6) / kap, (1 - math.cos(1e-6)) / kap])
+    exact = np.array([math.sin(1e-6) / kap, 2 * math.sin(5e-7) ** 2 / kap])
     series = cc_transform(kap, 2, GEOM).xy - [GEOM.mid_link / 2, 0.0]
     np.testing.assert_allclose(series, exact, rtol=1e-10)
     lo = cc_transform(kap * 0.99, 2, GEOM).xy
     hi = cc_transform(kap * 1.01, 2, GEOM).xy
     assert np.linalg.norm(hi - lo) < 1e-9
+
+
+def test_cc_transform_rise_matches_series():
+    # the chord rise 2 sin^2(a/2)/kappa has no cancellation for small a:
+    # it matches its Taylor series l (a/2 - a^3/24 + a^5/720 - a^7/40320)
+    l = GEOM.seg_len
+    for alpha in np.geomspace(1e-6, 1e-1, 60):
+        series = l * (alpha / 2 - alpha ** 3 / 24 + alpha ** 5 / 720
+                      - alpha ** 7 / 40320)
+        rise = cc_transform(alpha / l, 2, GEOM).xy[1]
+        assert math.isclose(rise, series, rel_tol=1e-13), alpha
 
 
 def test_cc_transform_rejects_over_bend():

@@ -1,0 +1,43 @@
+"""Every imported name is used by the module that imports it.
+
+No linter ships with the package, so this walks the syntax tree with the
+standard library: a name bound by an import statement must appear as a
+name somewhere else in the same file.  The package ``__init__`` is left
+out, since its imports are the public re-exports.
+"""
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for p in (ROOT / "src" / "softrig").glob("*.py")
+                 if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_detects_an_unused_import():
+    assert unused_imports("import os\nimport sys\nsys.exit()\n") == [
+        "line 1: os"]
+    assert unused_imports("from a import b as c\nc()\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

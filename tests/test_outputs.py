@@ -1,8 +1,6 @@
 import json
 import os
 
-import numpy as np
-
 from softrig import __version__, outputs
 from softrig.geometry import AgentConfig, GeometryParams, StiffnessState
 from softrig.planner import PlannerParams, plan_motion
@@ -44,7 +42,7 @@ def test_plan_csv_layout(tmp_path):
 
 def test_trajectory_and_thermal_csv(tmp_path):
     plan = make_plan()
-    traj = rollout(plan, GEOM)
+    traj = rollout(plan)
     tpath = str(tmp_path / "trajectory.csv")
     outputs.write_trajectory_csv(tpath, traj)
     header, rows = read_rows(tpath)
@@ -108,7 +106,7 @@ def test_render_frame_svg_structure():
 
 def test_save_keyframes(tmp_path):
     plan = make_plan()
-    traj = rollout(plan, GEOM, thermal_gating=False)
+    traj = rollout(plan, thermal_gating=False)
     out = str(tmp_path / "frames")
     paths = outputs.save_keyframes(traj, out, GEOM, every=40)
     expect = len(range(0, len(traj.rows) - 1, 40)) + 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -110,6 +111,14 @@ def test_distances_strictly_decrease():
     assert np.all(np.diff(d) < 0.0)
     assert len(plan.configs) == len(plan.steps) + 1
     assert len(plan.distances) == len(plan.configs)
+
+
+def test_planned_configs_hold_plain_floats():
+    # every configuration field is a Python float, not a numpy scalar
+    target = AgentConfig(0.12, 0.08, 0.6, 60.0, -40.0)
+    plan = plan_motion(ORIGIN, target, GEOM)
+    for q in plan.configs:
+        assert all(type(v) is float for v in dataclasses.astuple(q)), q
 
 
 def test_unweighted_preset_finishes_rigid():

@@ -32,6 +32,14 @@ def test_unknown_keys_fail_loudly():
     data["q0"]["z"] = 0.0
     with pytest.raises(ScenarioError, match="q0.z"):
         scenario_from_dict(data)
+    data = example_scenario_dict()
+    data["planner"] = {"integrator": "rk4"}
+    with pytest.raises(ScenarioError, match="planner.integrator"):
+        scenario_from_dict(data)
+    data = example_scenario_dict()
+    data["thermal"] = {"sensor_v_lo": 1.1}
+    with pytest.raises(ScenarioError, match="thermal.sensor_v_lo"):
+        scenario_from_dict(data)
 
 
 def test_config_fields_are_all_required_and_finite():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -67,7 +65,7 @@ def test_curvature_clipping_flags_saturation():
 
 def test_rollout_without_gating_replays_plan():
     plan = small_plan()
-    traj = rollout(plan, GEOM, thermal_gating=False)
+    traj = rollout(plan, thermal_gating=False)
     assert not any(row.paused for row in traj.rows)
     assert len(traj.rows) == len(plan.steps) + 1
     np.testing.assert_allclose(traj.final_config.as_array(),
@@ -81,7 +79,7 @@ def test_rollout_gating_pauses_at_stiffness_changes():
     plan = small_plan()
     labels = [lab for lab, _ in plan.runs()]
     assert len(labels) >= 2  # needs at least one switch to exercise gating
-    traj = rollout(plan, GEOM)
+    traj = rollout(plan)
     blocks = traj.pause_blocks()
     boundaries = len(labels) - 1 + (1 if labels[0] != "00" else 0)
     assert len(blocks) == boundaries
@@ -99,7 +97,7 @@ def test_rollout_gating_pauses_at_stiffness_changes():
 
 def test_rollout_thermal_phases_track_commands():
     plan = small_plan()
-    traj = rollout(plan, GEOM)
+    traj = rollout(plan)
     for row in traj.rows:
         if row.paused:
             continue
@@ -112,12 +110,12 @@ def test_rollout_thermal_phases_track_commands():
 def test_rollout_times_out_on_tiny_budget():
     plan = small_plan()
     with pytest.raises(ThermalTimeoutError):
-        rollout(plan, GEOM, max_wait=0.2)
+        rollout(plan, max_wait=0.2)
 
 
 def test_rollout_time_axis_is_uniform():
     plan = small_plan()
-    traj = rollout(plan, GEOM)
+    traj = rollout(plan)
     ts = [row.t for row in traj.rows]
     steps = np.diff(ts)
     np.testing.assert_allclose(steps, plan.params.dt, atol=1e-12)
@@ -136,8 +134,7 @@ def test_pause_blocks_and_runs_bookkeeping():
     rows = [row(True, S01), row(True, S01), row(False, S01),
             row(False, S01), row(True, RIGID), row(False, RIGID),
             row(False, RIGID)]
-    traj = Trajectory(rows=rows, dt=0.05, integrator="euler",
-                      thermal_gating=True)
+    traj = Trajectory(rows=rows)
     assert traj.pause_blocks() == [(0, 2), (4, 1)]
     # the terminal row is excluded from the run counts
     assert traj.stiffness_runs() == [("01", 2), ("00", 1)]

