@@ -28,6 +28,7 @@ from .geometry import GeometryParams
 from .planner import plan_motion
 from .scenario import Scenario, load_scenario, sample_scenario
 from .simulator import rollout
+from .spiral import SPIRALS, refit_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -118,7 +119,7 @@ def _run_batch(args) -> int:
     results = []
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.batch):
-        scn = sample_scenario(rng, index=i, thermal_gating=not args.no_thermal)
+        scn = sample_scenario(rng, index=i)
         scn = _apply_preset(scn, args)
         code = _run_one(scn, os.path.join(args.out, f"run_{i:03d}"), args)
         results.append((scn.label, code))
@@ -149,10 +150,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     geom = GeometryParams()
-    outputs.write_sweep_csv(os.path.join(args.out, "sweep.csv"), geom,
-                            args.samples)
+    fits = [refit_oracle(sp.mode, geom, args.samples) for sp in SPIRALS]
+    outputs.write_sweep_csv(os.path.join(args.out, "sweep.csv"), fits,
+                            geom.seg_len)
     report = outputs.write_refit_json(os.path.join(args.out, "refit.json"),
-                                      geom, args.samples)
+                                      fits)
     for entry in report["modes"]:
         print(f"mode {entry['mode']}: a/l {entry['a_over_l']:.4f} "
               f"(ref {entry['ref_a_over_l']:.4f}), |b| {abs(entry['b']):.4f} "

@@ -18,7 +18,7 @@ from .geometry import (AgentConfig, GeometryParams, StiffnessState,
                        arc_chord, cc_transform, wheel_poses_body)
 from .planner import PlanResult
 from .simulator import Trajectory
-from .spiral import SPIRALS, refit_oracle, sweep_curve, theta_from_kappa
+from .spiral import spiral_model, theta_from_kappa
 from .thermal import ThermalParams
 
 SOFT_COLOR = "#1f77b4"
@@ -95,27 +95,23 @@ def write_thermal_csv(path: str, traj: Trajectory,
     _write_lines(path, lines)
 
 
-def write_sweep_csv(path: str, geom: GeometryParams, n_samples: int = 200) -> None:
-    """Arc-geometry joint curves for the three deformation modes."""
+def write_sweep_csv(path: str, fits, seg_len: float) -> None:
+    """Arc-geometry joint curves the spiral fits were made to, one mode each."""
     cols = ["mode", "theta", "kappa", "x", "y"]
     lines = _header(cols)
-    for sp in SPIRALS:
-        bound = sp.kappa_bound / geom.seg_len
-        kappas = np.linspace(0.0, bound, n_samples)
-        pts = sweep_curve(sp.mode, geom, kappas)
-        for kap, (px, py) in zip(kappas, pts):
-            theta = theta_from_kappa(sp.mode, kap, geom.seg_len)
-            lines.append(",".join([str(sp.mode), _fmt(theta), _fmt(kap),
+    for fit in fits:
+        for kap, (px, py) in zip(fit.kappas, fit.points):
+            theta = theta_from_kappa(fit.mode, kap, seg_len)
+            lines.append(",".join([str(fit.mode), _fmt(theta), _fmt(kap),
                                    _fmt(px), _fmt(py)]))
     _write_lines(path, lines)
 
 
-def write_refit_json(path: str, geom: GeometryParams,
-                     n_samples: int = 200) -> dict:
-    """Refit all three spirals and report them against the model table."""
+def write_refit_json(path: str, fits) -> dict:
+    """Report refitted spirals against the model table."""
     report = {"version": __version__, "modes": []}
-    for sp in SPIRALS:
-        fit = refit_oracle(sp.mode, geom, n_samples)
+    for fit in fits:
+        sp = spiral_model(fit.mode)
         report["modes"].append({
             "mode": sp.mode,
             "a_over_l": fit.a_over_l,

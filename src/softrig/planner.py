@@ -16,7 +16,6 @@ reproduces the plain norm that treats all five coordinates alike.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -74,7 +73,6 @@ class PlanResult:
     distances: list[float]          # weighted, aligned with configs
     converged: bool
     n_switches: int
-    wall_time: float
 
     @property
     def final_config(self) -> AgentConfig:
@@ -96,7 +94,7 @@ class PlanResult:
             "n_switches": self.n_switches,
             "runs": [{"stiffness": lab, "steps": n} for lab, n in self.runs()],
             "final_error": self.final_error,
-            "final_config": list(self.final_config.as_array()),
+            "final_config": self.final_config.as_array().tolist(),
         }
 
 
@@ -140,7 +138,6 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     while the goal is still away.
     """
     params = params if params is not None else PlannerParams()
-    t_start = time.perf_counter()
     uniform_bound = geom.kappa_max_uniform * (1 + _BOUND_TOL)
     q = q0
     err = config_error(target, q)
@@ -153,8 +150,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     for step_no in range(params.max_steps):
         if dist <= params.eps_goal:
             return PlanResult(q0, target, params, steps, configs, distances,
-                              True, n_switches,
-                              time.perf_counter() - t_start)
+                              True, n_switches)
         candidates: dict[int, tuple[float, np.ndarray, AgentConfig, bool]] = {}
         for idx, s in enumerate(STIFFNESS_STATES):
             if s.index == 3 and (abs(q.kappa1) > uniform_bound
@@ -199,7 +195,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
         configs.append(q)
         distances.append(dist)
     return PlanResult(q0, target, params, steps, configs, distances,
-                      False, n_switches, time.perf_counter() - t_start)
+                      False, n_switches)
 
 
 def fk_reference(q0: AgentConfig, target: AgentConfig, n_steps: int,

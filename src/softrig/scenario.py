@@ -116,8 +116,7 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(data, label=path)
 
 
-def sample_scenario(rng: np.random.Generator, index: int = 0,
-                    thermal_gating: bool = True) -> Scenario:
+def sample_scenario(rng: np.random.Generator, index: int = 0) -> Scenario:
     """Random start and target inside the workspace box, default parameters.
 
     Positions are uniform in +-POSE_BOX metres, headings over the circle,
@@ -136,7 +135,6 @@ def sample_scenario(rng: np.random.Generator, index: int = 0,
 
     return Scenario(q0=draw(), target=draw(), geometry=geometry,
                     planner=PlannerParams(), thermal=ThermalParams(),
-                    thermal_gating=thermal_gating,
                     label=f"sample-{index:03d}")
 
 

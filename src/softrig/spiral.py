@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, FitError
-from .geometry import GeometryParams, cc_transform
+from .geometry import GeometryParams, arc_chord
 
 _THETA_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -121,30 +121,31 @@ def rate_coeffs(mode: int, kappa: float, seg_len: float):
 def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
     """Moving-joint trajectory from arc geometry, in the mode's fit frame.
 
-    kappas are bend magnitudes (>= 0).  Mode 1 tracks the outer end of
-    segment 2 around the stationary middle link, expressed about the
-    segment's middle-link joint with x away from the segment; modes 2 and 3
-    track the far segment-end joint in the stationary end frame.
+    kappas are bend magnitudes, 0 to ``geom.kappa_max``.  With (cx, cy) =
+    ``arc_chord(kappa, l)``, alpha = kappa l and h = mid_link / 2, the frame
+    compositions reduce to closed forms: mode 1, segment 2's outer end about
+    its middle-link joint, (-cx, cy); mode 2, the straight segment 1's far
+    end in the bent segment's end frame, R(-alpha) (-(2h + l + cx), -cy);
+    mode 3, segment 2's end in segment 1's, 2 (h + cx) (cos alpha, sin alpha).
     """
-    if mode not in (1, 2, 3):
-        raise ContractError(f"deformation mode must be 1, 2 or 3, got {mode}")
+    spiral_model(mode)        # ContractError for a mode other than 1, 2, 3
     kappas = np.asarray(kappas, dtype=float)
-    if np.any(kappas < 0):
-        raise DomainError("sweep kappas are bend magnitudes and must be >= 0")
-    half_mid = geom.mid_link / 2
+    if np.any(kappas < 0) or np.any(kappas > geom.kappa_max * (1 + 1e-9)):
+        raise DomainError("sweep kappas are bend magnitudes and must lie in "
+                          f"[0, {geom.kappa_max:.6g}]")
+    l, half_mid = geom.seg_len, geom.mid_link / 2
     pts = np.empty((len(kappas), 2))
-    for i, kap in enumerate(kappas):
+    for i, kap in enumerate(kappas.tolist()):
+        cx, cy = arc_chord(kap, l)
+        c, s = math.cos(kap * l), math.sin(kap * l)
         if mode == 1:
-            p = cc_transform(kap, 2, geom).xy
-            pts[i] = (half_mid - p[0], p[1])
+            pts[i] = (-cx, cy)
         elif mode == 2:
-            t2 = cc_transform(kap, 2, geom)
-            p1 = cc_transform(0.0, 1, geom).xy
-            pts[i] = t2.inverse().apply(p1)
+            px, py = -(2 * half_mid + l + cx), -cy
+            pts[i] = (c * px + s * py, c * py - s * px)
         else:
-            t1 = cc_transform(kap, 1, geom)
-            t2 = cc_transform(kap, 2, geom)
-            pts[i] = t1.inverse().apply(t2.xy)
+            r = 2 * (half_mid + cx)
+            pts[i] = (r * c, r * s)
     return pts
 
 
@@ -159,6 +160,8 @@ class SpiralFit:
     cy_over_l: float
     rms_residual: float       # metres, against the fitted radii
     theta_span: float         # radians covered by one bend branch
+    kappas: np.ndarray        # swept bend magnitudes, 1/m
+    points: np.ndarray        # (n, 2) swept joint positions, fit frame, m
 
 
 def _spiral_residual(pts: np.ndarray, centre: np.ndarray):
@@ -295,7 +298,8 @@ def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
     residual norm, so the constants are the converged optimum rather than
     wherever a solver happened to stop.  Reports them in the reference
     convention for the positive bend: lengths over seg_len and b negative,
-    opposite to the bend.  Raises FitError when the rms residual exceeds
+    opposite to the bend, together with the swept kappas and points the fit
+    was made to.  Raises FitError when the rms residual exceeds
     max_rel_residual of the mean radius.
     """
     if n_samples < 10:
@@ -320,4 +324,6 @@ def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
         cy_over_l=centre[1] / l,
         rms_residual=rms,
         theta_span=float(abs(theta[-1] - theta[0])),
+        kappas=kappas,
+        points=pts,
     )

@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+import softrig
+from softrig import cli, outputs, spiral
 from softrig.cli import (EXIT_INPUT, EXIT_NO_CONVERGE, EXIT_OK, EXIT_THERMAL,
                          main)
 from softrig.scenario import example_scenario_dict
@@ -104,6 +106,17 @@ def test_batch_study(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_batch_no_thermal_skips_pauses(tmp_path, capsys):
+    out = str(tmp_path / "study")
+    assert main(["run", "--batch", "2", "--no-thermal", "--out", out]) == EXIT_OK
+    for i in range(2):
+        path = os.path.join(out, f"run_{i:03d}", "summary.json")
+        summary = json.load(open(path))
+        assert summary["thermal_gating"] is False
+        assert summary["pause_blocks"] == 0
+    capsys.readouterr()
+
+
 def test_batch_rejects_bad_count(capsys):
     assert main(["run", "--batch", "0"]) == EXIT_INPUT
     capsys.readouterr()
@@ -116,6 +129,23 @@ def test_sweep_command(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "refit.json"))
     printed = capsys.readouterr().out
     assert "mode 1" in printed and "mode 3" in printed
+
+
+def test_sweep_samples_each_mode_once(tmp_path, monkeypatch, capsys):
+    original = spiral.sweep_curve
+    modes = []
+
+    def counted(mode, *args):
+        modes.append(mode)
+        return original(mode, *args)
+
+    # every module binding of the function, so a second sampling site counts
+    for module in (softrig, spiral, outputs, cli):
+        if getattr(module, "sweep_curve", None) is original:
+            monkeypatch.setattr(module, "sweep_curve", counted)
+    assert main(["sweep", "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert sorted(modes) == [1, 2, 3]
+    capsys.readouterr()
 
 
 def test_version_flag(capsys):

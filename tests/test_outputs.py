@@ -5,6 +5,7 @@ from softrig import __version__, outputs
 from softrig.geometry import AgentConfig, GeometryParams, StiffnessState
 from softrig.planner import PlannerParams, plan_motion
 from softrig.simulator import rollout
+from softrig.spiral import refit_oracle
 from softrig.thermal import ThermalParams
 
 GEOM = GeometryParams()
@@ -72,7 +73,8 @@ def test_write_json_stable_bytes(tmp_path):
 
 def test_sweep_csv_covers_all_modes(tmp_path):
     path = str(tmp_path / "sweep.csv")
-    outputs.write_sweep_csv(path, GEOM, n_samples=50)
+    fits = [refit_oracle(mode, GEOM, 50) for mode in (1, 2, 3)]
+    outputs.write_sweep_csv(path, fits, GEOM.seg_len)
     header, rows = read_rows(path)
     assert header == ["mode", "theta", "kappa", "x", "y"]
     assert len(rows) == 3 * 50
@@ -84,7 +86,8 @@ def test_sweep_csv_covers_all_modes(tmp_path):
 
 def test_refit_json_report(tmp_path):
     path = str(tmp_path / "refit.json")
-    report = outputs.write_refit_json(path, GEOM, n_samples=120)
+    fits = [refit_oracle(mode, GEOM, 120) for mode in (1, 2, 3)]
+    report = outputs.write_refit_json(path, fits)
     on_disk = json.load(open(path))
     assert on_disk == json.loads(json.dumps(report))
     assert len(report["modes"]) == 3

@@ -179,6 +179,7 @@ def test_summary_contents():
     assert s["n_steps"] == len(plan.steps)
     assert s["runs"][0]["stiffness"] == "00"
     assert len(s["final_config"]) == 5
+    assert all(type(v) is float for v in s["final_config"])
 
 
 def test_fk_reference_is_the_straight_chord():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from softrig.errors import ContractError, DomainError
-from softrig.geometry import GeometryParams
+from softrig.geometry import GeometryParams, cc_transform
 from softrig.spiral import (SPIRALS, _solve_centre, _start_centres,
                             rate_coeffs, refit_oracle, spiral_model,
                             sweep_curve, theta_from_kappa)
@@ -85,6 +85,28 @@ def test_sweep_curve_frames():
     np.testing.assert_allclose(p0, [-0.11, 0.0], atol=1e-15)
     with pytest.raises(DomainError):
         sweep_curve(1, GEOM, [-1.0])
+
+
+def frame_composition(mode, kappa):
+    """The mode's joint point composed from the segment-end frames."""
+    end1 = cc_transform(0.0 if mode == 2 else kappa, 1, GEOM)
+    end2 = cc_transform(kappa, 2, GEOM)
+    if mode == 1:
+        x, y = end2.xy
+        return GEOM.mid_link / 2 - x, y
+    if mode == 2:
+        return end2.inverse().apply(end1.xy)
+    return end1.inverse().apply(end2.xy)
+
+
+def test_sweep_curve_matches_frame_composition():
+    for mode in (1, 2, 3):
+        kappas = np.linspace(0.0, spiral_model(mode).kappa_bound / L, 200)
+        expect = [frame_composition(mode, kap) for kap in kappas]
+        np.testing.assert_allclose(sweep_curve(mode, GEOM, kappas), expect,
+                                   rtol=0.0, atol=1e-15)
+        with pytest.raises(DomainError):
+            sweep_curve(mode, GEOM, [GEOM.kappa_max * (1 + 1e-8)])
 
 
 def test_refit_matches_frozen_fit():
