@@ -25,7 +25,7 @@ from . import __version__, outputs
 from .errors import (FitError, ScenarioError, SoftrigError, StallError,
                      ThermalTimeoutError)
 from .geometry import GeometryParams
-from .planner import plan_motion
+from .planner import PlannerParams, plan_motion
 from .scenario import Scenario, load_scenario, sample_scenario
 from .simulator import rollout
 from .spiral import SPIRALS, refit_oracle
@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_preset(scn: Scenario, args) -> Scenario:
     if args.preset == "unweighted":
-        planner = dataclasses.replace(scn.planner, weights=(1.0,) * 5)
+        planner = dataclasses.replace(
+            scn.planner, weights=PlannerParams.unweighted().weights)
         scn = dataclasses.replace(scn, planner=planner)
     return scn
 

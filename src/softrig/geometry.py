@@ -153,6 +153,22 @@ class StiffnessState:
         """Position in the canonical hypothesis order: 00, 01, 10, 11."""
         return int(self.soft1) * 2 + int(self.soft2)
 
+    @property
+    def inputs(self) -> list[int]:
+        """Entries of the input (v1, v2, u0, v0, r0) this pattern drives.
+
+        The two unit speeds while any segment is soft, the body twist
+        otherwise; the other entries are held at zero.
+        """
+        return [0, 1] if self.any_soft else [2, 3, 4]
+
+    def kappa_bound(self, geom: GeometryParams) -> float:
+        """Largest |kappa| either segment may reach under this pattern.
+
+        The equal-curvature mode only covers half the single-segment range.
+        """
+        return geom.kappa_max_uniform if self.index == 3 else geom.kappa_max
+
     def soft(self, j: int) -> bool:
         _check_segment(j)
         return self.soft1 if j == 1 else self.soft2

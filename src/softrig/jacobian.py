@@ -28,14 +28,12 @@ import math
 
 import numpy as np
 
-from .errors import ContractError
 from .geometry import AgentConfig, GeometryParams, StiffnessState
 from .spiral import rate_coeffs
 
 
-def delta_coeff(q: AgentConfig, mode: int, j: int,
-                geom: GeometryParams) -> np.ndarray:
-    """Position-rate column entry: d(body origin)/d(kappa_j) * K_mode.
+def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams) -> np.ndarray:
+    """Position-rate column entry before the gain: d(body origin)/d(kappa_j).
 
     Closed-form derivative of the body origin along the constant-curvature
     arc with the segment-end frame {b_j} frozen (Webster & Jones, IJRR
@@ -46,17 +44,12 @@ def delta_coeff(q: AgentConfig, mode: int, j: int,
         y = l h + l^2 (1 - cos alpha) / alpha^2
 
     with + for segment 1 and - for segment 2, rotated to the world by the
-    body heading.  Near alpha = 0 both fractions use their series.  Mode 1
-    leaves the body frame stationary, so its pose contribution is
-    identically zero and is not defined here.
+    body heading.  Near alpha = 0 both fractions use their series.  The
+    caller scales it by the mode's gain K (modes 2 and 3; mode 1 leaves the
+    body frame stationary and has no pose rows).  Raises ContractError for
+    a segment index other than 1 or 2.
     """
-    if mode not in (2, 3):
-        raise ContractError(
-            f"pose coupling exists for modes 2 and 3 only, got {mode}")
-    if j not in (1, 2):
-        raise ContractError(f"segment index must be 1 or 2, got {j}")
     kap = q.kappa(j)
-    k_gain, _, _ = rate_coeffs(mode, kap, geom.seg_len)
     l = geom.seg_len
     alpha = kap * l
     if abs(alpha) < 1e-3:
@@ -69,7 +62,7 @@ def delta_coeff(q: AgentConfig, mode: int, j: int,
     dx = l * l * sin_part if j == 1 else -l * l * sin_part
     dy = l * geom.mid_link / 2 + l * l * cos_part
     c, s = math.cos(q.phi), math.sin(q.phi)
-    return k_gain * np.array([c * dx - s * dy, s * dx + c * dy])
+    return np.array([c * dx - s * dy, s * dx + c * dy])
 
 
 def rigid_jacobian(q: AgentConfig) -> np.ndarray:
@@ -97,7 +90,7 @@ def soft_jacobian(q: AgentConfig, s: StiffnessState,
         # segment 2 soft: v1 drives it from the far side, v2 from next door
         k2, p2, _ = rate_coeffs(2, q.kappa2, l)
         k1, _, _ = rate_coeffs(1, q.kappa2, l)
-        jac[0:2, 0] = delta_coeff(q, 2, 2, geom)
+        jac[0:2, 0] = k2 * delta_coeff(q, 2, geom)
         jac[2, 0] = -p2
         jac[4, 0] = k2
         jac[4, 1] = k1
@@ -106,18 +99,18 @@ def soft_jacobian(q: AgentConfig, s: StiffnessState,
         k2, p2, _ = rate_coeffs(2, q.kappa1, l)
         k1, _, _ = rate_coeffs(1, q.kappa1, l)
         jac[3, 0] = k1
-        jac[0:2, 1] = delta_coeff(q, 2, 1, geom)
+        jac[0:2, 1] = k2 * delta_coeff(q, 1, geom)
         jac[2, 1] = p2
         jac[3, 1] = k2
     elif s.index == 3:
         # both soft: the segment by the stationary unit carries the pose
         k31, p31, _ = rate_coeffs(3, q.kappa1, l)
         k32, p32, _ = rate_coeffs(3, q.kappa2, l)
-        jac[0:2, 0] = delta_coeff(q, 3, 2, geom)
+        jac[0:2, 0] = k32 * delta_coeff(q, 2, geom)
         jac[2, 0] = -p32
         jac[3, 0] = k31
         jac[4, 0] = k32
-        jac[0:2, 1] = delta_coeff(q, 3, 1, geom)
+        jac[0:2, 1] = k31 * delta_coeff(q, 1, geom)
         jac[2, 1] = p31
         jac[3, 1] = k31
         jac[4, 1] = k32
@@ -128,12 +121,11 @@ def hybrid_jacobian(q: AgentConfig, s: StiffnessState,
                     geom: GeometryParams) -> np.ndarray:
     """Full 5 x 5 Jacobian over (v1, v2, u0, v0, r0), regime gated.
 
-    The soft columns and the rigid columns are never active together: the
-    rigid block is zeroed while any segment is soft and vice versa.
+    Only the columns ``s.inputs`` are filled: the 5 x 2 soft block while
+    any segment is soft, the 5 x 3 rigid block otherwise.  The other
+    columns are zero.
     """
     jac = np.zeros((5, 5))
-    if s.any_soft:
-        jac[:, 0:2] = soft_jacobian(q, s, geom)
-    else:
-        jac[:, 2:5] = rigid_jacobian(q)
+    jac[:, s.inputs] = (soft_jacobian(q, s, geom) if s.any_soft
+                        else rigid_jacobian(q))
     return jac

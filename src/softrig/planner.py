@@ -21,7 +21,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ContractError, StallError
+from .errors import ContractError, DomainError, StallError
 from .geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                        StiffnessState, wrap_angle)
 from .jacobian import hybrid_jacobian
@@ -72,7 +72,6 @@ class PlanResult:
     configs: list[AgentConfig]      # len(steps) + 1, ends at the final state
     distances: list[float]          # weighted, aligned with configs
     converged: bool
-    n_switches: int
 
     @property
     def final_config(self) -> AgentConfig:
@@ -86,6 +85,11 @@ class PlanResult:
         """Consecutive same-stiffness spans as (label, step count)."""
         labels = (step.stiffness.label() for step in self.steps)
         return [(label, sum(1 for _ in run)) for label, run in groupby(labels)]
+
+    @property
+    def n_switches(self) -> int:
+        """Stiffness changes along the plan, one fewer than its runs."""
+        return max(len(self.runs()) - 1, 0)
 
     def summary(self) -> dict:
         return {
@@ -110,20 +114,20 @@ def weighted_distance(err: np.ndarray, weights) -> float:
     return float(np.sqrt(np.sum((w * err) ** 2)))
 
 
-def damped_speeds(jac: np.ndarray, err: np.ndarray, lam: float,
-                  mu: float) -> np.ndarray:
+def damped_speeds(jac: np.ndarray, s: StiffnessState, err: np.ndarray,
+                  lam: float, mu: float) -> np.ndarray:
     """Damped least-squares drive inputs for one hypothesis step.
 
-    Solves (Ja^T Ja + mu^2 I) u = Ja^T (lam * err) on the active columns Ja
-    only (the 5 x 2 soft block or the 5 x 3 rigid block).  By the
-    push-through identity (Wampler, IEEE SMC 1986) this equals
-    J^T (J J^T + mu^2 I)^-1 (lam * err), but the 5 x 5 Gram matrix there
-    has rank-deficient J J^T, so its conditioning is set by mu^2 alone.
-    Columns of zeros (the inactive regime) get exactly zero input.
+    Solves (Ja^T Ja + mu^2 I) u = Ja^T (lam * err) on the columns Ja that
+    the pattern drives, ``s.inputs`` (the 5 x 2 soft block or the 5 x 3
+    rigid block).  By the push-through identity (Wampler, IEEE SMC 1986)
+    this equals J^T (J J^T + mu^2 I)^-1 (lam * err), but the 5 x 5 Gram
+    matrix there has rank-deficient J J^T, so its conditioning is set by
+    mu^2 alone.  The other inputs are exactly zero.
     """
-    active = np.flatnonzero(jac.any(axis=0))
+    active = s.inputs
     ja = jac[:, active]
-    gram = ja.T @ ja + (mu * mu) * np.eye(active.size)
+    gram = ja.T @ ja + (mu * mu) * np.eye(len(active))
     ups = np.zeros(jac.shape[1])
     ups[active] = np.linalg.solve(gram, ja.T @ (lam * err))
     return ups
@@ -134,11 +138,17 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     """Plan drive speeds and stiffness to move q0 to the target.
 
     Returns a PlanResult; converged is False when max_steps ran out.
-    Raises StallError when no stiffness pattern can reduce the distance
-    while the goal is still away.
+    Raises DomainError when a curvature of q0 or the target exceeds the
+    full-circle bound, and StallError when no stiffness pattern can reduce
+    the distance while the goal is still away.
     """
     params = params if params is not None else PlannerParams()
-    uniform_bound = geom.kappa_max_uniform * (1 + _BOUND_TOL)
+    for name, cfg in (("q0", q0), ("target", target)):
+        for j in (1, 2):
+            if abs(cfg.kappa(j)) > geom.kappa_max * (1 + _BOUND_TOL):
+                raise DomainError(
+                    f"{name}.kappa{j} = {cfg.kappa(j):.6g} exceeds the "
+                    f"curvature bound {geom.kappa_max:.6g}")
     q = q0
     err = config_error(target, q)
     dist = weighted_distance(err, params.weights)
@@ -146,22 +156,23 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     configs = [q]
     distances = [dist]
     prev_idx: int | None = None
-    n_switches = 0
     for step_no in range(params.max_steps):
         if dist <= params.eps_goal:
             return PlanResult(q0, target, params, steps, configs, distances,
-                              True, n_switches)
-        candidates: dict[int, tuple[float, np.ndarray, AgentConfig, bool]] = {}
+                              True)
+        candidates: dict[int, tuple[float, np.ndarray, np.ndarray,
+                                    AgentConfig, bool]] = {}
         for idx, s in enumerate(STIFFNESS_STATES):
-            if s.index == 3 and (abs(q.kappa1) > uniform_bound
-                                 or abs(q.kappa2) > uniform_bound):
+            # the equal-bend pattern cannot take over a bend past its bound
+            if (max(abs(q.kappa1), abs(q.kappa2))
+                    > s.kappa_bound(geom) * (1 + _BOUND_TOL)):
                 continue
             jac = hybrid_jacobian(q, s, geom)
-            ups = damped_speeds(jac, err, params.lam, params.mu)
+            ups = damped_speeds(jac, s, err, params.lam, params.mu)
             q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom, jac=jac)
-            d_next = weighted_distance(config_error(target, q_next),
-                                       params.weights)
-            candidates[idx] = (d_next, ups, q_next, sat)
+            err_next = config_error(target, q_next)
+            candidates[idx] = (weighted_distance(err_next, params.weights),
+                               err_next, ups, q_next, sat)
         best_idx = min(candidates, key=lambda i: candidates[i][0])
         best_progress = dist - candidates[best_idx][0]
         if best_progress <= params.eps_progress:
@@ -173,7 +184,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                     for i, c in candidates.items()})
         chosen = best_idx
         if prev_idx is not None and prev_idx != best_idx and prev_idx in candidates:
-            d_hold, _, q_hold, _ = candidates[prev_idx]
+            d_hold, _, _, q_hold, _ = candidates[prev_idx]
             # retain while the pattern still changes the configuration, so a
             # curvature fix is finished before the mode is released.  A
             # pattern that no longer gains ground is let go even if it keeps
@@ -183,19 +194,14 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                                           params.weights)
                     > params.eps_progress):
                 chosen = prev_idx
-        _, ups, q_next, sat = candidates[chosen]
+        dist, err, ups, q_next, sat = candidates[chosen]
         steps.append(PlanStep(step_no * params.dt, q,
                               STIFFNESS_STATES[chosen], ups, sat))
-        if prev_idx is not None and chosen != prev_idx:
-            n_switches += 1
         prev_idx = chosen
         q = q_next
-        err = config_error(target, q)
-        dist = weighted_distance(err, params.weights)
         configs.append(q)
         distances.append(dist)
-    return PlanResult(q0, target, params, steps, configs, distances,
-                      False, n_switches)
+    return PlanResult(q0, target, params, steps, configs, distances, False)
 
 
 def fk_reference(q0: AgentConfig, target: AgentConfig, n_steps: int,

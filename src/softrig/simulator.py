@@ -26,11 +26,6 @@ if TYPE_CHECKING:
 _SAT_TOL = 1e-12
 
 
-def _kappa_bound(s: StiffnessState, geom: GeometryParams) -> float:
-    # the equal-curvature mode only covers half the single-segment range
-    return geom.kappa_max_uniform if s.index == 3 else geom.kappa_max
-
-
 def _clipped(arr: np.ndarray, bound: float) -> AgentConfig:
     return AgentConfig(float(arr[0]), float(arr[1]), arr[2],
                        float(np.clip(arr[3], -bound, bound)),
@@ -44,15 +39,15 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
                      ) -> tuple[AgentConfig, bool]:
     """One integration step; returns (new config, curvature saturated).
 
-    Curvatures are clamped to the regime bound after the step; the flag
-    reports whether the clamp engaged.
+    Curvatures are clamped to ``s.kappa_bound(geom)`` after the step; the
+    flag reports whether the clamp engaged.
     """
     if dt <= 0:
         raise ContractError(f"step dt must be positive, got {dt}")
     ups = np.asarray(speeds, dtype=float)
     if ups.shape != (5,):
         raise ContractError(f"speed vector must have shape (5,), got {ups.shape}")
-    bound = _kappa_bound(s, geom)
+    bound = s.kappa_bound(geom)
     if integrator == "euler":
         j0 = hybrid_jacobian(q, s, geom) if jac is None else jac
         arr = q.as_array() + dt * (j0 @ ups)
@@ -134,6 +129,19 @@ def rollout(plan: PlanResult,
     rows: list[SimRow] = []
     prev_cmd: StiffnessState | None = None
     zero = np.zeros(5)
+
+    def advance(q, cmd, speeds, paused, saturated):
+        # a row at time t, then both plants advance by dt
+        nonlocal st1, st2, t
+        n1, u1 = th.thermal_step(st1, params, dt)
+        n2, u2 = th.thermal_step(st2, params, dt)
+        rows.append(SimRow(t, q, cmd, speeds,
+                           st1.temperature, u1, st1.phase,
+                           st2.temperature, u2, st2.phase,
+                           paused=paused, saturated=saturated))
+        st1, st2 = n1, n2
+        t += dt
+
     for step in plan.steps:
         q, cmd = step.config, step.stiffness
         if cmd != prev_cmd:
@@ -149,23 +157,9 @@ def rollout(plan: PlanResult,
                         f"{st2.temperature:.1f} deg C after {waited:g} s",
                         temperatures=(st1.temperature, st2.temperature),
                         elapsed=waited)
-                n1, u1 = th.thermal_step(st1, params, dt)
-                n2, u2 = th.thermal_step(st2, params, dt)
-                rows.append(SimRow(t, q, cmd, zero,
-                                   st1.temperature, u1, st1.phase,
-                                   st2.temperature, u2, st2.phase,
-                                   paused=True, saturated=False))
-                st1, st2 = n1, n2
-                t += dt
+                advance(q, cmd, zero, paused=True, saturated=False)
                 waited += dt
-        n1, u1 = th.thermal_step(st1, params, dt)
-        n2, u2 = th.thermal_step(st2, params, dt)
-        rows.append(SimRow(t, q, cmd, step.speeds,
-                           st1.temperature, u1, st1.phase,
-                           st2.temperature, u2, st2.phase,
-                           paused=False, saturated=step.saturated))
-        st1, st2 = n1, n2
-        t += dt
+        advance(q, cmd, step.speeds, paused=False, saturated=step.saturated)
     last_cmd = prev_cmd if prev_cmd is not None else StiffnessState(False, False)
     rows.append(SimRow(t, plan.final_config, last_cmd, zero,
                        st1.temperature, th.duty(st1, params), st1.phase,

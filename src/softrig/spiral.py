@@ -195,34 +195,25 @@ def _spiral_residual(pts: np.ndarray, centre: np.ndarray):
     return rho - model, jac, math.exp(log_a), b, theta
 
 
-def _start_centres(pts: np.ndarray):
-    """The four starting centres the fit is run from.
-
-    The fit-frame origin is not one of them: the mode-1 sweep curls its
-    last sample back onto it, and a centre on a sample leaves the spiral
-    undefined.
-    """
-    mean = pts.mean(axis=0)
-    span = pts.max(axis=0) - pts.min(axis=0)
-    return [mean, mean + 0.25 * span, mean - 0.25 * span, pts[0] * 0.5]
-
-
 def _solve_centre(pts: np.ndarray, centre0: np.ndarray):
-    """Converge the projected log-spiral fit from one starting centre.
+    """Converge the projected log-spiral fit from a starting centre.
 
     Levenberg-Marquardt on the 2-D centre, minimising the sum of squares
-    |r|^2 of ``_spiral_residual``.  It stops on the relative offset (Bates &
-    Watts, Technometrics 23(2), 1981): the gradient g = J^T r measured in
-    the Gauss-Newton metric, sqrt(g^T (J^T J)^-1 g), must fall to
-    _OFFSET_TOL of |r|, plus a floor of 8 eps |rho| that bounds the rounding
-    of r.  Both sides scale with the geometry, so the rule is scale free.
-    A step is accepted when it lowers |r|^2.  Close to the optimum rounding
-    hides that lowering (the Gauss-Newton step would lower |r|^2 by less
-    than _UNRESOLVED of it), and there a step is accepted when it lowers the
-    scaled gradient instead.  Returns (a, b, centre, theta, rms); raises
-    FitError when the residual is not finite at the start (a centre on a
-    sample), the normal matrix is singular, the damping grows without an
-    accepted step, or the solve has not converged in _MAX_ITER steps.
+    |r|^2 of ``_spiral_residual``; (log a, b) are the least-squares line of
+    log rho against unwrapped theta for each centre tried (variable
+    projection, Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973).  It
+    stops on the relative offset (Bates & Watts, Technometrics 23(2),
+    1981): the gradient g = J^T r measured in the Gauss-Newton metric,
+    sqrt(g^T (J^T J)^-1 g), must fall to _OFFSET_TOL of |r|, plus a floor
+    of 8 eps |rho| that bounds the rounding of r.  Both sides scale with the
+    geometry, so the rule is scale free.  A step is accepted when it lowers
+    |r|^2.  Close to the optimum rounding hides that lowering (the
+    Gauss-Newton step would lower |r|^2 by less than _UNRESOLVED of it),
+    and there a step is accepted when it lowers the scaled gradient
+    instead.  Returns (a, b, centre, theta, rms); raises FitError when the
+    residual is not finite at the start (a centre on a sample), the normal
+    matrix is singular, the damping grows without an accepted step, or the
+    solve has not converged in _MAX_ITER steps.
     """
 
     def evaluate(centre):
@@ -262,45 +253,22 @@ def _solve_centre(pts: np.ndarray, centre0: np.ndarray):
     raise FitError(f"log-spiral centre solve did not converge in {_MAX_ITER} steps")
 
 
-def _fit_log_spiral(pts: np.ndarray):
-    """Least-squares log-spiral fit rho = a * exp(b * theta) to a swept curve.
-
-    Minimises sum_i (rho_i - a * exp(b * theta_i))^2 over the centre, with
-    (log a, b) the least-squares line of log rho against unwrapped theta for
-    that centre (variable projection, Golub & Pereyra, SIAM J. Numer. Anal.
-    10(2), 1973).  The centre is solved from each of ``_start_centres`` to the
-    stopping rule of ``_solve_centre``, and the start with the lowest rms
-    residual is kept.  Returns (a, b, centre, theta, rms); raises FitError
-    when every start fails.
-    """
-    best = None
-    for centre0 in _start_centres(pts):
-        try:
-            fit = _solve_centre(pts, centre0)
-        except FitError:
-            continue
-        if best is None or fit[4] < best[4]:
-            best = fit
-    if best is None:
-        raise FitError("log-spiral fit failed for every centre initialisation")
-    return best
-
-
 def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
                  max_rel_residual: float = 0.10) -> SpiralFit:
     """Refit a mode's spiral from pure arc geometry.
 
     Sweeps the bend from straight to the mode bound in n_samples steps and
-    fits rho = a * exp(b * theta) by ``_fit_log_spiral``: the centre
-    minimises sum_i (rho_i - a * exp(b * theta_i))^2 with (log a, b) the
-    least-squares line of log rho against theta for that centre, and the
-    solve stops once the Gauss-Newton-scaled gradient is 1e-12 of the
-    residual norm, so the constants are the converged optimum rather than
-    wherever a solver happened to stop.  Reports them in the reference
-    convention for the positive bend: lengths over seg_len and b negative,
-    opposite to the bend, together with the swept kappas and points the fit
-    was made to.  Raises FitError when the rms residual exceeds
-    max_rel_residual of the mean radius.
+    fits rho = a * exp(b * theta) by ``_solve_centre``, started once from
+    the mean point of the sweep: the centre minimises sum_i (rho_i - a *
+    exp(b * theta_i))^2 with (log a, b) the least-squares line of log rho
+    against theta for that centre, and the solve stops once the
+    Gauss-Newton-scaled gradient is 1e-12 of the residual norm, so the
+    constants are the converged optimum rather than wherever a solver
+    happened to stop.  Reports them in the reference convention for the
+    positive bend: lengths over seg_len and b negative, opposite to the
+    bend, together with the swept kappas and points the fit was made to.
+    Raises FitError when the rms residual exceeds max_rel_residual of the
+    mean radius, or when the centre solve fails.
     """
     if n_samples < 10:
         raise ContractError(f"need at least 10 sweep samples, got {n_samples}")
@@ -308,7 +276,7 @@ def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
     bound = sp.kappa_bound / geom.seg_len
     kappas = np.linspace(0.0, bound, n_samples)
     pts = sweep_curve(mode, geom, kappas)
-    a, b, centre, theta, rms = _fit_log_spiral(pts)
+    a, b, centre, theta, rms = _solve_centre(pts, pts.mean(axis=0))
     mean_radius = float(np.mean(np.hypot(*(pts - centre).T)))
     if rms > max_rel_residual * mean_radius:
         raise FitError(

@@ -67,22 +67,8 @@ def rigid_block(q: AgentConfig, geom: GeometryParams) -> np.ndarray:
 def config_matrix(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> np.ndarray:
     """Unified wheel configuration matrix V, (4, 5), gated by stiffness."""
     v = np.zeros((4, 5))
-    if s.any_soft:
-        v[:, :2] = soft_block(geom)
-    else:
-        v[:, 2:] = rigid_block(q, geom)
+    v[:, s.inputs] = soft_block(geom) if s.any_soft else rigid_block(q, geom)
     return v
-
-
-def _check_exclusive(ups: np.ndarray, s: StiffnessState) -> None:
-    if s.any_soft and np.any(ups[2:] != 0.0):
-        raise ContractError(
-            f"stiffness {s.label()} is soft: rigid-body inputs (u0, v0, r0) "
-            f"must be zero, got {ups[2:]}")
-    if not s.any_soft and np.any(ups[:2] != 0.0):
-        raise ContractError(
-            f"stiffness {s.label()} is rigid: deformation inputs (v1, v2) "
-            f"must be zero, got {ups[:2]}")
 
 
 def wheel_speeds(q: AgentConfig, s: StiffnessState, ups,
@@ -96,7 +82,11 @@ def wheel_speeds(q: AgentConfig, s: StiffnessState, ups,
     ups = np.asarray(ups, dtype=float)
     if ups.shape != (5,):
         raise ContractError(f"velocity input must have 5 entries, got {ups.shape}")
-    _check_exclusive(ups, s)
+    idle = np.delete(ups, s.inputs)
+    if np.any(idle != 0.0):
+        raise ContractError(
+            f"stiffness {s.label()} drives only entries {s.inputs} of "
+            f"(v1, v2, u0, v0, r0); the others must be zero, got {ups}")
     omega = config_matrix(q, s, geom) @ ups
     peak = np.max(np.abs(omega))
     if peak > OMEGA_MAX_DEFAULT:
@@ -114,18 +104,13 @@ def body_twist_from_wheels(q: AgentConfig, s: StiffnessState, omega,
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4,):
         raise ContractError(f"wheel rates must have 4 entries, got {omega.shape}")
-    v = config_matrix(q, s, geom)
-    block = v[:, :2] if s.any_soft else v[:, 2:]
+    block = config_matrix(q, s, geom)[:, s.inputs]
     sv = np.linalg.svd(block, compute_uv=False)
     if sv[-1] / sv[0] < _RANK_TOL:
         regime = "soft" if s.any_soft else "rigid"
         raise SingularityError(
             f"{regime} wheel block is rank deficient at kappa="
             f"({q.kappa1:.4g}, {q.kappa2:.4g})")
-    part = np.linalg.pinv(block) @ omega
     ups = np.zeros(5)
-    if s.any_soft:
-        ups[:2] = part
-    else:
-        ups[2:] = part
+    ups[s.inputs] = np.linalg.pinv(block) @ omega
     return ups

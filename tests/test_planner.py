@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from softrig.errors import ContractError, StallError
+from softrig.errors import ContractError, DomainError, StallError
 from softrig.geometry import STIFFNESS_STATES, AgentConfig, GeometryParams
 from softrig.jacobian import hybrid_jacobian
 from softrig.planner import (PlannerParams, config_error, damped_speeds,
@@ -36,10 +36,10 @@ def test_config_error_wraps_heading():
 def test_damped_speeds_zero_for_inactive_columns():
     q = AgentConfig(0.0, 0.0, 0.0, 10.0, 10.0)
     jac = hybrid_jacobian(q, STIFFNESS_STATES[1], GEOM)
-    ups = damped_speeds(jac, np.ones(5), 1.0, 1e-3)
+    ups = damped_speeds(jac, STIFFNESS_STATES[1], np.ones(5), 1.0, 1e-3)
     assert np.all(ups[2:] == 0.0)
     jac = hybrid_jacobian(q, STIFFNESS_STATES[0], GEOM)
-    ups = damped_speeds(jac, np.ones(5), 1.0, 1e-3)
+    ups = damped_speeds(jac, STIFFNESS_STATES[0], np.ones(5), 1.0, 1e-3)
     assert np.all(ups[:2] == 0.0)
 
 
@@ -68,7 +68,7 @@ def test_damped_speeds_match_stacked_least_squares():
         ref = np.linalg.lstsq(np.vstack([ja, mu * np.eye(n)]),
                               np.concatenate([lam * err, np.zeros(n)]),
                               rcond=None)[0]
-        ups = damped_speeds(jac, err, lam, mu)
+        ups = damped_speeds(jac, s, err, lam, mu)
         assert np.linalg.norm(ups[active] - ref) <= 1e-9 * np.linalg.norm(ref)
         inactive = np.ones(5, dtype=bool)
         inactive[active] = False
@@ -144,12 +144,30 @@ def test_curvature_beyond_single_bound_is_split():
 
 
 def test_stall_raises_with_diagnostics():
-    # a target pinned beyond the hard curvature bound cannot be approached
-    target = AgentConfig(0.0, 0.0, 0.0, GEOM.kappa_max * 1.5, 0.0)
+    # no pattern gains a whole unit of distance in one step
+    target = AgentConfig(0.1, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(StallError) as info:
-        plan_motion(ORIGIN, target, GEOM, PlannerParams.unweighted())
+        plan_motion(ORIGIN, target, GEOM,
+                    PlannerParams.unweighted(eps_progress=1.0))
     assert info.value.diagnostics
     assert set(info.value.diagnostics) <= {"00", "01", "10", "11"}
+
+
+def test_curvature_beyond_bound_is_rejected():
+    # within the scenario loader's 1e-9 slack is accepted; beyond it the
+    # error names the configuration and the segment
+    edge = AgentConfig(0.0, 0.0, 0.0, GEOM.kappa_max * (1 + 5e-10),
+                       -GEOM.kappa_max * (1 + 5e-10))
+    assert plan_motion(edge, edge, GEOM).converged
+    for name, j in (("q0", 1), ("q0", 2), ("target", 1), ("target", 2)):
+        kappas = [0.0, 0.0]
+        kappas[j - 1] = GEOM.kappa_max * (1 + 2e-9) * (-1) ** j
+        bad = AgentConfig(0.0, 0.0, 0.0, *kappas)
+        q0, target = (bad, ORIGIN) if name == "q0" else (ORIGIN, bad)
+        with pytest.raises(DomainError, match=f"{name}.kappa{j} "):
+            plan_motion(q0, target, GEOM)
+    with pytest.raises(DomainError, match="target.kappa1"):
+        plan_motion(ORIGIN, AgentConfig(0.0, 0.0, 0.0, 1000.0, 0.0), GEOM)
 
 
 def test_max_steps_returns_unconverged():

@@ -63,6 +63,18 @@ def test_curvature_clipping_flags_saturation():
     assert abs(q1.kappa2) <= GEOM.kappa_max_uniform
 
 
+def test_clamp_bound_is_the_pattern_kappa_bound():
+    q = AgentConfig(0.0, 0.0, 0.0, 2 * GEOM.kappa_max, -2 * GEOM.kappa_max)
+    for s in STIFFNESS_STATES:
+        bound = s.kappa_bound(GEOM)
+        q1, saturated = fk_step_detailed(q, s, np.zeros(5), 0.05, GEOM,
+                                         jac=np.zeros((5, 5)))
+        assert saturated
+        assert (q1.kappa1, q1.kappa2) == (bound, -bound), s.label()
+    assert [s.kappa_bound(GEOM) for s in STIFFNESS_STATES] == [
+        GEOM.kappa_max, GEOM.kappa_max, GEOM.kappa_max, GEOM.kappa_max_uniform]
+
+
 def test_rollout_without_gating_replays_plan():
     plan = small_plan()
     traj = rollout(plan, thermal_gating=False)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import softrig
+from softrig import cli, outputs, spiral
 from softrig.errors import ContractError, DomainError
 from softrig.geometry import GeometryParams, cc_transform
-from softrig.spiral import (SPIRALS, _solve_centre, _start_centres,
-                            rate_coeffs, refit_oracle, spiral_model,
-                            sweep_curve, theta_from_kappa)
+from softrig.spiral import (SPIRALS, _solve_centre, rate_coeffs, refit_oracle,
+                            spiral_model, sweep_curve, theta_from_kappa)
 
 GEOM = GeometryParams()
 L = GEOM.seg_len
@@ -120,14 +121,38 @@ def test_refit_matches_frozen_fit():
 
 
 def test_refit_independent_of_start_centre():
-    # the centre solve converges to the same optimum from every start
+    # the centre solve converges to the same optimum from the mean point the
+    # refit starts at and from three starts around it.  The fit-frame origin
+    # is not one of them: the mode-1 sweep curls its last sample back onto
+    # it, and a centre on a sample leaves the spiral undefined.
     for mode, (a, b, _, _) in FROZEN_FITS.items():
         bound = spiral_model(mode).kappa_bound / L
         pts = sweep_curve(mode, GEOM, np.linspace(0.0, bound, 200))
-        for centre0 in _start_centres(pts):
+        mean = pts.mean(axis=0)
+        span = pts.max(axis=0) - pts.min(axis=0)
+        for centre0 in (mean, mean + 0.25 * span, mean - 0.25 * span,
+                        pts[0] * 0.5):
             fit_a, fit_b, _, _, _ = _solve_centre(pts, centre0)
             assert math.isclose(fit_a / L, a, rel_tol=1e-9)
             assert math.isclose(-abs(fit_b), b, rel_tol=1e-9)
+
+
+def test_refit_solves_each_centre_once(monkeypatch):
+    original = spiral._solve_centre
+    starts = []
+
+    def counted(pts, centre0):
+        starts.append(centre0)
+        return original(pts, centre0)
+
+    # every module binding of the function, so a second solving site counts
+    for module in (softrig, spiral, outputs, cli):
+        if getattr(module, "_solve_centre", None) is original:
+            monkeypatch.setattr(module, "_solve_centre", counted)
+    for mode in (1, 2, 3):
+        starts.clear()
+        refit_oracle(mode, GEOM, 200)
+        assert len(starts) == 1, f"mode {mode}"
 
 
 def test_refit_tracks_reference_table():
