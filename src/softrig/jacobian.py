@@ -31,8 +31,12 @@ import numpy as np
 from .geometry import AgentConfig, GeometryParams, StiffnessState
 from .spiral import rate_coeffs
 
+# Jacobian columns, one float 5-tuple over (x, y, phi, kappa1, kappa2) each
+Columns = tuple[tuple[float, ...], ...]
 
-def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams) -> np.ndarray:
+
+def delta_coeff(q: AgentConfig, j: int,
+                geom: GeometryParams) -> tuple[float, float]:
     """Position-rate column entry before the gain: d(body origin)/d(kappa_j).
 
     Closed-form derivative of the body origin along the constant-curvature
@@ -44,10 +48,11 @@ def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams) -> np.ndarray:
         y = l h + l^2 (1 - cos alpha) / alpha^2
 
     with + for segment 1 and - for segment 2, rotated to the world by the
-    body heading.  Near alpha = 0 both fractions use their series.  The
-    caller scales it by the mode's gain K (modes 2 and 3; mode 1 leaves the
-    body frame stationary and has no pose rows).  Raises ContractError for
-    a segment index other than 1 or 2.
+    body heading and returned as an (x, y) pair of floats.  Near alpha = 0
+    both fractions use their series.  The caller scales it by the mode's
+    gain K (modes 2 and 3; mode 1 leaves the body frame stationary and has
+    no pose rows).  Raises ContractError for a segment index other than 1
+    or 2.
     """
     kap = q.kappa(j)
     l = geom.seg_len
@@ -62,19 +67,51 @@ def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams) -> np.ndarray:
     dx = l * l * sin_part if j == 1 else -l * l * sin_part
     dy = l * geom.mid_link / 2 + l * l * cos_part
     c, s = math.cos(q.phi), math.sin(q.phi)
-    return np.array([c * dx - s * dy, s * dx + c * dy])
+    return c * dx - s * dy, s * dx + c * dy
+
+
+def _rigid_columns(phi: float) -> Columns:
+    c, s = math.cos(phi), math.sin(phi)
+    return ((c, s, 0.0, 0.0, 0.0), (-s, c, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 1.0, 0.0, 0.0))
+
+
+def active_columns(q: AgentConfig, s: StiffnessState,
+                   geom: GeometryParams) -> Columns:
+    """Jacobian columns of the driven inputs ``s.inputs``, float 5-tuples.
+
+    The one place the columns are built (see the module docstring); the
+    array Jacobians below are filled from it.
+    """
+    if not s.any_soft:
+        return _rigid_columns(q.phi)
+    l = geom.seg_len
+    if not s.soft1:
+        # segment 2 soft: v1 drives it from the far side, v2 from next door
+        k2 = rate_coeffs(2, q.kappa2, l)
+        k1 = rate_coeffs(1, q.kappa2, l)
+        dx, dy = delta_coeff(q, 2, geom)
+        return ((k2 * dx, k2 * dy, -l * k2, 0.0, k2),
+                (0.0, 0.0, 0.0, 0.0, k1))
+    if not s.soft2:
+        # segment 1 soft: mirror pairing
+        k2 = rate_coeffs(2, q.kappa1, l)
+        k1 = rate_coeffs(1, q.kappa1, l)
+        dx, dy = delta_coeff(q, 1, geom)
+        return ((0.0, 0.0, 0.0, k1, 0.0),
+                (k2 * dx, k2 * dy, l * k2, k2, 0.0))
+    # both soft: the segment by the stationary unit carries the pose
+    k31 = rate_coeffs(3, q.kappa1, l)
+    k32 = rate_coeffs(3, q.kappa2, l)
+    dx2, dy2 = delta_coeff(q, 2, geom)
+    dx1, dy1 = delta_coeff(q, 1, geom)
+    return ((k32 * dx2, k32 * dy2, -l * k32, k31, k32),
+            (k31 * dx1, k31 * dy1, l * k31, k31, k32))
 
 
 def rigid_jacobian(q: AgentConfig) -> np.ndarray:
     """World rates of (x, y, phi, kappa1, kappa2) per body twist (u0, v0, r0)."""
-    c, s = math.cos(q.phi), math.sin(q.phi)
-    jac = np.zeros((5, 3))
-    jac[0, 0] = c
-    jac[0, 1] = -s
-    jac[1, 0] = s
-    jac[1, 1] = c
-    jac[2, 2] = 1.0
-    return jac
+    return np.array(_rigid_columns(q.phi)).T
 
 
 def soft_jacobian(q: AgentConfig, s: StiffnessState,
@@ -84,37 +121,9 @@ def soft_jacobian(q: AgentConfig, s: StiffnessState,
     Zero when both segments are rigid.  Column 0 is the unit on the
     segment-1 side, column 1 the unit on the segment-2 side.
     """
-    l = geom.seg_len
-    jac = np.zeros((5, 2))
-    if s.index == 1:
-        # segment 2 soft: v1 drives it from the far side, v2 from next door
-        k2, p2, _ = rate_coeffs(2, q.kappa2, l)
-        k1, _, _ = rate_coeffs(1, q.kappa2, l)
-        jac[0:2, 0] = k2 * delta_coeff(q, 2, geom)
-        jac[2, 0] = -p2
-        jac[4, 0] = k2
-        jac[4, 1] = k1
-    elif s.index == 2:
-        # segment 1 soft: mirror pairing
-        k2, p2, _ = rate_coeffs(2, q.kappa1, l)
-        k1, _, _ = rate_coeffs(1, q.kappa1, l)
-        jac[3, 0] = k1
-        jac[0:2, 1] = k2 * delta_coeff(q, 1, geom)
-        jac[2, 1] = p2
-        jac[3, 1] = k2
-    elif s.index == 3:
-        # both soft: the segment by the stationary unit carries the pose
-        k31, p31, _ = rate_coeffs(3, q.kappa1, l)
-        k32, p32, _ = rate_coeffs(3, q.kappa2, l)
-        jac[0:2, 0] = k32 * delta_coeff(q, 2, geom)
-        jac[2, 0] = -p32
-        jac[3, 0] = k31
-        jac[4, 0] = k32
-        jac[0:2, 1] = k31 * delta_coeff(q, 1, geom)
-        jac[2, 1] = p31
-        jac[3, 1] = k31
-        jac[4, 1] = k32
-    return jac
+    if not s.any_soft:
+        return np.zeros((5, 2))
+    return np.array(active_columns(q, s, geom)).T
 
 
 def hybrid_jacobian(q: AgentConfig, s: StiffnessState,
@@ -126,6 +135,5 @@ def hybrid_jacobian(q: AgentConfig, s: StiffnessState,
     columns are zero.
     """
     jac = np.zeros((5, 5))
-    jac[:, s.inputs] = (soft_jacobian(q, s, geom) if s.any_soft
-                        else rigid_jacobian(q))
+    jac[:, s.inputs] = np.array(active_columns(q, s, geom)).T
     return jac

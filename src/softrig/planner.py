@@ -16,6 +16,7 @@ reproduces the plain norm that treats all five coordinates alike.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import ContractError, DomainError, StallError
 from .geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                        StiffnessState, wrap_angle)
-from .jacobian import hybrid_jacobian
+from .jacobian import Columns, active_columns
 from .simulator import fk_step_detailed
 
 _BOUND_TOL = 1e-9
@@ -102,35 +103,56 @@ class PlanResult:
         }
 
 
-def config_error(target: AgentConfig, q: AgentConfig) -> np.ndarray:
+def config_error(target: AgentConfig,
+                 q: AgentConfig) -> tuple[float, float, float, float, float]:
     """Coordinate-wise error with the heading wrapped to the short way."""
-    err = target.as_array() - q.as_array()
-    err[2] = wrap_angle(err[2])
-    return err
+    return (target.x - q.x, target.y - q.y, wrap_angle(target.phi - q.phi),
+            target.kappa1 - q.kappa1, target.kappa2 - q.kappa2)
 
 
-def weighted_distance(err: np.ndarray, weights) -> float:
-    w = np.asarray(weights, dtype=float)
-    return float(np.sqrt(np.sum((w * err) ** 2)))
+def weighted_distance(err, weights) -> float:
+    total = 0.0
+    for w, e in zip(weights, err):
+        we = w * e
+        total += we * we
+    return math.sqrt(total)
 
 
-def damped_speeds(jac: np.ndarray, s: StiffnessState, err: np.ndarray,
-                  lam: float, mu: float) -> np.ndarray:
+def _dot(a, b) -> float:
+    a0, a1, a2, a3, a4 = a
+    b0, b1, b2, b3, b4 = b
+    return a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
+
+
+def damped_speeds(cols: Columns, s: StiffnessState, err, lam: float,
+                  mu: float) -> tuple[float, float, float, float, float]:
     """Damped least-squares drive inputs for one hypothesis step.
 
-    Solves (Ja^T Ja + mu^2 I) u = Ja^T (lam * err) on the columns Ja that
-    the pattern drives, ``s.inputs`` (the 5 x 2 soft block or the 5 x 3
-    rigid block).  By the push-through identity (Wampler, IEEE SMC 1986)
-    this equals J^T (J J^T + mu^2 I)^-1 (lam * err), but the 5 x 5 Gram
-    matrix there has rank-deficient J J^T, so its conditioning is set by
-    mu^2 alone.  The other inputs are exactly zero.
+    Solves (Ja^T Ja + mu^2 I) u = Ja^T (lam * err) in closed form on the
+    columns Ja that the pattern drives, ``cols`` from ``active_columns``
+    (the two unit speeds or the three body-twist inputs, ``s.inputs``).
+    By the push-through identity (Wampler, IEEE SMC 1986) this equals
+    J^T (J J^T + mu^2 I)^-1 (lam * err), but the 5 x 5 Gram matrix there
+    has rank-deficient J J^T, so its conditioning is set by mu^2 alone.
+    The rigid columns are orthonormal (a heading rotation plus phi), so
+    u = Ja^T (lam * err) / (1 + mu^2); the soft 2 x 2 system is solved by
+    Cramer's rule.  Returns all five inputs; the inactive ones are exactly
+    zero.
     """
-    active = s.inputs
-    ja = jac[:, active]
-    gram = ja.T @ ja + (mu * mu) * np.eye(len(active))
-    ups = np.zeros(jac.shape[1])
-    ups[active] = np.linalg.solve(gram, ja.T @ (lam * err))
-    return ups
+    le = [lam * e for e in err]
+    damp = mu * mu
+    if not s.any_soft:
+        scale = 1.0 + damp
+        u0, v0, r0 = (_dot(col, le) / scale for col in cols)
+        return 0.0, 0.0, u0, v0, r0
+    a, b = cols
+    g11 = _dot(a, a) + damp
+    g12 = _dot(a, b)
+    g22 = _dot(b, b) + damp
+    r1, r2 = _dot(a, le), _dot(b, le)
+    det = g11 * g22 - g12 * g12
+    return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det,
+            0.0, 0.0, 0.0)
 
 
 def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
@@ -156,20 +178,21 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     configs = [q]
     distances = [dist]
     prev_idx: int | None = None
+    limits = [s.kappa_bound(geom) * (1 + _BOUND_TOL) for s in STIFFNESS_STATES]
     for step_no in range(params.max_steps):
         if dist <= params.eps_goal:
             return PlanResult(q0, target, params, steps, configs, distances,
                               True)
-        candidates: dict[int, tuple[float, np.ndarray, np.ndarray,
-                                    AgentConfig, bool]] = {}
-        for idx, s in enumerate(STIFFNESS_STATES):
+        candidates: dict[int, tuple] = {}
+        bend = max(abs(q.kappa1), abs(q.kappa2))
+        for idx, (s, limit) in enumerate(zip(STIFFNESS_STATES, limits)):
             # the equal-bend pattern cannot take over a bend past its bound
-            if (max(abs(q.kappa1), abs(q.kappa2))
-                    > s.kappa_bound(geom) * (1 + _BOUND_TOL)):
+            if bend > limit:
                 continue
-            jac = hybrid_jacobian(q, s, geom)
-            ups = damped_speeds(jac, s, err, params.lam, params.mu)
-            q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom, jac=jac)
+            cols = active_columns(q, s, geom)
+            ups = damped_speeds(cols, s, err, params.lam, params.mu)
+            q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom,
+                                           cols=cols)
             err_next = config_error(target, q_next)
             candidates[idx] = (weighted_distance(err_next, params.weights),
                                err_next, ups, q_next, sat)
@@ -196,7 +219,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                 chosen = prev_idx
         dist, err, ups, q_next, sat = candidates[chosen]
         steps.append(PlanStep(step_no * params.dt, q,
-                              STIFFNESS_STATES[chosen], ups, sat))
+                              STIFFNESS_STATES[chosen], np.array(ups), sat))
         prev_idx = chosen
         q = q_next
         configs.append(q)

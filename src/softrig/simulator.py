@@ -18,7 +18,7 @@ import numpy as np
 from . import thermal as th
 from .errors import ContractError, ThermalTimeoutError
 from .geometry import AgentConfig, GeometryParams, StiffnessState
-from .jacobian import hybrid_jacobian
+from .jacobian import Columns, active_columns, hybrid_jacobian
 
 if TYPE_CHECKING:
     from .planner import PlanResult
@@ -26,45 +26,57 @@ if TYPE_CHECKING:
 _SAT_TOL = 1e-12
 
 
-def _clipped(arr: np.ndarray, bound: float) -> AgentConfig:
-    return AgentConfig(float(arr[0]), float(arr[1]), arr[2],
-                       float(np.clip(arr[3], -bound, bound)),
-                       float(np.clip(arr[4], -bound, bound)))
+def _clipped(values, bound: float) -> AgentConfig:
+    x, y, phi, kappa1, kappa2 = values
+    return AgentConfig(x, y, phi, min(max(kappa1, -bound), bound),
+                       min(max(kappa2, -bound), bound))
 
 
 def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
                      dt: float, geom: GeometryParams,
                      integrator: str = "euler",
-                     jac: np.ndarray | None = None
+                     cols: Columns | None = None
                      ) -> tuple[AgentConfig, bool]:
     """One integration step; returns (new config, curvature saturated).
 
-    Curvatures are clamped to ``s.kappa_bound(geom)`` after the step; the
-    flag reports whether the clamp engaged.
+    The Euler step runs on Python floats over the Jacobian's active
+    columns at q, ``cols`` when the caller already built them with
+    ``active_columns``.  The rk4 step is the reference flow through
+    ``hybrid_jacobian``.  Curvatures are clamped to ``s.kappa_bound(geom)``
+    after the step; the flag reports whether the clamp engaged.
     """
     if dt <= 0:
         raise ContractError(f"step dt must be positive, got {dt}")
-    ups = np.asarray(speeds, dtype=float)
-    if ups.shape != (5,):
-        raise ContractError(f"speed vector must have shape (5,), got {ups.shape}")
+    ups = tuple(map(float, speeds))
+    if len(ups) != 5:
+        raise ContractError(f"speed vector must have 5 entries, got {len(ups)}")
     bound = s.kappa_bound(geom)
     if integrator == "euler":
-        j0 = hybrid_jacobian(q, s, geom) if jac is None else jac
-        arr = q.as_array() + dt * (j0 @ ups)
+        if cols is None:
+            cols = active_columns(q, s, geom)
+        rates = (0.0,) * 5
+        for i, col in zip(s.inputs, cols):
+            u = ups[i]
+            rates = [r + c * u for r, c in zip(rates, col)]
+        values = [v + dt * r for v, r in
+                  zip((q.x, q.y, q.phi, q.kappa1, q.kappa2), rates)]
     elif integrator == "rk4":
+        u_arr = np.array(ups)
+
         def rate(arr_in):
-            return hybrid_jacobian(_clipped(arr_in, bound), s, geom) @ ups
+            return hybrid_jacobian(_clipped(arr_in.tolist(), bound), s,
+                                   geom) @ u_arr
 
         a0 = q.as_array()
-        k1 = (hybrid_jacobian(q, s, geom) if jac is None else jac) @ ups
+        k1 = hybrid_jacobian(q, s, geom) @ u_arr
         k2 = rate(a0 + 0.5 * dt * k1)
         k3 = rate(a0 + 0.5 * dt * k2)
         k4 = rate(a0 + dt * k3)
-        arr = a0 + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        values = (a0 + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6).tolist()
     else:
         raise ContractError(f"unknown integrator {integrator!r}")
-    saturated = bool(max(abs(arr[3]), abs(arr[4])) > bound + _SAT_TOL)
-    return _clipped(arr, bound), saturated
+    saturated = max(abs(values[3]), abs(values[4])) > bound + _SAT_TOL
+    return _clipped(values, bound), saturated
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ Three deformation modes have their own fitted spirals:
 
 The spiral angle theta is tied to segment curvature by an affine map
 theta = pi + alpha / m (alpha = kappa * seg_len), so each spiral yields a
-speed-to-curvature-rate gain K and a speed-to-heading-rate gain Phi used by
-the deformation Jacobian.  Bending is mirror symmetric: the radius law
+speed-to-curvature-rate gain K, and with it the heading-rate gain
+seg_len * K, used by the deformation Jacobian.  Bending is mirror symmetric: the radius law
 depends on |kappa| and the tabulated b takes the sign opposite to the bend.
 
 Fit frames (used by ``sweep_curve`` and ``refit_oracle``): the curve is
@@ -101,17 +101,15 @@ def theta_from_kappa(mode: int, kappa: float, seg_len: float) -> float:
     return theta
 
 
-def rate_coeffs(mode: int, kappa: float, seg_len: float):
-    """Speed-to-rate gains of a deformation mode at one curvature.
+def rate_coeffs(mode: int, kappa: float, seg_len: float) -> float:
+    """Speed-to-curvature-rate gain K of a deformation mode at one curvature.
 
-    Returns (K, Phi, rho): kappa_dot = K * v and phi-side rate Phi = m / rho
-    for a unit driving speed v along the spiral, with rho the current
-    centre-to-joint distance.  K = m / (seg_len * rho) and Phi = seg_len * K.
+    kappa_dot = K * v for a unit driving speed v along the spiral, with
+    K = m / (seg_len * rho) and rho the current centre-to-joint distance;
+    the heading rate the mode drives is seg_len * K = m / rho.
     """
     sp = spiral_model(mode)
-    rho = sp.radius(kappa, seg_len)
-    k_gain = sp.m / (seg_len * rho)
-    return k_gain, sp.m / rho, rho
+    return sp.m / (seg_len * sp.radius(kappa, seg_len))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,13 @@ def random_config(rng, kappa_frac=0.8, uniform=False):
                        rng.uniform(-kappa_frac, kappa_frac) * kb)
 
 
+def gains(mode, kappa):
+    # K from rate_coeffs and the heading gain m / rho from the spiral itself
+    sp = spiral.spiral_model(mode)
+    return (rate_coeffs(mode, kappa, GEOM.seg_len),
+            sp.m / sp.radius(kappa, GEOM.seg_len))
+
+
 def test_rigid_jacobian_structure():
     q = AgentConfig(0.1, 0.2, 0.8, 30.0, -20.0)
     jac = rigid_jacobian(q)
@@ -44,8 +51,8 @@ def test_rigid_jacobian_structure():
 def test_soft_jacobian_single_segment_structure():
     q = AgentConfig(0.0, 0.0, 0.3, 25.0, -40.0)
     jac = soft_jacobian(q, S01, GEOM)
-    k2, p2, _ = rate_coeffs(2, q.kappa2, GEOM.seg_len)
-    k1, _, _ = rate_coeffs(1, q.kappa2, GEOM.seg_len)
+    k2, p2 = gains(2, q.kappa2)
+    k1 = rate_coeffs(1, q.kappa2, GEOM.seg_len)
     # far-side drive moves the pose and winds kappa2
     assert math.isclose(jac[2, 0], -p2)
     assert math.isclose(jac[4, 0], k2)
@@ -55,8 +62,8 @@ def test_soft_jacobian_single_segment_structure():
     assert math.isclose(jac[4, 1], k1)
     # mirror pattern
     jac = soft_jacobian(q, S10, GEOM)
-    k2, p2, _ = rate_coeffs(2, q.kappa1, GEOM.seg_len)
-    k1, _, _ = rate_coeffs(1, q.kappa1, GEOM.seg_len)
+    k2, p2 = gains(2, q.kappa1)
+    k1 = rate_coeffs(1, q.kappa1, GEOM.seg_len)
     assert math.isclose(jac[2, 1], p2)
     assert math.isclose(jac[3, 1], k2)
     assert jac[0, 0] == 0.0 and jac[1, 0] == 0.0 and jac[2, 0] == 0.0
@@ -77,8 +84,8 @@ def test_soft_jacobian_heading_signs():
 def test_soft_jacobian_both_segments():
     q = AgentConfig(0.05, -0.1, -0.4, 20.0, 20.0)
     jac = soft_jacobian(q, S11, GEOM)
-    k31, p31, _ = rate_coeffs(3, q.kappa1, GEOM.seg_len)
-    k32, p32, _ = rate_coeffs(3, q.kappa2, GEOM.seg_len)
+    k31, p31 = gains(3, q.kappa1)
+    k32, p32 = gains(3, q.kappa2)
     # both curvatures rate together from either driving side
     assert math.isclose(jac[3, 0], k31) and math.isclose(jac[4, 0], k32)
     assert math.isclose(jac[3, 1], k31) and math.isclose(jac[4, 1], k32)
@@ -152,13 +159,13 @@ def test_delta_coeff_matches_direct_difference():
     for q, mode, j in cases:
         kap = q.kappa(j)
         h = min(1e-6 * kmax, kmax * (1 + 5e-10) - abs(kap))
-        k_gain, _, _ = rate_coeffs(mode, kap, l)
+        k_gain = rate_coeffs(mode, kap, l)
         anchor = Pose2.from_xytheta(q.x, q.y, q.phi).compose(
             cc_transform(kap, j, GEOM))
         hi = cc_transform(kap + h, j, GEOM).inverse().xy
         lo = cc_transform(kap - h, j, GEOM).inverse().xy
         fd = k_gain * anchor.rot @ (hi - lo) / (2 * h)
-        d = k_gain * delta_coeff(q, j, GEOM)
+        d = k_gain * np.array(delta_coeff(q, j, GEOM))
         assert np.linalg.norm(d - fd) <= 1e-6 * np.linalg.norm(fd), (
             f"mode {mode} segment {j} kappa {kap:.6g}")
 

@@ -6,9 +6,10 @@ import pytest
 
 from softrig.errors import ContractError, DomainError, StallError
 from softrig.geometry import STIFFNESS_STATES, AgentConfig, GeometryParams
-from softrig.jacobian import hybrid_jacobian
+from softrig.jacobian import active_columns, hybrid_jacobian
 from softrig.planner import (PlannerParams, config_error, damped_speeds,
                              fk_reference, plan_motion, weighted_distance)
+from softrig.scenario import sample_scenario
 
 GEOM = GeometryParams()
 ORIGIN = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -35,18 +36,20 @@ def test_config_error_wraps_heading():
 
 def test_damped_speeds_zero_for_inactive_columns():
     q = AgentConfig(0.0, 0.0, 0.0, 10.0, 10.0)
-    jac = hybrid_jacobian(q, STIFFNESS_STATES[1], GEOM)
-    ups = damped_speeds(jac, STIFFNESS_STATES[1], np.ones(5), 1.0, 1e-3)
-    assert np.all(ups[2:] == 0.0)
-    jac = hybrid_jacobian(q, STIFFNESS_STATES[0], GEOM)
-    ups = damped_speeds(jac, STIFFNESS_STATES[0], np.ones(5), 1.0, 1e-3)
-    assert np.all(ups[:2] == 0.0)
+    for s in STIFFNESS_STATES[:2]:
+        ups = damped_speeds(active_columns(q, s, GEOM), s, (1.0,) * 5,
+                            1.0, 1e-3)
+        assert all(type(u) is float for u in ups)
+        inactive = [i for i in range(5) if i not in s.inputs]
+        assert all(ups[i] == 0.0 for i in inactive), s.label()
 
 
 def test_damped_speeds_match_stacked_least_squares():
     # against lstsq of [Ja; mu I] u = [lam err; 0] on the active block Ja,
     # which never squares the block's conditioning; soft blocks pair a
-    # curvature scale of 1e2 1/m with millimetre pose rates
+    # curvature scale of 1e2 1/m with millimetre pose rates.  Besides random
+    # bends, every pattern is tried on curvatures inside delta_coeff's
+    # series branch (|kappa l| < 1e-3) and at the pattern's own bound.
     rng = np.random.default_rng(14)
     lam, mu = 1.0, 1e-3
 
@@ -56,23 +59,61 @@ def test_damped_speeds_match_stacked_least_squares():
                            rng.uniform(-0.9, 0.9) * kb,
                            rng.uniform(-0.9, 0.9) * kb)
 
-    for _ in range(200):
-        s = STIFFNESS_STATES[rng.integers(0, 4)]
-        kb = GEOM.kappa_max_uniform if s.index == 3 else GEOM.kappa_max
-        q = random_config(kb)
-        err = config_error(random_config(kb), q)
+    def check(s, q, err):
         jac = hybrid_jacobian(q, s, GEOM)
         active = slice(0, 2) if s.any_soft else slice(2, 5)
         ja = jac[:, active]
         n = ja.shape[1]
         ref = np.linalg.lstsq(np.vstack([ja, mu * np.eye(n)]),
-                              np.concatenate([lam * err, np.zeros(n)]),
+                              np.concatenate([lam * np.array(err),
+                                              np.zeros(n)]),
                               rcond=None)[0]
-        ups = damped_speeds(jac, s, err, lam, mu)
+        ups = np.array(damped_speeds(active_columns(q, s, GEOM), s, err,
+                                     lam, mu))
         assert np.linalg.norm(ups[active] - ref) <= 1e-9 * np.linalg.norm(ref)
         inactive = np.ones(5, dtype=bool)
         inactive[active] = False
         assert np.all(ups[inactive] == 0.0)
+
+    for _ in range(200):
+        s = STIFFNESS_STATES[rng.integers(0, 4)]
+        kb = s.kappa_bound(GEOM)
+        q = random_config(kb)
+        check(s, q, config_error(random_config(kb), q))
+    series = 1e-3 / GEOM.seg_len
+    for s in STIFFNESS_STATES:
+        kb = s.kappa_bound(GEOM)
+        for kappas in ((0.0, 0.0), (0.9 * series, -0.5 * series),
+                       (kb, kb), (-kb, -kb), (kb, -kb), (-kb, 0.3 * series)):
+            pose = random_config(kb)
+            q = AgentConfig(pose.x, pose.y, pose.phi, *kappas)
+            check(s, q, config_error(random_config(kb), q))
+
+
+def plan_record(plan):
+    return (plan.converged, plan.configs, plan.distances,
+            [(st.t, st.config, st.stiffness, st.speeds.tolist(), st.saturated)
+             for st in plan.steps])
+
+
+def test_planning_makes_no_lapack_call(monkeypatch):
+    # the step is closed form, so plans cannot depend on the LAPACK build
+    rng = np.random.default_rng(3)
+    problems = [(ORIGIN, AgentConfig(0.12, 0.08, 0.6, 20.0, -15.0))]
+    problems += [(sc.q0, sc.target)
+                 for sc in (sample_scenario(rng, i) for i in range(3))]
+    presets = (PlannerParams(), PlannerParams.unweighted())
+    expected = [plan_record(plan_motion(q0, target, GEOM, params))
+                for q0, target in problems for params in presets]
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("the planner called numpy.linalg")
+
+    for name in ("solve", "lstsq", "inv", "pinv", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    got = [plan_record(plan_motion(q0, target, GEOM, params))
+           for q0, target in problems for params in presets]
+    assert got == expected
 
 
 def test_trivial_goal_needs_no_steps():

@@ -28,6 +28,27 @@ def test_euler_step_is_exact_first_order():
     q1 = fk_step_detailed(q, S01, ups, 0.05, GEOM)[0]
     expect = q.as_array() + 0.05 * (jac @ ups)
     np.testing.assert_allclose(q1.as_array(), expect, atol=1e-15)
+    # the float step also equals q + dt J u followed by the clip when the
+    # clip engages on one curvature and leaves the other alone
+    cases = [
+        (AgentConfig(0.01, -0.02, 0.4, 8.0, GEOM.kappa_max * 0.999), S01,
+         np.array([0.01, 0.5, 0.0, 0.0, 0.0])),
+        (AgentConfig(0.0, 0.03, -2.9, -GEOM.kappa_max_uniform * 0.99, 20.0),
+         S11, np.array([-0.3, 0.2, 0.0, 0.0, 0.0])),
+        (AgentConfig(0.02, 0.01, 3.1, 12.0, -9.0), RIGID,
+         np.array([0.0, 0.0, 0.04, -0.03, 0.8])),
+    ]
+    flags = []
+    for q, s, ups in cases:
+        bound = s.kappa_bound(GEOM)
+        arr = q.as_array() + 0.5 * (hybrid_jacobian(q, s, GEOM) @ ups)
+        expect = np.concatenate([arr[:3], np.clip(arr[3:], -bound, bound)])
+        expect[2] = AgentConfig(0.0, 0.0, arr[2], 0.0, 0.0).phi
+        q1, saturated = fk_step_detailed(q, s, ups, 0.5, GEOM)
+        assert saturated == bool(np.max(np.abs(arr[3:])) > bound + 1e-12)
+        np.testing.assert_allclose(q1.as_array(), expect, rtol=1e-13, atol=0)
+        flags.append(saturated)
+    assert flags == [True, True, False]
 
 
 def test_rk4_converges_to_euler_for_small_dt():
@@ -67,8 +88,9 @@ def test_clamp_bound_is_the_pattern_kappa_bound():
     q = AgentConfig(0.0, 0.0, 0.0, 2 * GEOM.kappa_max, -2 * GEOM.kappa_max)
     for s in STIFFNESS_STATES:
         bound = s.kappa_bound(GEOM)
+        zero_cols = ((0.0,) * 5,) * len(s.inputs)
         q1, saturated = fk_step_detailed(q, s, np.zeros(5), 0.05, GEOM,
-                                         jac=np.zeros((5, 5)))
+                                         cols=zero_cols)
         assert saturated
         assert (q1.kappa1, q1.kappa2) == (bound, -bound), s.label()
     assert [s.kappa_bound(GEOM) for s in STIFFNESS_STATES] == [

@@ -62,7 +62,9 @@ def test_radius_symmetric_and_shrinking():
 
 def test_straight_radius_and_gains():
     # rho(0) = a * l * exp(-b * pi), K = m / (l rho), Phi = l K
-    k_gain, phi_gain, rho = rate_coeffs(2, 0.0, L)
+    k_gain = rate_coeffs(2, 0.0, L)
+    rho = spiral_model(2).radius(0.0, L)
+    phi_gain = L * k_gain
     assert math.isclose(rho, 0.10182863846328276, rel_tol=1e-12)
     assert math.isclose(k_gain, 245.5105005554451, rel_tol=1e-12)
     assert math.isclose(phi_gain, 9.820420022217805, rel_tol=1e-12)
