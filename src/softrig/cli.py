@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -93,10 +94,7 @@ def _run_one(scn: Scenario, out_dir: str, args) -> int:
     except ThermalTimeoutError as exc:
         print(f"{scn.label}: thermal timeout: {exc}", file=sys.stderr)
         return EXIT_THERMAL
-    outputs.write_plan_csv(os.path.join(out_dir, "plan.csv"), plan)
-    outputs.write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-    outputs.write_thermal_csv(os.path.join(out_dir, "thermal.csv"), traj,
-                              scn.thermal)
+    outputs.write_run_csvs(out_dir, plan, traj, scn.thermal)
     summary = plan.summary()
     summary["label"] = scn.label
     summary["thermal_gating"] = gating
@@ -137,12 +135,26 @@ def _run_batch(args) -> int:
     return EXIT_OK
 
 
+def _run_input_error(args) -> str | None:
+    """What is wrong with the run options, or None when they hold."""
+    if args.batch is not None and args.scenario:
+        return "give a scenario file or --batch N, not both"
+    if args.batch is None and not args.scenario:
+        return "need a scenario file or --batch N"
+    if not math.isfinite(args.max_wait) or args.max_wait < 0:
+        return f"--max-wait must be a finite number >= 0, got {args.max_wait:g}"
+    if args.keyframes < 0:
+        return f"--keyframes must be 0 (off) or more, got {args.keyframes}"
+    return None
+
+
 def _cmd_run(args) -> int:
+    problem = _run_input_error(args)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return EXIT_INPUT
     if args.batch is not None:
         return _run_batch(args)
-    if not args.scenario:
-        print("need a scenario file or --batch N", file=sys.stderr)
-        return EXIT_INPUT
     scn = load_scenario(args.scenario)
     scn = _apply_preset(scn, args)
     return _run_one(scn, args.out, args)

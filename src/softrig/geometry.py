@@ -104,7 +104,7 @@ class GeometryParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AgentConfig:
     """Configuration q = (x, y, phi, kappa1, kappa2).
 
@@ -119,8 +119,12 @@ class AgentConfig:
     kappa1: float
     kappa2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
+    def __init__(self, x: float, y: float, phi: float, kappa1: float,
+                 kappa2: float):
+        # the planner builds one per candidate step: one write of the
+        # instance dict instead of five passes through the frozen guard
+        vars(self).update(x=x, y=y, phi=wrap_angle(phi), kappa1=kappa1,
+                          kappa2=kappa2)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.phi, self.kappa1, self.kappa2])

@@ -35,8 +35,13 @@ from .spiral import rate_coeffs
 Columns = tuple[tuple[float, ...], ...]
 
 
-def delta_coeff(q: AgentConfig, j: int,
-                geom: GeometryParams) -> tuple[float, float]:
+# Terms every pattern's columns share at one configuration: the heading's
+# (cos, sin) and each segment's ``delta_coeff`` pair
+Shared = tuple[float, float, tuple[float, float], tuple[float, float]]
+
+
+def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams,
+                rot: tuple[float, float]) -> tuple[float, float]:
     """Position-rate column entry before the gain: d(body origin)/d(kappa_j).
 
     Closed-form derivative of the body origin along the constant-curvature
@@ -48,11 +53,11 @@ def delta_coeff(q: AgentConfig, j: int,
         y = l h + l^2 (1 - cos alpha) / alpha^2
 
     with + for segment 1 and - for segment 2, rotated to the world by the
-    body heading and returned as an (x, y) pair of floats.  Near alpha = 0
-    both fractions use their series.  The caller scales it by the mode's
-    gain K (modes 2 and 3; mode 1 leaves the body frame stationary and has
-    no pose rows).  Raises ContractError for a segment index other than 1
-    or 2.
+    body heading, whose (cos, sin) is ``rot``, and returned as an (x, y)
+    pair of floats.  Near alpha = 0 both fractions
+    use their series.  The caller scales it by the mode's gain K (modes 2
+    and 3; mode 1 leaves the body frame stationary and has no pose rows).
+    Raises ContractError for a segment index other than 1 or 2.
     """
     kap = q.kappa(j)
     l = geom.seg_len
@@ -66,52 +71,62 @@ def delta_coeff(q: AgentConfig, j: int,
         cos_part = (1.0 - math.cos(alpha)) / (alpha * alpha)
     dx = l * l * sin_part if j == 1 else -l * l * sin_part
     dy = l * geom.mid_link / 2 + l * l * cos_part
-    c, s = math.cos(q.phi), math.sin(q.phi)
+    c, s = rot
     return c * dx - s * dy, s * dx + c * dy
 
 
-def _rigid_columns(phi: float) -> Columns:
-    c, s = math.cos(phi), math.sin(phi)
+def _rigid_columns(c: float, s: float) -> Columns:
+    # the body twist rotated to the world by the heading (cos, sin)
     return ((c, s, 0.0, 0.0, 0.0), (-s, c, 0.0, 0.0, 0.0),
             (0.0, 0.0, 1.0, 0.0, 0.0))
 
 
-def active_columns(q: AgentConfig, s: StiffnessState,
-                   geom: GeometryParams) -> Columns:
+def shared_terms(q: AgentConfig, geom: GeometryParams) -> Shared:
+    """The terms all four patterns' columns at q share, built once.
+
+    The planner tries every pattern at the same configuration; passing
+    this to ``active_columns`` spares each candidate the heading rotation
+    and the arc derivatives.
+    """
+    rot = (math.cos(q.phi), math.sin(q.phi))
+    return (*rot, delta_coeff(q, 1, geom, rot), delta_coeff(q, 2, geom, rot))
+
+
+def active_columns(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
+                   shared: Shared | None = None) -> Columns:
     """Jacobian columns of the driven inputs ``s.inputs``, float 5-tuples.
 
     The one place the columns are built (see the module docstring); the
-    array Jacobians below are filled from it.
+    array Jacobians below are filled from it.  ``shared`` is
+    ``shared_terms(q, geom)`` when the caller already built it.
     """
+    c, sn, (dx1, dy1), (dx2, dy2) = (shared if shared is not None
+                                     else shared_terms(q, geom))
     if not s.any_soft:
-        return _rigid_columns(q.phi)
+        return _rigid_columns(c, sn)
     l = geom.seg_len
     if not s.soft1:
         # segment 2 soft: v1 drives it from the far side, v2 from next door
         k2 = rate_coeffs(2, q.kappa2, l)
         k1 = rate_coeffs(1, q.kappa2, l)
-        dx, dy = delta_coeff(q, 2, geom)
-        return ((k2 * dx, k2 * dy, -l * k2, 0.0, k2),
+        return ((k2 * dx2, k2 * dy2, -l * k2, 0.0, k2),
                 (0.0, 0.0, 0.0, 0.0, k1))
     if not s.soft2:
         # segment 1 soft: mirror pairing
         k2 = rate_coeffs(2, q.kappa1, l)
         k1 = rate_coeffs(1, q.kappa1, l)
-        dx, dy = delta_coeff(q, 1, geom)
         return ((0.0, 0.0, 0.0, k1, 0.0),
-                (k2 * dx, k2 * dy, l * k2, k2, 0.0))
+                (k2 * dx1, k2 * dy1, l * k2, k2, 0.0))
     # both soft: the segment by the stationary unit carries the pose
     k31 = rate_coeffs(3, q.kappa1, l)
     k32 = rate_coeffs(3, q.kappa2, l)
-    dx2, dy2 = delta_coeff(q, 2, geom)
-    dx1, dy1 = delta_coeff(q, 1, geom)
     return ((k32 * dx2, k32 * dy2, -l * k32, k31, k32),
             (k31 * dx1, k31 * dy1, l * k31, k31, k32))
 
 
 def rigid_jacobian(q: AgentConfig) -> np.ndarray:
     """World rates of (x, y, phi, kappa1, kappa2) per body twist (u0, v0, r0)."""
-    return np.array(_rigid_columns(q.phi)).T
+    return np.array(_rigid_columns(math.cos(q.phi), math.sin(q.phi))).T
 
 
 def soft_jacobian(q: AgentConfig, s: StiffnessState,

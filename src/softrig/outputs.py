@@ -40,59 +40,79 @@ def _write_lines(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _config_cells(q: AgentConfig) -> list[str]:
-    return [_fmt(q.x), _fmt(q.y), _fmt(q.phi), _fmt(q.kappa1), _fmt(q.kappa2)]
+def _config_cells(q: AgentConfig) -> str:
+    return ",".join(map(_fmt, (q.x, q.y, q.phi, q.kappa1, q.kappa2)))
 
 
-def write_plan_csv(path: str, plan: PlanResult) -> None:
-    """One row per planner step plus the terminal configuration."""
-    cols = ["t", "x", "y", "phi", "kappa1", "kappa2", "s1", "s2",
-            "v1", "v2", "u0", "v0", "r0"]
-    lines = _header(cols)
-    last_s = plan.steps[-1].stiffness if plan.steps else StiffnessState(False, False)
+def _speed_cells(speeds) -> str:
+    return ",".join(map(_fmt, speeds))
+
+
+def _once(fmt):
+    """``fmt`` memoised by object identity, for one writer call.
+
+    The objects come from the plan and trajectory being written, which
+    hold them for the whole call, so no two of them share an id.
+    """
+    done: dict[int, str] = {}
+
+    def cells(obj) -> str:
+        text = done.get(id(obj))
+        if text is None:
+            text = done[id(obj)] = fmt(obj)
+        return text
+
+    return cells
+
+
+def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory,
+                   params: ThermalParams) -> None:
+    """Write plan.csv, trajectory.csv and thermal.csv of one run.
+
+    plan.csv has one row per planner step plus the terminal configuration;
+    trajectory.csv one per playback row, with thermal readings and flags;
+    thermal.csv two per playback row, one for each segment's plant.  Each
+    value is formatted once: a plan step's configuration and speed cells
+    serve its plan.csv row and every playback row that replays it (paused
+    rows included), and a playback row's t, T and duty cells serve both
+    trajectory.csv and thermal.csv.
+    """
+    config_cells = _once(_config_cells)
+    speed_cells = _once(_speed_cells)
+    lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1", "s2",
+                     "v1", "v2", "u0", "v0", "r0"])
     for step in plan.steps:
-        cells = [_fmt(step.t)] + _config_cells(step.config)
-        cells += [str(int(step.stiffness.soft1)), str(int(step.stiffness.soft2))]
-        cells += [_fmt(v) for v in step.speeds]
-        lines.append(",".join(cells))
+        s = step.stiffness
+        lines.append(f"{_fmt(step.t)},{config_cells(step.config)},"
+                     f"{int(s.soft1)},{int(s.soft2)},{speed_cells(step.speeds)}")
+    last_s = plan.steps[-1].stiffness if plan.steps else StiffnessState(False, False)
     t_end = len(plan.steps) * plan.params.dt
-    cells = [_fmt(t_end)] + _config_cells(plan.final_config)
-    cells += [str(int(last_s.soft1)), str(int(last_s.soft2))]
-    cells += [_fmt(0.0)] * 5
-    lines.append(",".join(cells))
-    _write_lines(path, lines)
+    lines.append(f"{_fmt(t_end)},{config_cells(plan.final_config)},"
+                 f"{int(last_s.soft1)},{int(last_s.soft2)},"
+                 f"{_speed_cells((0.0,) * 5)}")
+    _write_lines(os.path.join(out_dir, "plan.csv"), lines)
 
-
-def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    """Full playback rows including thermal readings and flags."""
-    cols = ["t", "x", "y", "phi", "kappa1", "kappa2", "s1_cmd", "s2_cmd",
-            "v1", "v2", "u0", "v0", "r0", "T1", "u1_duty", "phase1",
-            "T2", "u2_duty", "phase2", "paused", "saturated"]
-    lines = _header(cols)
+    traj_lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1_cmd",
+                          "s2_cmd", "v1", "v2", "u0", "v0", "r0", "T1",
+                          "u1_duty", "phase1", "T2", "u2_duty", "phase2",
+                          "paused", "saturated"])
+    therm_lines = _header(["t", "segment", "T", "u", "phase", "setpoint"])
+    set_soft, set_rigid = _fmt(params.setpoint_soft), _fmt(params.setpoint_rigid)
     for row in traj.rows:
-        cells = [_fmt(row.t)] + _config_cells(row.config)
-        cells += [str(int(row.stiffness.soft1)), str(int(row.stiffness.soft2))]
-        cells += [_fmt(v) for v in row.speeds]
-        cells += [_fmt(row.temp1), _fmt(row.duty1), row.phase1,
-                  _fmt(row.temp2), _fmt(row.duty2), row.phase2,
-                  str(int(row.paused)), str(int(row.saturated))]
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
-
-
-def write_thermal_csv(path: str, traj: Trajectory,
-                      params: ThermalParams) -> None:
-    """Per-segment thermal log, two rows per time stamp."""
-    cols = ["t", "segment", "T", "u", "phase", "setpoint"]
-    lines = _header(cols)
-    for row in traj.rows:
-        set1 = params.setpoint_soft if row.stiffness.soft1 else params.setpoint_rigid
-        set2 = params.setpoint_soft if row.stiffness.soft2 else params.setpoint_rigid
-        lines.append(",".join([_fmt(row.t), "1", _fmt(row.temp1),
-                               _fmt(row.duty1), row.phase1, _fmt(set1)]))
-        lines.append(",".join([_fmt(row.t), "2", _fmt(row.temp2),
-                               _fmt(row.duty2), row.phase2, _fmt(set2)]))
-    _write_lines(path, lines)
+        t, temp1, duty1, temp2, duty2 = map(
+            _fmt, (row.t, row.temp1, row.duty1, row.temp2, row.duty2))
+        s = row.stiffness
+        traj_lines.append(
+            f"{t},{config_cells(row.config)},{int(s.soft1)},{int(s.soft2)},"
+            f"{speed_cells(row.speeds)},{temp1},{duty1},{row.phase1},"
+            f"{temp2},{duty2},{row.phase2},{int(row.paused)},"
+            f"{int(row.saturated)}")
+        therm_lines.append(f"{t},1,{temp1},{duty1},{row.phase1},"
+                           f"{set_soft if s.soft1 else set_rigid}")
+        therm_lines.append(f"{t},2,{temp2},{duty2},{row.phase2},"
+                           f"{set_soft if s.soft2 else set_rigid}")
+    _write_lines(os.path.join(out_dir, "trajectory.csv"), traj_lines)
+    _write_lines(os.path.join(out_dir, "thermal.csv"), therm_lines)
 
 
 def write_sweep_csv(path: str, fits, seg_len: float) -> None:

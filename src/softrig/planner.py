@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ContractError, DomainError, StallError
 from .geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                        StiffnessState, wrap_angle)
-from .jacobian import Columns, active_columns
+from .jacobian import Columns, active_columns, shared_terms
 from .simulator import fk_step_detailed
 
 _BOUND_TOL = 1e-9
@@ -185,11 +185,12 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                               True)
         candidates: dict[int, tuple] = {}
         bend = max(abs(q.kappa1), abs(q.kappa2))
+        shared = shared_terms(q, geom)
         for idx, (s, limit) in enumerate(zip(STIFFNESS_STATES, limits)):
             # the equal-bend pattern cannot take over a bend past its bound
             if bend > limit:
                 continue
-            cols = active_columns(q, s, geom)
+            cols = active_columns(q, s, geom, shared)
             ups = damped_speeds(cols, s, err, params.lam, params.mu)
             q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom,
                                            cols=cols)

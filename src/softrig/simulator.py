@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,11 +39,13 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
                      ) -> tuple[AgentConfig, bool]:
     """One integration step; returns (new config, curvature saturated).
 
-    The Euler step runs on Python floats over the Jacobian's active
-    columns at q, ``cols`` when the caller already built them with
-    ``active_columns``.  The rk4 step is the reference flow through
-    ``hybrid_jacobian``.  Curvatures are clamped to ``s.kappa_bound(geom)``
-    after the step; the flag reports whether the clamp engaged.
+    The Euler step is straight-line float arithmetic over the Jacobian's
+    active columns at q, the two unit-speed or the three body-twist ones:
+    ``cols`` when the caller already built them with ``active_columns``.
+    The planner steps every candidate with it.  The rk4 step is the
+    reference flow through ``hybrid_jacobian``.  Curvatures are clamped to
+    ``s.kappa_bound(geom)`` after the step; the flag reports whether the
+    clamp engaged.
     """
     if dt <= 0:
         raise ContractError(f"step dt must be positive, got {dt}")
@@ -54,12 +56,26 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
     if integrator == "euler":
         if cols is None:
             cols = active_columns(q, s, geom)
-        rates = (0.0,) * 5
-        for i, col in zip(s.inputs, cols):
-            u = ups[i]
-            rates = [r + c * u for r, c in zip(rates, col)]
-        values = [v + dt * r for v, r in
-                  zip((q.x, q.y, q.phi, q.kappa1, q.kappa2), rates)]
+        # each rate is the sum J u accumulated from +0.0, column by column,
+        # so a rate that is exactly zero is +0.0 and a -0.0 coordinate
+        # leaves the step as 0.0
+        if s.any_soft:
+            (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = cols
+            u, v = ups[0], ups[1]
+            values = (q.x + dt * (0.0 + a0 * u + b0 * v),
+                      q.y + dt * (0.0 + a1 * u + b1 * v),
+                      q.phi + dt * (0.0 + a2 * u + b2 * v),
+                      q.kappa1 + dt * (0.0 + a3 * u + b3 * v),
+                      q.kappa2 + dt * (0.0 + a4 * u + b4 * v))
+        else:
+            ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4),
+             (c0, c1, c2, c3, c4)) = cols
+            u, v, w = ups[2], ups[3], ups[4]
+            values = (q.x + dt * (0.0 + a0 * u + b0 * v + c0 * w),
+                      q.y + dt * (0.0 + a1 * u + b1 * v + c1 * w),
+                      q.phi + dt * (0.0 + a2 * u + b2 * v + c2 * w),
+                      q.kappa1 + dt * (0.0 + a3 * u + b3 * v + c3 * w),
+                      q.kappa2 + dt * (0.0 + a4 * u + b4 * v + c4 * w))
     elif integrator == "rk4":
         u_arr = np.array(ups)
 
@@ -79,8 +95,10 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
     return _clipped(values, bound), saturated
 
 
-@dataclass(frozen=True)
-class SimRow:
+class SimRow(NamedTuple):
+    """One playback row.  Immutable; a named tuple because one is built per
+    playback step and costs a fraction of a frozen dataclass."""
+
     t: float
     config: AgentConfig
     stiffness: StiffnessState
@@ -149,8 +167,7 @@ def rollout(plan: PlanResult,
         n2, u2 = th.thermal_step(st2, params, dt)
         rows.append(SimRow(t, q, cmd, speeds,
                            st1.temperature, u1, st1.phase,
-                           st2.temperature, u2, st2.phase,
-                           paused=paused, saturated=saturated))
+                           st2.temperature, u2, st2.phase, paused, saturated))
         st1, st2 = n1, n2
         t += dt
 
@@ -169,12 +186,12 @@ def rollout(plan: PlanResult,
                         f"{st2.temperature:.1f} deg C after {waited:g} s",
                         temperatures=(st1.temperature, st2.temperature),
                         elapsed=waited)
-                advance(q, cmd, zero, paused=True, saturated=False)
+                advance(q, cmd, zero, True, False)
                 waited += dt
-        advance(q, cmd, step.speeds, paused=False, saturated=step.saturated)
+        advance(q, cmd, step.speeds, False, step.saturated)
     last_cmd = prev_cmd if prev_cmd is not None else StiffnessState(False, False)
     rows.append(SimRow(t, plan.final_config, last_cmd, zero,
                        st1.temperature, th.duty(st1, params), st1.phase,
                        st2.temperature, th.duty(st2, params), st2.phase,
-                       paused=False, saturated=False))
+                       False, False))
     return Trajectory(rows)

@@ -13,7 +13,8 @@ soft setpoint without winding past the sensor ceiling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractError, ThermalTimeoutError
 
@@ -45,8 +46,10 @@ class ThermalParams:
             raise ContractError("solidify threshold must sit below melt")
 
 
-@dataclass(frozen=True)
-class ThermalState:
+class ThermalState(NamedTuple):
+    """One segment loop's state; immutable, and a named tuple because
+    playback builds two per row."""
+
     temperature: float
     setpoint: float
     integral: float = 0.0
@@ -62,7 +65,7 @@ def initial_state(params: ThermalParams) -> ThermalState:
 def command(state: ThermalState, soft: bool, params: ThermalParams) -> ThermalState:
     """Retarget the loop for the requested stiffness."""
     target = params.setpoint_soft if soft else params.setpoint_rigid
-    return replace(state, setpoint=target)
+    return ThermalState(state.temperature, target, state.integral, state.phase)
 
 
 def _pi_law(state: ThermalState,
@@ -99,8 +102,8 @@ def thermal_step(state: ThermalState, params: ThermalParams,
                        if params.ki > 0 else 0.0)
     temp = state.temperature + dt * (
         -(state.temperature - params.t_ambient) + params.gain * u) / params.tau
-    return replace(state, temperature=temp, integral=integral,
-                   phase=_phase_after(temp, state.phase, params)), u
+    return ThermalState(temp, state.setpoint, integral,
+                        _phase_after(temp, state.phase, params)), u
 
 
 def is_ready(state: ThermalState, soft: bool) -> bool:

@@ -75,6 +75,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["run", scn]) == EXIT_INPUT
     assert main(["run"]) == EXIT_INPUT
     capsys.readouterr()
+    good = write_scenario(tmp_path, name="good.json")
+    out = tmp_path / "never"
+    for argv, message in (
+            ([good, "--batch", "2"], "not both"),
+            ([good, "--max-wait", "-1"], "--max-wait"),
+            ([good, "--max-wait", "nan"], "--max-wait"),
+            (["--batch", "2", "--max-wait", "-1"], "--max-wait"),
+            ([good, "--keyframes", "-3"], "--keyframes")):
+        assert main(["run", *argv, "--out", str(out)]) == EXIT_INPUT, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_unconverged_plan_exits_3(tmp_path, capsys):

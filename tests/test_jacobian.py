@@ -165,7 +165,8 @@ def test_delta_coeff_matches_direct_difference():
         hi = cc_transform(kap + h, j, GEOM).inverse().xy
         lo = cc_transform(kap - h, j, GEOM).inverse().xy
         fd = k_gain * anchor.rot @ (hi - lo) / (2 * h)
-        d = k_gain * np.array(delta_coeff(q, j, GEOM))
+        rot = (math.cos(q.phi), math.sin(q.phi))
+        d = k_gain * np.array(delta_coeff(q, j, GEOM, rot))
         assert np.linalg.norm(d - fd) <= 1e-6 * np.linalg.norm(fd), (
             f"mode {mode} segment {j} kappa {kap:.6g}")
 
@@ -173,7 +174,7 @@ def test_delta_coeff_matches_direct_difference():
 def test_delta_coeff_rejects_bad_segment():
     q = AgentConfig(0.0, 0.0, 0.0, 5.0, 5.0)
     with pytest.raises(ContractError):
-        delta_coeff(q, 3, GEOM)
+        delta_coeff(q, 3, GEOM, (1.0, 0.0))
 
 
 def test_stationary_anchor_under_integration():

@@ -1,9 +1,12 @@
 import json
 import os
 
+import pytest
+
 from softrig import __version__, outputs
 from softrig.geometry import AgentConfig, GeometryParams, StiffnessState
 from softrig.planner import PlannerParams, plan_motion
+from softrig.scenario import example_scenario_dict, scenario_from_dict
 from softrig.simulator import rollout
 from softrig.spiral import refit_oracle
 from softrig.thermal import ThermalParams
@@ -28,9 +31,8 @@ def read_rows(path):
 
 def test_plan_csv_layout(tmp_path):
     plan = make_plan()
-    path = str(tmp_path / "plan.csv")
-    outputs.write_plan_csv(path, plan)
-    header, rows = read_rows(path)
+    outputs.write_run_csvs(str(tmp_path), plan, rollout(plan), ThermalParams())
+    header, rows = read_rows(str(tmp_path / "plan.csv"))
     assert header[:6] == ["t", "x", "y", "phi", "kappa1", "kappa2"]
     assert len(rows) == len(plan.steps) + 1
     # the terminal row carries the final configuration and zero speeds
@@ -44,20 +46,102 @@ def test_plan_csv_layout(tmp_path):
 def test_trajectory_and_thermal_csv(tmp_path):
     plan = make_plan()
     traj = rollout(plan)
-    tpath = str(tmp_path / "trajectory.csv")
-    outputs.write_trajectory_csv(tpath, traj)
-    header, rows = read_rows(tpath)
+    outputs.write_run_csvs(str(tmp_path), plan, traj, ThermalParams())
+    header, rows = read_rows(str(tmp_path / "trajectory.csv"))
     assert header[-2:] == ["paused", "saturated"]
     assert len(rows) == len(traj.rows)
     assert sum(int(r[-2]) for r in rows) == sum(r.paused for r in traj.rows)
-    hpath = str(tmp_path / "thermal.csv")
-    outputs.write_thermal_csv(hpath, traj, ThermalParams())
-    header, rows = read_rows(hpath)
+    header, rows = read_rows(str(tmp_path / "thermal.csv"))
     assert header == ["t", "segment", "T", "u", "phase", "setpoint"]
     assert len(rows) == 2 * len(traj.rows)
     assert {r[1] for r in rows} == {"1", "2"}
     setpoints = {float(r[5]) for r in rows}
     assert setpoints <= {25.0, 65.0}
+
+
+def reference_csvs(plan, traj, params) -> dict:
+    """The three run CSVs rebuilt cell by cell, each float as repr(float(v))."""
+    def cells(*values):
+        return [repr(float(v)) for v in values]
+
+    def flags(*values):
+        return [str(int(v)) for v in values]
+
+    def table(columns, rows):
+        lines = [f"# softrig {__version__}", ",".join(columns)]
+        lines += [",".join(row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    plan_rows = []
+    for step in plan.steps:
+        q, s = step.config, step.stiffness
+        plan_rows.append(cells(step.t, q.x, q.y, q.phi, q.kappa1, q.kappa2)
+                         + flags(s.soft1, s.soft2) + cells(*step.speeds))
+    last = (plan.steps[-1].stiffness if plan.steps
+            else StiffnessState(False, False))
+    q = plan.final_config
+    plan_rows.append(cells(len(plan.steps) * plan.params.dt, q.x, q.y, q.phi,
+                           q.kappa1, q.kappa2)
+                     + flags(last.soft1, last.soft2) + cells(*[0.0] * 5))
+    traj_rows, thermal_rows = [], []
+    for row in traj.rows:
+        q, s = row.config, row.stiffness
+        traj_rows.append(
+            cells(row.t, q.x, q.y, q.phi, q.kappa1, q.kappa2)
+            + flags(s.soft1, s.soft2) + cells(*row.speeds)
+            + cells(row.temp1, row.duty1) + [row.phase1]
+            + cells(row.temp2, row.duty2) + [row.phase2]
+            + flags(row.paused, row.saturated))
+        for seg, temp, duty, phase, soft in (
+                ("1", row.temp1, row.duty1, row.phase1, s.soft1),
+                ("2", row.temp2, row.duty2, row.phase2, s.soft2)):
+            setpoint = params.setpoint_soft if soft else params.setpoint_rigid
+            thermal_rows.append(cells(row.t)[:1] + [seg] + cells(temp, duty)
+                                + [phase] + cells(setpoint))
+    return {
+        "plan.csv": table(["t", "x", "y", "phi", "kappa1", "kappa2", "s1",
+                           "s2", "v1", "v2", "u0", "v0", "r0"], plan_rows),
+        "trajectory.csv": table(
+            ["t", "x", "y", "phi", "kappa1", "kappa2", "s1_cmd", "s2_cmd",
+             "v1", "v2", "u0", "v0", "r0", "T1", "u1_duty", "phase1", "T2",
+             "u2_duty", "phase2", "paused", "saturated"], traj_rows),
+        "thermal.csv": table(["t", "segment", "T", "u", "phase", "setpoint"],
+                             thermal_rows),
+    }
+
+
+def integer_scenario():
+    """A scenario whose dt, soft setpoint and duty limit are JSON integers."""
+    data = example_scenario_dict()
+    data["planner"] = {"dt": 1, "eps_goal": 0.02}
+    data["thermal"] = {"setpoint_soft": 65, "u_max": 1}
+    return scenario_from_dict(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize("case", ["gated", "ungated", "integers"])
+def test_run_csvs_match_reference_formatter(tmp_path, case):
+    if case == "integers":
+        scn = integer_scenario()
+        assert type(scn.planner.dt) is int
+        assert type(scn.thermal.setpoint_soft) is int
+        assert type(scn.thermal.u_max) is int
+        plan = plan_motion(scn.q0, scn.target, scn.geometry, scn.planner)
+        params = scn.thermal
+        traj = rollout(plan, thermal_params=params)
+        # the duty clamps at the integer limit, so an int reaches the writer
+        assert any(type(row.duty1) is int for row in traj.rows)
+    else:
+        plan, params = make_plan(), ThermalParams()
+        traj = rollout(plan, thermal_params=params,
+                       thermal_gating=case == "gated")
+    assert any(row.paused for row in traj.rows) == (case != "ungated")
+    outputs.write_run_csvs(str(tmp_path), plan, traj, params)
+    expected = reference_csvs(plan, traj, params)
+    for name, data in expected.items():
+        assert (tmp_path / name).read_bytes() == data, name
+    if case == "integers":
+        assert b"\n1.0," in expected["plan.csv"]
+        assert b",65.0\n" in expected["thermal.csv"]
 
 
 def test_write_json_stable_bytes(tmp_path):

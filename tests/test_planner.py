@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from softrig import jacobian
 from softrig.errors import ContractError, DomainError, StallError
 from softrig.geometry import STIFFNESS_STATES, AgentConfig, GeometryParams
 from softrig.jacobian import active_columns, hybrid_jacobian
@@ -114,6 +115,22 @@ def test_planning_makes_no_lapack_call(monkeypatch):
     got = [plan_record(plan_motion(q0, target, GEOM, params))
            for q0, target in problems for params in presets]
     assert got == expected
+
+
+def test_each_step_builds_shared_terms_once(monkeypatch):
+    # the candidates of a step share one arc derivative per segment and
+    # one heading rotation, which the derivatives receive
+    original = jacobian.delta_coeff
+    calls = []
+
+    def counted(q, j, geom, rot):
+        calls.append((j, rot == (math.cos(q.phi), math.sin(q.phi))))
+        return original(q, j, geom, rot)
+
+    monkeypatch.setattr(jacobian, "delta_coeff", counted)
+    plan = plan_motion(ORIGIN, AgentConfig(0.12, 0.08, 0.6, 60.0, -40.0), GEOM)
+    assert plan.converged and plan.steps
+    assert calls == [(1, True), (2, True)] * len(plan.steps)
 
 
 def test_trivial_goal_needs_no_steps():

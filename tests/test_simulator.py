@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,13 @@ def test_euler_step_is_exact_first_order():
         np.testing.assert_allclose(q1.as_array(), expect, rtol=1e-13, atol=0)
         flags.append(saturated)
     assert flags == [True, True, False]
+    # each rate is a sum from +0.0, so a curvature of -0.0 that the step
+    # leaves in place comes out as +0.0 under either regime
+    still = AgentConfig(0.0, 0.0, 0.0, -0.0, -0.0)
+    for s, ups in ((RIGID, (0.0, 0.0, -0.1, -0.1, -0.1)),
+                   (S01, (-0.1, -0.1, 0.0, 0.0, 0.0))):
+        q1 = fk_step_detailed(still, s, ups, 0.05, GEOM)[0]
+        assert math.copysign(1.0, q1.kappa1) == 1.0, s.label()
 
 
 def test_rk4_converges_to_euler_for_small_dt():
