@@ -13,10 +13,10 @@ from .errors import (ContractError, DomainError, FitError, ScenarioError,
                      SingularityError, SoftrigError, StallError,
                      ThermalTimeoutError)
 from .geometry import (BETA, STIFFNESS_STATES, AgentConfig, GeometryParams,
-                       Pose2, StiffnessState, cc_transform,
-                       wheel_anchor_points, wheel_poses_body, wrap_angle)
+                       StiffnessState, apply_pose, cc_transform,
+                       wheel_poses_body, wrap_angle)
 from .jacobian import (active_columns, delta_coeff, hybrid_jacobian,
-                       rigid_jacobian, shared_terms, soft_jacobian)
+                       shared_terms)
 from .planner import (PlannerParams, PlanResult, PlanStep, config_error,
                       damped_speeds, fk_reference, plan_motion,
                       weighted_distance)

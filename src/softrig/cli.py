@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", nargs="?", help="scenario JSON file")
     run.add_argument("--batch", type=int, metavar="N",
                      help="plan N random scenarios instead of a file")
-    run.add_argument("--seed", type=int, default=0,
+    run.add_argument("--seed", type=int,
                      help="random seed for --batch (default 0)")
     run.add_argument("--out", default="out", metavar="DIR",
                      help="output directory (default ./out)")
@@ -114,7 +114,8 @@ def _run_batch(args) -> int:
     if args.batch < 1:
         print("--batch must be at least 1", file=sys.stderr)
         return EXIT_INPUT
-    rng = np.random.default_rng(args.seed)
+    seed = 0 if args.seed is None else args.seed
+    rng = np.random.default_rng(seed)
     results = []
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.batch):
@@ -124,7 +125,7 @@ def _run_batch(args) -> int:
         results.append((scn.label, code))
     n_ok = sum(1 for _, code in results if code == EXIT_OK)
     study = {
-        "seed": args.seed,
+        "seed": seed,
         "n_runs": args.batch,
         "n_converged": n_ok,
         "convergence_rate": n_ok / args.batch,
@@ -141,6 +142,8 @@ def _run_input_error(args) -> str | None:
         return "give a scenario file or --batch N, not both"
     if args.batch is None and not args.scenario:
         return "need a scenario file or --batch N"
+    if args.seed is not None and args.batch is None:
+        return "--seed seeds --batch only; a scenario file takes none"
     if not math.isfinite(args.max_wait) or args.max_wait < 0:
         return f"--max-wait must be a finite number >= 0, got {args.max_wait:g}"
     if args.keyframes < 0:

@@ -20,7 +20,7 @@ fibre), wheels 2, 4 on the lateral faces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,56 +189,6 @@ STIFFNESS_STATES = (
 )
 
 
-# ---------------------------------------------------------------------------
-# planar rigid transforms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Pose2:
-    """A planar rigid transform, stored as a 3x3 homogeneous matrix."""
-
-    mat: np.ndarray = field(default_factory=lambda: np.eye(3))
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)
-        if m.shape != (3, 3):
-            raise ContractError(f"pose matrix must be 3x3, got {m.shape}")
-        object.__setattr__(self, "mat", m)
-
-    @classmethod
-    def from_xytheta(cls, x: float, y: float, theta: float) -> "Pose2":
-        c, s = math.cos(theta), math.sin(theta)
-        return cls(np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]]))
-
-    @property
-    def xy(self) -> np.ndarray:
-        return self.mat[:2, 2].copy()
-
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.mat[1, 0], self.mat[0, 0])
-
-    @property
-    def rot(self) -> np.ndarray:
-        return self.mat[:2, :2].copy()
-
-    def compose(self, other: "Pose2") -> "Pose2":
-        return Pose2(self.mat @ other.mat)
-
-    def inverse(self) -> "Pose2":
-        R = self.mat[:2, :2]
-        t = self.mat[:2, 2]
-        out = np.eye(3)
-        out[:2, :2] = R.T
-        out[:2, 2] = -R.T @ t
-        return Pose2(out)
-
-    def apply(self, p) -> np.ndarray:
-        """Transform a point or an (n, 2) array of points."""
-        p = np.asarray(p, dtype=float)
-        return p @ self.mat[:2, :2].T + self.mat[:2, 2]
-
-
 def _check_segment(j: int) -> None:
     if j not in (1, 2):
         raise ContractError(f"segment index must be 1 or 2, got {j}")
@@ -265,8 +215,9 @@ def arc_chord(kappa: float, length: float) -> tuple[float, float]:
     return math.sin(alpha) / kappa, 2.0 * half * half / kappa
 
 
-def cc_transform(kappa: float, j: int, geom: GeometryParams) -> Pose2:
-    """Transform from the body frame {b0} to the segment-end frame {bj}.
+def cc_transform(kappa: float, j: int,
+                 geom: GeometryParams) -> tuple[float, float, float]:
+    """Pose (x, y, theta) of the segment-end frame {bj} in the body frame {b0}.
 
     The segment bends as an arc of length seg_len and curvature kappa; the
     middle link contributes a straight mid_link/2 run before the arc.  The
@@ -282,39 +233,34 @@ def cc_transform(kappa: float, j: int, geom: GeometryParams) -> Pose2:
     alpha = kappa * l
     chord_x, chord_y = arc_chord(kappa, l)
     if j == 1:
-        return Pose2.from_xytheta(-(half_mid + chord_x), chord_y, -alpha)
-    return Pose2.from_xytheta(half_mid + chord_x, chord_y, alpha)
+        return -(half_mid + chord_x), chord_y, -alpha
+    return half_mid + chord_x, chord_y, alpha
 
 
-def wheel_anchor_points(geom: GeometryParams) -> np.ndarray:
-    """Wheel contact positions relative to their segment-end frames, (2, 4).
+def apply_pose(pose: tuple[float, float, float], px: float,
+               py: float) -> tuple[float, float]:
+    """Map the point (px, py) of the frame at ``pose`` into the pose's parent.
 
-    Columns are wheels 1..4.  Wheels 1, 2 are expressed in {b1}; wheels 3, 4
-    in {b2}.
+    ``pose`` is (x, y, theta), as ``cc_transform`` returns it.
     """
-    h1, h2, h3 = geom.h1, geom.h2, geom.h3
-    return np.array([[-h1, -h2, h1, h2],
-                     [0.0, h3, 0.0, -h3]])
+    x, y, theta = pose
+    c, s = math.cos(theta), math.sin(theta)
+    return c * px - s * py + x, s * px + c * py + y
 
 
 def wheel_poses_body(kappa1: float, kappa2: float, geom: GeometryParams):
     """Wheel positions and axle headings in the body frame.
 
-    Returns (positions, headings): positions is (4, 2), headings is (4,)
-    with the body-relative wheel orientation -alpha_j + beta_i for wheels on
-    segment 1 and +alpha_j + beta_i for wheels on segment 2.
+    Returns (positions, headings) for wheels 1..4: four (x, y) pairs and
+    four floats.  Wheels 1, 2 sit at (-h1, 0) and (-h2, h3) in {b1}, wheels
+    3, 4 at (h1, 0) and (h2, -h3) in {b2}.  A wheel's heading is its end
+    frame's angle, -alpha_1 or +alpha_2, plus beta_i.
     """
-    anchors = wheel_anchor_points(geom)
-    t1 = cc_transform(kappa1, 1, geom)
-    t2 = cc_transform(kappa2, 2, geom)
-    a1, a2 = kappa1 * geom.seg_len, kappa2 * geom.seg_len
-    positions = np.empty((4, 2))
-    headings = np.empty(4)
-    for i in range(4):
-        seg = 1 if i < 2 else 2
-        frame = t1 if seg == 1 else t2
-        positions[i] = frame.apply(anchors[:, i])
-        rel = -a1 if seg == 1 else a2
-        headings[i] = rel + BETA[i]
+    h1, h2, h3 = geom.h1, geom.h2, geom.h3
+    end1 = cc_transform(kappa1, 1, geom)
+    end2 = cc_transform(kappa2, 2, geom)
+    positions = [apply_pose(end1, -h1, 0.0), apply_pose(end1, -h2, h3),
+                 apply_pose(end2, h1, 0.0), apply_pose(end2, h2, -h3)]
+    headings = [end[2] + beta
+                for end, beta in zip((end1, end1, end2, end2), BETA)]
     return positions, headings
-

@@ -97,7 +97,7 @@ def active_columns(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
     """Jacobian columns of the driven inputs ``s.inputs``, float 5-tuples.
 
     The one place the columns are built (see the module docstring); the
-    array Jacobians below are filled from it.  ``shared`` is
+    array Jacobian below is filled from it.  ``shared`` is
     ``shared_terms(q, geom)`` when the caller already built it.
     """
     c, sn, (dx1, dy1), (dx2, dy2) = (shared if shared is not None
@@ -122,23 +122,6 @@ def active_columns(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
     k32 = rate_coeffs(3, q.kappa2, l)
     return ((k32 * dx2, k32 * dy2, -l * k32, k31, k32),
             (k31 * dx1, k31 * dy1, l * k31, k31, k32))
-
-
-def rigid_jacobian(q: AgentConfig) -> np.ndarray:
-    """World rates of (x, y, phi, kappa1, kappa2) per body twist (u0, v0, r0)."""
-    return np.array(_rigid_columns(math.cos(q.phi), math.sin(q.phi))).T
-
-
-def soft_jacobian(q: AgentConfig, s: StiffnessState,
-                  geom: GeometryParams) -> np.ndarray:
-    """Configuration rates per unit drive speed (v1, v2), 5 x 2.
-
-    Zero when both segments are rigid.  Column 0 is the unit on the
-    segment-1 side, column 1 the unit on the segment-2 side.
-    """
-    if not s.any_soft:
-        return np.zeros((5, 2))
-    return np.array(active_columns(q, s, geom)).T
 
 
 def hybrid_jacobian(q: AgentConfig, s: StiffnessState,

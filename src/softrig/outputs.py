@@ -11,11 +11,9 @@ import json
 import math
 import os
 
-import numpy as np
-
 from . import __version__
 from .geometry import (AgentConfig, GeometryParams, StiffnessState,
-                       arc_chord, cc_transform, wheel_poses_body)
+                       apply_pose, arc_chord, cc_transform, wheel_poses_body)
 from .planner import PlanResult
 from .simulator import Trajectory
 from .spiral import spiral_model, theta_from_kappa
@@ -203,16 +201,15 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
         # end link and wheel unit block ride the segment-end frame
         end = cc_transform(q.kappa(j), j, geom)
         out = -1.0 if j == 1 else 1.0
-        link_a = end.apply(np.zeros(2))
-        link_b = end.apply(np.array([out * geom.end_link, 0.0]))
-        parts.append(f'<path d="{path_of([tuple(link_a), tuple(link_b)])}" '
+        link = [end[:2], apply_pose(end, out * geom.end_link, 0.0)]
+        parts.append(f'<path d="{path_of(link)}" '
                      f'stroke="#444444" stroke-width="4" fill="none"/>')
         half_a = geom.block_side / 2
-        centre = np.array([out * (geom.end_link + half_a), 0.0])
-        corners = [end.apply(centre + np.array(d)) for d in
+        centre = out * (geom.end_link + half_a)
+        corners = [apply_pose(end, centre + dx, dy) for dx, dy in
                    [(-half_a, -half_a), (half_a, -half_a),
                     (half_a, half_a), (-half_a, half_a), (-half_a, -half_a)]]
-        parts.append(f'<path d="{path_of([tuple(p) for p in corners])}" '
+        parts.append(f'<path d="{path_of(corners)}" '
                      f'stroke="#222222" stroke-width="2" fill="none"/>')
     positions, headings = wheel_poses_body(q.kappa1, q.kappa2, geom)
     for (px, py), psi in zip(positions, headings):

@@ -12,7 +12,7 @@ import pytest
 
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState, wrap_angle)
-from softrig.jacobian import hybrid_jacobian, soft_jacobian
+from softrig.jacobian import hybrid_jacobian
 from softrig.planner import (PlannerParams, config_error, fk_reference,
                              plan_motion, weighted_distance)
 from softrig.scenario import example_scenario_dict, sample_scenario
@@ -124,9 +124,9 @@ def test_04_near_side_drive_keeps_body_still():
     grid = np.linspace(-GEOM.kappa_max, GEOM.kappa_max, 100)
     for kap in grid:
         q = AgentConfig(0.02, -0.01, 0.5, kap, kap)
-        col = soft_jacobian(q, StiffnessState(False, True), GEOM)[:, 1]
+        col = hybrid_jacobian(q, StiffnessState(False, True), GEOM)[:, 1]
         assert col[0] == 0.0 and col[1] == 0.0 and col[2] == 0.0
-        col = soft_jacobian(q, StiffnessState(True, False), GEOM)[:, 0]
+        col = hybrid_jacobian(q, StiffnessState(True, False), GEOM)[:, 0]
         assert col[0] == 0.0 and col[1] == 0.0 and col[2] == 0.0
     print("stationary-side drive leaves the pose rows exactly zero: PASS")
 

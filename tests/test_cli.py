@@ -82,7 +82,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
             ([good, "--max-wait", "-1"], "--max-wait"),
             ([good, "--max-wait", "nan"], "--max-wait"),
             (["--batch", "2", "--max-wait", "-1"], "--max-wait"),
-            ([good, "--keyframes", "-3"], "--keyframes")):
+            ([good, "--keyframes", "-3"], "--keyframes"),
+            ([good, "--seed", "3"], "--seed")):
         assert main(["run", *argv, "--out", str(out)]) == EXIT_INPUT, argv
         assert message in capsys.readouterr().err, argv
         assert not out.exists(), argv

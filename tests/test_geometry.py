@@ -5,9 +5,10 @@ import pytest
 
 from softrig.errors import ContractError, DomainError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
-                              Pose2, StiffnessState, cc_transform,
-                              wheel_anchor_points, wheel_poses_body,
+                              StiffnessState, cc_transform, wheel_poses_body,
                               wrap_angle)
+
+from conftest import frame
 
 GEOM = GeometryParams()
 
@@ -72,57 +73,42 @@ def test_stiffness_states_order_and_labels():
     assert not STIFFNESS_STATES[0].any_soft
 
 
-def test_pose2_compose_inverse_apply():
-    a = Pose2.from_xytheta(0.2, -0.1, 0.7)
-    b = Pose2.from_xytheta(-0.05, 0.3, -1.2)
-    ab = a.compose(b)
-    p = np.array([0.02, -0.07])
-    np.testing.assert_allclose(ab.apply(p), a.apply(b.apply(p)), atol=1e-15)
-    ident = a.compose(a.inverse())
-    np.testing.assert_allclose(ident.mat, np.eye(3), atol=1e-15)
-    assert math.isclose(a.theta, 0.7)
-    np.testing.assert_allclose(a.xy, [0.2, -0.1])
-    pts = np.array([[0.0, 0.0], [0.1, 0.2]])
-    np.testing.assert_allclose(a.apply(pts)[0], a.apply(pts[0]), atol=1e-15)
-    with pytest.raises(ContractError):
-        Pose2(np.eye(2))
-
-
 def test_cc_transform_straight():
     t1 = cc_transform(0.0, 1, GEOM)
     t2 = cc_transform(0.0, 2, GEOM)
-    np.testing.assert_allclose(t1.xy, [-0.055, 0.0], atol=1e-15)
-    np.testing.assert_allclose(t2.xy, [0.055, 0.0], atol=1e-15)
-    assert t1.theta == 0.0 and t2.theta == 0.0
+    np.testing.assert_allclose(t1[:2], [-0.055, 0.0], atol=1e-15)
+    np.testing.assert_allclose(t2[:2], [0.055, 0.0], atol=1e-15)
+    assert t1[2] == 0.0 and t2[2] == 0.0
 
 
 def test_cc_transform_quarter_circle():
     # alpha = pi/2: chord sin/kappa, rise (1-cos)/kappa
     kap = math.pi / (2 * GEOM.seg_len)
     t = cc_transform(kap, 1, GEOM)
-    assert math.isclose(t.theta, -math.pi / 2)
+    assert math.isclose(t[2], -math.pi / 2)
     np.testing.assert_allclose(
-        t.xy, [-(0.015 + 1.0 / kap), 1.0 / kap], atol=1e-15)
+        t[:2], [-(0.015 + 1.0 / kap), 1.0 / kap], atol=1e-15)
 
 
 def test_cc_transform_mirror_symmetry():
     for j in (1, 2):
         tp = cc_transform(30.0, j, GEOM)
         tm = cc_transform(-30.0, j, GEOM)
-        assert math.isclose(tp.xy[0], tm.xy[0], abs_tol=1e-15)
-        assert math.isclose(tp.xy[1], -tm.xy[1], abs_tol=1e-15)
-        assert math.isclose(tp.theta, -tm.theta, abs_tol=1e-15)
+        assert math.isclose(tp[0], tm[0], abs_tol=1e-15)
+        assert math.isclose(tp[1], -tm[1], abs_tol=1e-15)
+        assert math.isclose(tp[2], -tm[2], abs_tol=1e-15)
 
 
 def test_cc_transform_smooth_through_zero():
     # series branch must match the exact formula at the switch point
     kap = 1e-6 / GEOM.seg_len
     exact = np.array([math.sin(1e-6) / kap, 2 * math.sin(5e-7) ** 2 / kap])
-    series = cc_transform(kap, 2, GEOM).xy - [GEOM.mid_link / 2, 0.0]
+    series = np.subtract(cc_transform(kap, 2, GEOM)[:2],
+                         [GEOM.mid_link / 2, 0.0])
     np.testing.assert_allclose(series, exact, rtol=1e-10)
-    lo = cc_transform(kap * 0.99, 2, GEOM).xy
-    hi = cc_transform(kap * 1.01, 2, GEOM).xy
-    assert np.linalg.norm(hi - lo) < 1e-9
+    lo = cc_transform(kap * 0.99, 2, GEOM)[:2]
+    hi = cc_transform(kap * 1.01, 2, GEOM)[:2]
+    assert np.linalg.norm(np.subtract(hi, lo)) < 1e-9
 
 
 def test_cc_transform_rise_matches_series():
@@ -132,7 +118,7 @@ def test_cc_transform_rise_matches_series():
     for alpha in np.geomspace(1e-6, 1e-1, 60):
         series = l * (alpha / 2 - alpha ** 3 / 24 + alpha ** 5 / 720
                       - alpha ** 7 / 40320)
-        rise = cc_transform(alpha / l, 2, GEOM).xy[1]
+        rise = cc_transform(alpha / l, 2, GEOM)[1]
         assert math.isclose(rise, series, rel_tol=1e-13), alpha
 
 
@@ -144,8 +130,6 @@ def test_cc_transform_rejects_over_bend():
 
 
 def test_wheel_layout_straight():
-    anchors = wheel_anchor_points(GEOM)
-    assert anchors.shape == (2, 4)
     positions, headings = wheel_poses_body(0.0, 0.0, GEOM)
     np.testing.assert_allclose(
         positions,
@@ -160,14 +144,11 @@ def test_wheel_headings_follow_bend():
     positions, headings = wheel_poses_body(20.0, -10.0, GEOM)
     assert math.isclose(headings[0], -a1 + math.pi / 2)
     assert math.isclose(headings[2], -10.0 * GEOM.seg_len - math.pi / 2)
-    # wheels ride the segment-end frames
-    end1 = cc_transform(20.0, 1, GEOM)
-    np.testing.assert_allclose(
-        positions[0], end1.apply(wheel_anchor_points(GEOM)[:, 0]), atol=1e-15)
-
-
-def test_global_pose_matches_config():
-    q = AgentConfig(0.3, -0.2, 1.1, 0.0, 0.0)
-    g = Pose2.from_xytheta(q.x, q.y, q.phi)
-    np.testing.assert_allclose(g.xy, [0.3, -0.2])
-    assert math.isclose(g.theta, 1.1)
+    # wheels ride the segment-end frames at their anchor offsets
+    end1 = frame(*cc_transform(20.0, 1, GEOM))
+    end2 = frame(*cc_transform(-10.0, 2, GEOM))
+    h1, h2, h3 = GEOM.h1, GEOM.h2, GEOM.h3
+    for i, (end, anchor) in enumerate([(end1, (-h1, 0.0)), (end1, (-h2, h3)),
+                                       (end2, (h1, 0.0)), (end2, (h2, -h3))]):
+        np.testing.assert_allclose(
+            positions[i], (end @ (*anchor, 1.0))[:2], atol=1e-15)

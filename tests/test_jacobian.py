@@ -7,12 +7,13 @@ import softrig
 from softrig import jacobian, spiral
 from softrig.errors import ContractError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
-                              Pose2, StiffnessState, cc_transform, wrap_angle)
-from softrig.jacobian import (delta_coeff, hybrid_jacobian, rigid_jacobian,
-                              soft_jacobian)
+                              StiffnessState, cc_transform, wrap_angle)
+from softrig.jacobian import active_columns, delta_coeff, hybrid_jacobian
 from softrig.simulator import fk_step_detailed
 from softrig.spiral import rate_coeffs
 from softrig.wheelmodel import config_matrix
+
+from conftest import frame, frame_inverse
 
 GEOM = GeometryParams()
 
@@ -38,7 +39,7 @@ def gains(mode, kappa):
 
 def test_rigid_jacobian_structure():
     q = AgentConfig(0.1, 0.2, 0.8, 30.0, -20.0)
-    jac = rigid_jacobian(q)
+    jac = hybrid_jacobian(q, STIFFNESS_STATES[0], GEOM)[:, 2:]
     assert jac.shape == (5, 3)
     c, s = math.cos(0.8), math.sin(0.8)
     np.testing.assert_allclose(jac[:2, :2], [[c, -s], [s, c]])
@@ -50,7 +51,7 @@ def test_rigid_jacobian_structure():
 
 def test_soft_jacobian_single_segment_structure():
     q = AgentConfig(0.0, 0.0, 0.3, 25.0, -40.0)
-    jac = soft_jacobian(q, S01, GEOM)
+    jac = hybrid_jacobian(q, S01, GEOM)[:, :2]
     k2, p2 = gains(2, q.kappa2)
     k1 = rate_coeffs(1, q.kappa2, GEOM.seg_len)
     # far-side drive moves the pose and winds kappa2
@@ -61,7 +62,7 @@ def test_soft_jacobian_single_segment_structure():
     assert jac[0, 1] == 0.0 and jac[1, 1] == 0.0 and jac[2, 1] == 0.0
     assert math.isclose(jac[4, 1], k1)
     # mirror pattern
-    jac = soft_jacobian(q, S10, GEOM)
+    jac = hybrid_jacobian(q, S10, GEOM)[:, :2]
     k2, p2 = gains(2, q.kappa1)
     k1 = rate_coeffs(1, q.kappa1, GEOM.seg_len)
     assert math.isclose(jac[2, 1], p2)
@@ -75,15 +76,15 @@ def test_soft_jacobian_heading_signs():
     q = AgentConfig(0.0, 0.0, 0.0, 15.0, 15.0)
     # driving around soft segment 2 turns the body one way, segment 1 the
     # other; both curvatures wind positive under their pose-driving column
-    assert soft_jacobian(q, S01, GEOM)[2, 0] < 0.0
-    assert soft_jacobian(q, S10, GEOM)[2, 1] > 0.0
-    assert soft_jacobian(q, S01, GEOM)[4, 0] > 0.0
-    assert soft_jacobian(q, S10, GEOM)[3, 1] > 0.0
+    assert hybrid_jacobian(q, S01, GEOM)[2, 0] < 0.0
+    assert hybrid_jacobian(q, S10, GEOM)[2, 1] > 0.0
+    assert hybrid_jacobian(q, S01, GEOM)[4, 0] > 0.0
+    assert hybrid_jacobian(q, S10, GEOM)[3, 1] > 0.0
 
 
 def test_soft_jacobian_both_segments():
     q = AgentConfig(0.05, -0.1, -0.4, 20.0, 20.0)
-    jac = soft_jacobian(q, S11, GEOM)
+    jac = hybrid_jacobian(q, S11, GEOM)[:, :2]
     k31, p31 = gains(3, q.kappa1)
     k32, p32 = gains(3, q.kappa2)
     # both curvatures rate together from either driving side
@@ -96,7 +97,7 @@ def test_soft_jacobian_both_segments():
 
 def test_soft_jacobian_rigid_state_is_zero():
     q = AgentConfig(0.0, 0.0, 0.0, 10.0, 10.0)
-    assert np.all(soft_jacobian(q, STIFFNESS_STATES[0], GEOM) == 0.0)
+    assert np.all(hybrid_jacobian(q, STIFFNESS_STATES[0], GEOM)[:, :2] == 0.0)
 
 
 def test_soft_jacobian_looks_up_each_gain_once(monkeypatch):
@@ -114,7 +115,7 @@ def test_soft_jacobian_looks_up_each_gain_once(monkeypatch):
     q = AgentConfig(0.05, -0.1, -0.4, 20.0, -30.0)
     for s in (S01, S10, S11):
         calls.clear()
-        soft_jacobian(q, s, GEOM)
+        hybrid_jacobian(q, s, GEOM)
         assert len(calls) == 2, s.label()
 
 
@@ -133,10 +134,12 @@ def test_hybrid_jacobian_gating():
     full = hybrid_jacobian(q, S01, GEOM)
     assert full.shape == (5, 5)
     assert np.all(full[:, 2:] == 0.0)
-    np.testing.assert_allclose(full[:, :2], soft_jacobian(q, S01, GEOM))
+    np.testing.assert_allclose(full[:, :2],
+                               np.array(active_columns(q, S01, GEOM)).T)
     full = hybrid_jacobian(q, STIFFNESS_STATES[0], GEOM)
     assert np.all(full[:, :2] == 0.0)
-    np.testing.assert_allclose(full[:, 2:], rigid_jacobian(q))
+    np.testing.assert_allclose(
+        full[:, 2:], np.array(active_columns(q, STIFFNESS_STATES[0], GEOM)).T)
 
 
 def test_delta_coeff_matches_direct_difference():
@@ -160,11 +163,10 @@ def test_delta_coeff_matches_direct_difference():
         kap = q.kappa(j)
         h = min(1e-6 * kmax, kmax * (1 + 5e-10) - abs(kap))
         k_gain = rate_coeffs(mode, kap, l)
-        anchor = Pose2.from_xytheta(q.x, q.y, q.phi).compose(
-            cc_transform(kap, j, GEOM))
-        hi = cc_transform(kap + h, j, GEOM).inverse().xy
-        lo = cc_transform(kap - h, j, GEOM).inverse().xy
-        fd = k_gain * anchor.rot @ (hi - lo) / (2 * h)
+        anchor = frame(q.x, q.y, q.phi) @ frame(*cc_transform(kap, j, GEOM))
+        hi = frame_inverse(frame(*cc_transform(kap + h, j, GEOM)))[:2, 2]
+        lo = frame_inverse(frame(*cc_transform(kap - h, j, GEOM)))[:2, 2]
+        fd = k_gain * anchor[:2, :2] @ (hi - lo) / (2 * h)
         rot = (math.cos(q.phi), math.sin(q.phi))
         d = k_gain * np.array(delta_coeff(q, j, GEOM, rot))
         assert np.linalg.norm(d - fd) <= 1e-6 * np.linalg.norm(fd), (
@@ -181,14 +183,12 @@ def test_stationary_anchor_under_integration():
     # driving v1 with segment 2 soft must keep the {b2}-side anchor frame
     # fixed in the world: the far unit orbits while that end stands still
     q = AgentConfig(0.02, -0.05, 0.3, 10.0, 5.0)
-    anchor0 = Pose2.from_xytheta(q.x, q.y, q.phi).compose(
-        cc_transform(q.kappa2, 2, GEOM))
+    anchor0 = frame(q.x, q.y, q.phi) @ frame(*cc_transform(q.kappa2, 2, GEOM))
     ups = np.array([0.02, 0.0, 0.0, 0.0, 0.0])
     for _ in range(400):
         q = fk_step_detailed(q, S01, ups, 0.005, GEOM, integrator="rk4")[0]
-    anchor1 = Pose2.from_xytheta(q.x, q.y, q.phi).compose(
-        cc_transform(q.kappa2, 2, GEOM))
-    np.testing.assert_allclose(anchor1.mat, anchor0.mat, atol=5e-6)
+    anchor1 = frame(q.x, q.y, q.phi) @ frame(*cc_transform(q.kappa2, 2, GEOM))
+    np.testing.assert_allclose(anchor1, anchor0, atol=5e-6)
 
 
 def test_first_order_rates_match_integration():

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import os
 
 import pytest
 
 from softrig import __version__, outputs
-from softrig.geometry import AgentConfig, GeometryParams, StiffnessState
+from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
+                              StiffnessState)
 from softrig.planner import PlannerParams, plan_motion
 from softrig.scenario import example_scenario_dict, scenario_from_dict
 from softrig.simulator import rollout
@@ -190,6 +192,27 @@ def test_render_frame_svg_structure():
     svg_rigid = outputs.render_frame(q, StiffnessState(False, False), GEOM)
     assert outputs.SOFT_COLOR not in svg_rigid
 
+
+KMAX, KMAX_UNIFORM = GEOM.kappa_max, GEOM.kappa_max_uniform
+
+
+@pytest.mark.parametrize("label, q, digest", [
+    # a full-circle bend each way on both segments
+    ("00", AgentConfig(0.1, -0.05, 1.2, KMAX, -KMAX),
+     "fde3554339d34487af9b609030069c22f8e219ef0262d653d2df8923f1b615cf"),
+    # near straight: arc_chord's series branch
+    ("01", AgentConfig(-0.08, 0.03, -2.6, 1e-9, -1e-9),
+     "cc483151917dc09111ac9995598e10fd459bd2046c1d461ef780fe3c1fafad5f"),
+    ("10", AgentConfig(0.05, -0.02, 0.4, 30.0, -50.0),
+     "cc77512d6c6ae7bd6fec2cd0c80c13cf9ac534cbcd8dcabbb7a0124aa06438a0"),
+    ("11", AgentConfig(0.0, 0.12, 3.0, -KMAX_UNIFORM, 0.7 * KMAX_UNIFORM),
+     "8afce24a110f67107e28e00c2b2ea384e9c43752150d5282abee4d91da61bb8e"),
+])
+def test_render_frame_bytes_pinned(label, q, digest):
+    # pinned digests: any change to the drawn geometry or to its number
+    # format fails here
+    svg = outputs.render_frame(q, STIFFNESS_STATES[int(label, 2)], GEOM)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 def test_save_keyframes(tmp_path):
     plan = make_plan()

@@ -10,6 +10,8 @@ from softrig.geometry import GeometryParams, cc_transform
 from softrig.spiral import (SPIRALS, _solve_centre, rate_coeffs, refit_oracle,
                             spiral_model, sweep_curve, theta_from_kappa)
 
+from conftest import frame, frame_inverse
+
 GEOM = GeometryParams()
 L = GEOM.seg_len
 
@@ -92,14 +94,14 @@ def test_sweep_curve_frames():
 
 def frame_composition(mode, kappa):
     """The mode's joint point composed from the segment-end frames."""
-    end1 = cc_transform(0.0 if mode == 2 else kappa, 1, GEOM)
-    end2 = cc_transform(kappa, 2, GEOM)
+    end1 = frame(*cc_transform(0.0 if mode == 2 else kappa, 1, GEOM))
+    end2 = frame(*cc_transform(kappa, 2, GEOM))
     if mode == 1:
-        x, y = end2.xy
+        x, y = end2[:2, 2]
         return GEOM.mid_link / 2 - x, y
     if mode == 2:
-        return end2.inverse().apply(end1.xy)
-    return end1.inverse().apply(end2.xy)
+        return (frame_inverse(end2) @ end1[:, 2])[:2]
+    return (frame_inverse(end1) @ end2[:, 2])[:2]
 
 
 def test_sweep_curve_matches_frame_composition():
