@@ -153,11 +153,6 @@ class StiffnessState:
         return self.soft1 or self.soft2
 
     @property
-    def index(self) -> int:
-        """Position in the canonical hypothesis order: 00, 01, 10, 11."""
-        return int(self.soft1) * 2 + int(self.soft2)
-
-    @property
     def inputs(self) -> list[int]:
         """Entries of the input (v1, v2, u0, v0, r0) this pattern drives.
 
@@ -171,7 +166,8 @@ class StiffnessState:
 
         The equal-curvature mode only covers half the single-segment range.
         """
-        return geom.kappa_max_uniform if self.index == 3 else geom.kappa_max
+        return (geom.kappa_max_uniform if self.soft1 and self.soft2
+                else geom.kappa_max)
 
     def soft(self, j: int) -> bool:
         _check_segment(j)
@@ -248,8 +244,10 @@ def apply_pose(pose: tuple[float, float, float], px: float,
     return c * px - s * py + x, s * px + c * py + y
 
 
-def wheel_poses_body(kappa1: float, kappa2: float, geom: GeometryParams):
-    """Wheel positions and axle headings in the body frame.
+def wheel_layout(end1: tuple[float, float, float],
+                 end2: tuple[float, float, float], geom: GeometryParams):
+    """Wheel positions and axle headings in the body frame, from the two
+    segment-end poses ``cc_transform`` gives.
 
     Returns (positions, headings) for wheels 1..4: four (x, y) pairs and
     four floats.  Wheels 1, 2 sit at (-h1, 0) and (-h2, h3) in {b1}, wheels
@@ -257,10 +255,14 @@ def wheel_poses_body(kappa1: float, kappa2: float, geom: GeometryParams):
     frame's angle, -alpha_1 or +alpha_2, plus beta_i.
     """
     h1, h2, h3 = geom.h1, geom.h2, geom.h3
-    end1 = cc_transform(kappa1, 1, geom)
-    end2 = cc_transform(kappa2, 2, geom)
     positions = [apply_pose(end1, -h1, 0.0), apply_pose(end1, -h2, h3),
                  apply_pose(end2, h1, 0.0), apply_pose(end2, h2, -h3)]
     headings = [end[2] + beta
                 for end, beta in zip((end1, end1, end2, end2), BETA)]
     return positions, headings
+
+
+def wheel_poses_body(kappa1: float, kappa2: float, geom: GeometryParams):
+    """``wheel_layout`` at the curvatures (kappa1, kappa2)."""
+    return wheel_layout(cc_transform(kappa1, 1, geom),
+                        cc_transform(kappa2, 2, geom), geom)

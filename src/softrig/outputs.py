@@ -13,7 +13,7 @@ import os
 
 from . import __version__
 from .geometry import (AgentConfig, GeometryParams, StiffnessState,
-                       apply_pose, arc_chord, cc_transform, wheel_poses_body)
+                       apply_pose, arc_chord, cc_transform, wheel_layout)
 from .planner import PlanResult
 from .simulator import Trajectory
 from .spiral import spiral_model, theta_from_kappa
@@ -171,35 +171,31 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
     """One SVG snapshot of the agent pose, world box +-FRAME_WORLD metres."""
     size, world = FRAME_SIZE, FRAME_WORLD
     scale = size / (2 * world)
-
-    def to_px(p):
-        return ((p[0] + world) * scale, (world - p[1]) * scale)
-
+    qx, qy = q.x, q.y
     c, sn = math.cos(q.phi), math.sin(q.phi)
 
-    def to_world(p):
-        return (q.x + c * p[0] - sn * p[1], q.y + sn * p[0] + c * p[1])
+    def pixels(pts):
+        # body frame -> world -> pixels, in one pass per point
+        return [((qx + c * x - sn * y + world) * scale,
+                 (world - (qy + sn * x + c * y)) * scale) for x, y in pts]
 
     def path_of(pts):
-        cells = []
-        for i, p in enumerate(pts):
-            px, py = to_px(to_world(p))
-            cells.append(f"{'M' if i == 0 else 'L'}{px:.2f},{py:.2f}")
-        return " ".join(cells)
+        return " ".join(f"{'M' if i == 0 else 'L'}{px:.2f},{py:.2f}"
+                        for i, (px, py) in enumerate(pixels(pts)))
 
     half_mid = geom.mid_link / 2
+    ends = (cc_transform(q.kappa1, 1, geom), cc_transform(q.kappa2, 2, geom))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
     parts.append(f'<path d="{path_of([(-half_mid, 0), (half_mid, 0)])}" '
                  f'stroke="#444444" stroke-width="4" fill="none"/>')
-    for j in (1, 2):
+    for j, end in zip((1, 2), ends):
         color = SOFT_COLOR if s.soft(j) else RIGID_COLOR
         pts = _arc_points(q.kappa(j), j, geom)
         parts.append(f'<path d="{path_of(pts)}" stroke="{color}" '
                      f'stroke-width="3" fill="none"/>')
         # end link and wheel unit block ride the segment-end frame
-        end = cc_transform(q.kappa(j), j, geom)
         out = -1.0 if j == 1 else 1.0
         link = [end[:2], apply_pose(end, out * geom.end_link, 0.0)]
         parts.append(f'<path d="{path_of(link)}" '
@@ -211,13 +207,13 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
                     (half_a, half_a), (-half_a, half_a), (-half_a, -half_a)]]
         parts.append(f'<path d="{path_of(corners)}" '
                      f'stroke="#222222" stroke-width="2" fill="none"/>')
-    positions, headings = wheel_poses_body(q.kappa1, q.kappa2, geom)
+    positions, headings = wheel_layout(*ends, geom)
     for (px, py), psi in zip(positions, headings):
-        wx, wy = to_px(to_world((px, py)))
+        (wx, wy), (hx, hy) = pixels(
+            [(px, py), (px + geom.wheel_radius * math.cos(psi),
+                        py + geom.wheel_radius * math.sin(psi))])
         parts.append(f'<circle cx="{wx:.2f}" cy="{wy:.2f}" r="3.5" '
                      f'fill="#222222"/>')
-        hx, hy = to_px(to_world((px + geom.wheel_radius * math.cos(psi),
-                                 py + geom.wheel_radius * math.sin(psi))))
         parts.append(f'<path d="M{wx:.2f},{wy:.2f} L{hx:.2f},{hy:.2f}" '
                      f'stroke="#222222" stroke-width="1.5"/>')
     parts.append("</svg>")

@@ -1,13 +1,18 @@
 """Greedy stiffness-switching motion planner.
 
-Each control step tries every reachable stiffness pattern, computes damped
-least-squares drive inputs against the configuration error under that
-pattern's Jacobian, integrates one step and keeps the pattern that ends
-closest to the target.  A hysteresis rule holds the current pattern while
-its step still changes the configuration, so a started curvature fix runs
-to completion instead of chattering between patterns of near-equal
-descent.  The all-rigid pattern is listed first and wins ties, so plans
-finish in the rigid regime whenever it is as good as bending.
+Each control step computes, for a stiffness pattern, damped least-squares
+drive inputs against the configuration error under that pattern's
+Jacobian, integrates one step and measures the distance left to the
+target.  A hysteresis rule holds the current pattern while its step still
+gains ground and still changes the configuration, so a started curvature
+fix runs to completion instead of chattering between patterns of
+near-equal descent.  The held pattern is therefore tried first.  When it
+holds, it is the step, and the other patterns are tried in the canonical
+order only until one gains more than ``eps_progress``, which is all the
+stall test needs; none is tried when the held pattern gains that much
+itself.  Otherwise every reachable pattern is tried and the closest wins.
+The all-rigid pattern is listed first and wins ties, so plans finish in
+the rigid regime whenever it is as good as bending.
 
 Distances are measured by a weighted Euclidean norm over
 (x, y, phi, kappa1, kappa2).  The default weights de-emphasise curvature
@@ -183,42 +188,56 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
         if dist <= params.eps_goal:
             return PlanResult(q0, target, params, steps, configs, distances,
                               True)
-        candidates: dict[int, tuple] = {}
         bend = max(abs(q.kappa1), abs(q.kappa2))
+        # the equal-bend pattern cannot take over a bend past its bound
+        reachable = [idx for idx, limit in enumerate(limits)
+                     if not bend > limit]
         shared = shared_terms(q, geom)
-        for idx, (s, limit) in enumerate(zip(STIFFNESS_STATES, limits)):
-            # the equal-bend pattern cannot take over a bend past its bound
-            if bend > limit:
-                continue
-            cols = active_columns(q, s, geom, shared)
-            ups = damped_speeds(cols, s, err, params.lam, params.mu)
-            q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom,
-                                           cols=cols)
-            err_next = config_error(target, q_next)
-            candidates[idx] = (weighted_distance(err_next, params.weights),
-                               err_next, ups, q_next, sat)
-        best_idx = min(candidates, key=lambda i: candidates[i][0])
-        best_progress = dist - candidates[best_idx][0]
-        if best_progress <= params.eps_progress:
-            raise StallError(
-                f"no stiffness pattern makes progress at step {step_no} "
-                f"(distance {dist:.6g})",
-                diagnostics={
-                    STIFFNESS_STATES[i].label(): dist - c[0]
-                    for i, c in candidates.items()})
-        chosen = best_idx
-        if prev_idx is not None and prev_idx != best_idx and prev_idx in candidates:
-            d_hold, _, _, q_hold, _ = candidates[prev_idx]
-            # retain while the pattern still changes the configuration, so a
-            # curvature fix is finished before the mode is released.  A
-            # pattern that no longer gains ground is let go even if it keeps
-            # moving (it may be pinned at a curvature bound).
-            if (dist - d_hold > 0.0
-                    and weighted_distance(config_error(q_hold, q),
+        tried: dict[int, tuple] = {}
+
+        def trial(idx: int) -> tuple:
+            # (distance, error, inputs, configuration, saturated) of one
+            # step under pattern idx, worked out once per step
+            if idx not in tried:
+                s = STIFFNESS_STATES[idx]
+                cols = active_columns(q, s, geom, shared)
+                ups = damped_speeds(cols, s, err, params.lam, params.mu)
+                q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom,
+                                               cols=cols)
+                err_next = config_error(target, q_next)
+                tried[idx] = (weighted_distance(err_next, params.weights),
+                              err_next, ups, q_next, sat)
+            return tried[idx]
+
+        chosen = None
+        if prev_idx in reachable:
+            held = trial(prev_idx)
+            gain = dist - held[0]
+            # hold the pattern while it still gains ground and still changes
+            # the configuration, so a curvature fix is finished before the
+            # mode is released; one that keeps moving without gaining (it
+            # may be pinned at a curvature bound) is let go.  A held pattern
+            # is the step whatever the others reach: they only decide
+            # whether the step stalls.
+            if (gain > 0.0
+                    and weighted_distance(config_error(held[3], q),
                                           params.weights)
-                    > params.eps_progress):
+                    > params.eps_progress
+                    and (gain > params.eps_progress
+                         or any(dist - trial(idx)[0] > params.eps_progress
+                                for idx in reachable if idx != prev_idx))):
                 chosen = prev_idx
-        dist, err, ups, q_next, sat = candidates[chosen]
+        if chosen is None:
+            candidates = {idx: trial(idx) for idx in reachable}
+            chosen = min(candidates, key=lambda i: candidates[i][0])
+            if dist - candidates[chosen][0] <= params.eps_progress:
+                raise StallError(
+                    f"no stiffness pattern makes progress at step {step_no} "
+                    f"(distance {dist:.6g})",
+                    diagnostics={
+                        STIFFNESS_STATES[i].label(): dist - c[0]
+                        for i, c in candidates.items()})
+        dist, err, ups, q_next, sat = tried[chosen]
         steps.append(PlanStep(step_no * params.dt, q,
                               STIFFNESS_STATES[chosen], np.array(ups), sat))
         prev_idx = chosen

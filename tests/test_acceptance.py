@@ -86,7 +86,7 @@ def test_03_jacobian_matches_flow():
     dt = 1e-5
     for _ in range(200):
         s = STIFFNESS_STATES[rng.integers(0, 4)]
-        kb = GEOM.kappa_max_uniform if s.index == 3 else GEOM.kappa_max
+        kb = s.kappa_bound(GEOM)
         q = AgentConfig(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
                         rng.uniform(-math.pi, math.pi),
                         rng.uniform(-0.8, 0.8) * kb,
@@ -152,7 +152,7 @@ def test_06_wheel_map_pseudoinverse_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(100):
         s = STIFFNESS_STATES[rng.integers(0, 4)]
-        kb = GEOM.kappa_max_uniform if s.index == 3 else GEOM.kappa_max
+        kb = s.kappa_bound(GEOM)
         q = AgentConfig(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
                         rng.uniform(-math.pi, math.pi),
                         rng.uniform(-0.9, 0.9) * kb,

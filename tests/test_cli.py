@@ -118,6 +118,20 @@ def test_batch_study(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_batch_exit_0_records_each_run_exit(tmp_path, capsys):
+    # a batch exits 0 once study.json is written; each run's own exit code
+    # is recorded there.  With no thermal wait allowed, the two runs that
+    # switch stiffness time out (exit 4) and the batch still exits 0
+    out = str(tmp_path / "study")
+    assert main(["run", "--batch", "3", "--max-wait", "0",
+                 "--out", out]) == EXIT_OK
+    study = json.load(open(os.path.join(out, "study.json")))
+    assert [run["exit"] for run in study["runs"]] == [EXIT_THERMAL,
+                                                      EXIT_THERMAL, EXIT_OK]
+    assert study["n_converged"] == 1
+    capsys.readouterr()
+
+
 def test_batch_no_thermal_skips_pauses(tmp_path, capsys):
     out = str(tmp_path / "study")
     assert main(["run", "--batch", "2", "--no-thermal", "--out", out]) == EXIT_OK

@@ -67,7 +67,6 @@ def test_config_wraps_heading_and_round_trips():
 
 def test_stiffness_states_order_and_labels():
     assert [s.label() for s in STIFFNESS_STATES] == ["00", "01", "10", "11"]
-    assert [s.index for s in STIFFNESS_STATES] == [0, 1, 2, 3]
     s = StiffnessState(True, False)
     assert s.any_soft and s.soft(1) and not s.soft(2)
     assert not STIFFNESS_STATES[0].any_soft

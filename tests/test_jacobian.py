@@ -197,7 +197,7 @@ def test_first_order_rates_match_integration():
     dt = 1e-6
     for _ in range(40):
         s = STIFFNESS_STATES[rng.integers(0, 4)]
-        q = random_config(rng, kappa_frac=0.7, uniform=s.index == 3)
+        q = random_config(rng, kappa_frac=0.7, uniform=s.soft1 and s.soft2)
         ups = np.zeros(5)
         if s.any_soft:
             ups[:2] = rng.uniform(-0.01, 0.01, 2)

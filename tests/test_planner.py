@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
+import json
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
 
-from softrig import jacobian
+from softrig import cli, jacobian, planner
 from softrig.errors import ContractError, DomainError, StallError
 from softrig.geometry import STIFFNESS_STATES, AgentConfig, GeometryParams
 from softrig.jacobian import active_columns, hybrid_jacobian
@@ -207,8 +210,53 @@ def test_stall_raises_with_diagnostics():
     with pytest.raises(StallError) as info:
         plan_motion(ORIGIN, target, GEOM,
                     PlannerParams.unweighted(eps_progress=1.0))
-    assert info.value.diagnostics
-    assert set(info.value.diagnostics) <= {"00", "01", "10", "11"}
+    # at the origin every pattern is reachable, and each one is listed
+    assert set(info.value.diagnostics) == {"00", "01", "10", "11"}
+
+
+def tried_patterns(monkeypatch):
+    # one damped_speeds call per tried pattern; a step's candidates share
+    # its error tuple, so consecutive equal errors group them by step, and
+    # each step reads as the labels it tried, in order
+    calls = []
+    original = planner.damped_speeds
+
+    def counted(cols, s, err, lam, mu):
+        calls.append((err, s.label()))
+        return original(cols, s, err, lam, mu)
+
+    monkeypatch.setattr(planner, "damped_speeds", counted)
+    return lambda: ["".join(label for _, label in run)
+                    for _, run in groupby(calls, key=lambda call: call[0])]
+
+
+def test_held_pattern_that_gains_is_tried_alone(monkeypatch):
+    # the first step tries all four patterns; from then on the held rigid
+    # pattern gains more than eps_progress every step and is tried alone
+    per_step = tried_patterns(monkeypatch)
+    plan = plan_motion(ORIGIN, AgentConfig(0.1, 0.0, 0.0, 0.0, 0.0), GEOM)
+    assert plan.converged and len(plan.steps) > 1
+    assert per_step() == ["00011011"] + ["00"] * (len(plan.steps) - 1)
+
+
+def test_creep_then_stall_tries_every_pattern(monkeypatch):
+    # steps 9-17 creep: the held 00 gains at most eps_progress and is kept,
+    # so the others are tried only until 10 gains more.  At step 27 the
+    # held 10 still holds but nothing gains more than eps_progress, so
+    # every pattern is tried once, the held one first, and the stall reads
+    # as it did when every step tried every pattern (message and
+    # diagnostics recorded then)
+    per_step = tried_patterns(monkeypatch)
+    with pytest.raises(StallError) as info:
+        plan_motion(ORIGIN, AgentConfig(0.05, 0.0, 0.0, 40.0, 0.0), GEOM,
+                    PlannerParams(eps_progress=1e-3))
+    assert str(info.value) == ("no stiffness pattern makes progress at step "
+                               "27 (distance 0.0320935)")
+    assert info.value.diagnostics == {
+        "00": 0.0006048651997018831, "01": 1.7196660762053284e-13,
+        "10": 0.0009803716714505938, "11": 0.0005907627265757526}
+    assert per_step() == (["00011011"] + ["00"] * 8 + ["000110"] * 9
+                          + ["00011011"] + ["10"] * 8 + ["10000111"])
 
 
 def test_curvature_beyond_bound_is_rejected():
@@ -270,3 +318,54 @@ def test_fk_reference_is_the_straight_chord():
                                atol=1e-9)
     with pytest.raises(ContractError):
         fk_reference(ORIGIN, target, 0)
+
+
+def scenario_file(tmp_path, label, q0, target):
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps({"label": label, "q0": dataclasses.asdict(q0),
+                                "target": dataclasses.asdict(target)}))
+    return str(path)
+
+
+def sampled_problem(index):
+    # start and target of the index-th scenario of `run --batch` at seed 0
+    rng = np.random.default_rng(0)
+    for i in range(index + 1):
+        scn = sample_scenario(rng, i)
+    return scn.q0, scn.target
+
+
+NEG_ZERO = AgentConfig(-0.0, -0.0, -0.0, -0.0, -0.0)
+README_TARGET = AgentConfig(0.12, 0.08, 0.6, 20.0, -15.0)
+
+
+@pytest.mark.parametrize("label, problem, preset, plan_digest, summary_digest", [
+    # 480 steps: 139 creep steps (the held pattern kept on a gain of at
+    # most eps_progress), 52 curvature-clamped steps, 11 out of reach past
+    # the shared bound on 423 steps, and 2 steps where a held pattern that
+    # still gains is let go because it no longer moves
+    ("sample-006", sampled_problem(6), "unweighted",
+     "f8be35adf8e8c82c206afbff31a11288fe397d13bc9b39bb7dcaa660e4663f9a",
+     "b2cf5b83bfe1ded0bf623b45ca5288a730607e55fbda2763c6c1c76df3daabb2"),
+    # the same kinds of step under the default weights: 274 steps, 106
+    # creep, 10 clamped, 11 out of reach on 112
+    ("sample-077", sampled_problem(77), "default",
+     "08a4d247bf6f22908e1f45982f45fb3991bea1dbabe51d7a9e0e2f82e48d9d26",
+     "82f4d9917ed85812b03a3344555bc8fdb7eae9960d751457aa25a5632548108d"),
+    # a start of all -0.0: rates summed from +0.0 leave it as 0.0
+    ("neg-zero-start", (NEG_ZERO, README_TARGET), "default",
+     "097a62e844ff590fd29ab142bbea717481c94fc98ee9625f7c560c09e6d13d22",
+     "1a9057f654a19ddf2524ec2f5b9b62956393a3496fa9f0d0821dbedab096db9e"),
+], ids=["sample-006", "sample-077", "neg-zero-start"])
+def test_plan_bytes_pinned(tmp_path, capsys, label, problem, preset,
+                           plan_digest, summary_digest):
+    # pinned digests: any change to a chosen pattern, a configuration or a
+    # step count fails here
+    out = tmp_path / "out"
+    assert cli.main(["run", scenario_file(tmp_path, label, *problem),
+                     "--out", str(out), "--preset", preset]) == cli.EXIT_OK
+    capsys.readouterr()
+    for name, digest in (("plan.csv", plan_digest),
+                         ("summary.json", summary_digest)):
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, name
