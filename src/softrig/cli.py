@@ -80,7 +80,22 @@ def _apply_preset(scn: Scenario, args) -> Scenario:
     return scn
 
 
-def _run_one(scn: Scenario, out_dir: str, args) -> int:
+def _write_run(out_dir: str, scn: Scenario, plan, traj, gating: bool,
+               keyframes: int) -> None:
+    """The writing stage of one run: its CSVs, summary.json and keyframes."""
+    outputs.write_run_csvs(out_dir, plan, traj, scn.thermal)
+    summary = plan.summary()
+    summary["label"] = scn.label
+    summary["thermal_gating"] = gating
+    summary["pause_blocks"] = len(traj.pause_blocks())
+    summary["sim_rows"] = len(traj.rows)
+    outputs.write_json(os.path.join(out_dir, "summary.json"), summary)
+    if keyframes > 0:
+        outputs.save_keyframes(traj, os.path.join(out_dir, "frames"),
+                               scn.geometry, every=keyframes)
+
+
+def _run_one(scn: Scenario, out_dir: str, args, write=_write_run) -> int:
     os.makedirs(out_dir, exist_ok=True)
     try:
         plan = plan_motion(scn.q0, scn.target, scn.geometry, scn.planner)
@@ -94,20 +109,74 @@ def _run_one(scn: Scenario, out_dir: str, args) -> int:
     except ThermalTimeoutError as exc:
         print(f"{scn.label}: thermal timeout: {exc}", file=sys.stderr)
         return EXIT_THERMAL
-    outputs.write_run_csvs(out_dir, plan, traj, scn.thermal)
-    summary = plan.summary()
-    summary["label"] = scn.label
-    summary["thermal_gating"] = gating
-    summary["pause_blocks"] = len(traj.pause_blocks())
-    summary["sim_rows"] = len(traj.rows)
-    outputs.write_json(os.path.join(out_dir, "summary.json"), summary)
-    if args.keyframes > 0:
-        outputs.save_keyframes(traj, os.path.join(out_dir, "frames"),
-                               scn.geometry, every=args.keyframes)
+    write(out_dir, scn, plan, traj, gating, args.keyframes)
     state = "converged" if plan.converged else "did not converge"
     print(f"{scn.label}: {state} in {len(plan.steps)} steps, "
           f"{plan.n_switches} switches, final error {plan.final_error:.4g}")
     return EXIT_OK if plan.converged else EXIT_NO_CONVERGE
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _wait_writer(pid: int, out_dir: str) -> None:
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise ChildProcessError(f"writing {out_dir} failed: its writer "
+                                f"process exited with status {code}")
+
+
+class _Writers:
+    """A batch's writing stages, each in a forked child, `limit` alive at most.
+
+    The parent plans and plays the next scenario while a child writes the
+    previous one from its copy-on-write view of the plan and trajectory;
+    with `limit` 0 every stage runs in process.  Streams are flushed before each
+    fork and a child leaves through os._exit, so no buffered line prints
+    twice.  Only the parent prints run lines, in scenario order.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.alive: list[tuple[int, str]] = []
+
+    def write(self, out_dir: str, *stage) -> None:
+        if self.limit < 1:
+            _write_run(out_dir, *stage)
+            return
+        if len(self.alive) >= self.limit:
+            _wait_writer(*self.alive.pop(0))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                _write_run(out_dir, *stage)
+                code = 0
+            except BaseException:
+                import traceback
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+        self.alive.append((pid, out_dir))
+
+    def join(self) -> None:
+        """Wait for every writer still alive; raise if one of them failed."""
+        alive, self.alive = self.alive, []
+        failure = None
+        for pid, out_dir in alive:
+            try:
+                _wait_writer(pid, out_dir)
+            except ChildProcessError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
 
 
 def _run_batch(args) -> int:
@@ -118,11 +187,19 @@ def _run_batch(args) -> int:
     rng = np.random.default_rng(seed)
     results = []
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.batch):
-        scn = sample_scenario(rng, index=i)
-        scn = _apply_preset(scn, args)
-        code = _run_one(scn, os.path.join(args.out, f"run_{i:03d}"), args)
-        results.append((scn.label, code))
+    # a spare CPU writes each run while this process plans the next one; the
+    # last run has no next one to overlap, so it is written in process
+    writers = _Writers(_usable_cpus() - 1 if hasattr(os, "fork") else 0)
+    try:
+        for i in range(args.batch):
+            scn = sample_scenario(rng, index=i)
+            scn = _apply_preset(scn, args)
+            write = writers.write if i + 1 < args.batch else _write_run
+            code = _run_one(scn, os.path.join(args.out, f"run_{i:03d}"), args,
+                            write)
+            results.append((scn.label, code))
+    finally:
+        writers.join()
     n_ok = sum(1 for _, code in results if code == EXIT_OK)
     study = {
         "seed": seed,

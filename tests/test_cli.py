@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -141,6 +144,102 @@ def test_batch_no_thermal_skips_pauses(tmp_path, capsys):
         assert summary["thermal_gating"] is False
         assert summary["pause_blocks"] == 0
     capsys.readouterr()
+
+
+def batch_files(out):
+    """Every file a batch wrote, by path relative to its output directory."""
+    root = pathlib.Path(out)
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.fixture
+def writer_log(monkeypatch):
+    """Count writer children the batch forked and has not yet reaped."""
+    log = {"forked": 0, "unreaped": 0, "peak": 0}
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            log["forked"] += 1
+            log["unreaped"] += 1
+            log["peak"] = max(log["peak"], log["unreaped"])
+        return pid
+
+    def counted_waitpid(pid, options):
+        log["unreaped"] -= 1
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    return log
+
+
+def test_batch_writer_children_match_in_process_writing(tmp_path, monkeypatch,
+                                                       capsys, writer_log):
+    # 2 usable CPUs: a forked child writes each run but the last; 1 CPU: all
+    # in process
+    printed, files = [], []
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = str(tmp_path / f"cpus{cpus}")
+        assert main(["run", "--batch", "3", "--seed", "4", "--keyframes",
+                     "200", "--out", out]) == EXIT_OK
+        printed.append(capsys.readouterr())
+        files.append(batch_files(out))
+    assert writer_log["forked"] == 2 and writer_log["unreaped"] == 0
+    assert "study.json" in files[0] and "run_002/frames/frame_00000.svg" in files[0]
+    assert files[0] == files[1]
+    assert printed[0] == printed[1]
+    assert printed[0].out.count("converged in") == 3
+
+
+def test_batch_keeps_one_cpu_for_planning(tmp_path, monkeypatch, capsys,
+                                          writer_log):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    assert main(["run", "--batch", "5", "--out", str(tmp_path)]) == EXIT_OK
+    assert writer_log["forked"] == 4
+    assert writer_log["peak"] == 2
+    assert writer_log["unreaped"] == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus, error", [(1, OSError), (2, ChildProcessError)])
+def test_batch_writer_error_fails_the_batch(tmp_path, monkeypatch, capfd, cpus,
+                                            error):
+    write_run_csvs = outputs.write_run_csvs
+
+    def broken(out_dir, *args):
+        # the first run: with a spare CPU it is written in a child
+        if out_dir.endswith("run_000"):
+            raise OSError("disk full")
+        write_run_csvs(out_dir, *args)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(outputs, "write_run_csvs", broken)
+    with pytest.raises(error) as info:
+        main(["run", "--batch", "2", "--out", str(tmp_path)])
+    assert not (tmp_path / "study.json").exists()
+    message = str(info.value)
+    if cpus > 1:  # the parent names the run; the child's traceback tells why
+        assert "run_000" in message
+        message = capfd.readouterr().err
+    assert "disk full" in message
+
+
+def test_piped_batch_prints_each_run_once_in_order(tmp_path):
+    # a block-buffered stdout must not be flushed again by a writer child
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "softrig", "run", "--batch", "3", "--out",
+         str(tmp_path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=env, check=True)
+    labels = [line.split(":")[0] for line in proc.stdout.splitlines()]
+    assert labels == ["sample-000", "sample-001", "sample-002", "batch"]
+    assert proc.stderr == ""
 
 
 def test_batch_rejects_bad_count(capsys):

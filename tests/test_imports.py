@@ -1,4 +1,5 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used by the module that imports it, and the CLI
+loads no process-pool module at start-up.
 
 No linter ships with the package, so this walks the syntax tree with the
 standard library: a name bound by an import statement must appear as a
@@ -6,7 +7,10 @@ name somewhere else in the same file.  The package ``__init__`` is left
 out, since its imports are the public re-exports.
 """
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +45,14 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # batch writers are plain os.fork children; multiprocessing alone would
+    # add ~10 ms to every start-up
+    code = ("import sys, softrig.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    assert proc.stdout == "[]\n"
