@@ -13,8 +13,7 @@ from .errors import (ContractError, DomainError, FitError, ScenarioError,
                      SingularityError, SoftrigError, StallError,
                      ThermalTimeoutError)
 from .geometry import (BETA, STIFFNESS_STATES, AgentConfig, GeometryParams,
-                       StiffnessState, apply_pose, cc_transform,
-                       wheel_poses_body, wrap_angle)
+                       StiffnessState, apply_pose, cc_transform, wrap_angle)
 from .jacobian import (active_columns, delta_coeff, hybrid_jacobian,
                        shared_terms)
 from .planner import (PlannerParams, PlanResult, PlanStep, config_error,
@@ -29,4 +28,4 @@ from .spiral import (SPIRALS, SpiralFit, SpiralModel, rate_coeffs,
 from .thermal import (ThermalParams, ThermalState, command, duty,
                       initial_state, is_ready, thermal_step, transition_time)
 from .wheelmodel import (WheelSpeeds, body_twist_from_wheels, config_matrix,
-                         rigid_block, soft_block, wheel_speeds)
+                         wheel_rows, wheel_speeds)

@@ -269,12 +269,6 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGE
-    except ThermalTimeoutError as exc:
-        print(f"thermal timeout: {exc}", file=sys.stderr)
-        return EXIT_THERMAL
-    except StallError as exc:
-        print(f"planner stalled: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGE
     except SoftrigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

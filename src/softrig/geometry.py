@@ -31,6 +31,10 @@ TWO_PI = 2.0 * math.pi
 # wheel mounting angles relative to the segment-end frame, wheels 1..4
 BETA = (math.pi / 2, 0.0, -math.pi / 2, math.pi)
 
+# relative slack every curvature bound allows, so a value computed to sit
+# on the bound still passes
+_BOUND_TOL = 1e-9
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -38,6 +42,14 @@ def wrap_angle(a: float) -> float:
     if a <= 0.0:
         a += TWO_PI
     return a - math.pi
+
+
+def past_bound(value: float, bound: float) -> bool:
+    """Whether |value| exceeds ``bound`` by more than the relative slack.
+
+    The one curvature-bound test; each caller raises its own error.
+    """
+    return abs(value) > bound * (1 + _BOUND_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +141,6 @@ class AgentConfig:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.phi, self.kappa1, self.kappa2])
 
-    @classmethod
-    def from_array(cls, q) -> "AgentConfig":
-        q = np.asarray(q, dtype=float)
-        if q.shape != (5,):
-            raise ContractError(f"configuration must have 5 entries, got shape {q.shape}")
-        return cls(*q.tolist())
-
     def kappa(self, j: int) -> float:
         _check_segment(j)
         return self.kappa1 if j == 1 else self.kappa2
@@ -222,7 +227,7 @@ def cc_transform(kappa: float, j: int,
     """
     _check_segment(j)
     l, half_mid = geom.seg_len, geom.mid_link / 2
-    if abs(kappa) > geom.kappa_max * (1 + 1e-9):
+    if past_bound(kappa, geom.kappa_max):
         raise DomainError(
             f"segment {j} curvature {kappa:.6g} exceeds the full-circle bound "
             f"{geom.kappa_max:.6g}")
@@ -261,8 +266,3 @@ def wheel_layout(end1: tuple[float, float, float],
                 for end, beta in zip((end1, end1, end2, end2), BETA)]
     return positions, headings
 
-
-def wheel_poses_body(kappa1: float, kappa2: float, geom: GeometryParams):
-    """``wheel_layout`` at the curvatures (kappa1, kappa2)."""
-    return wheel_layout(cc_transform(kappa1, 1, geom),
-                        cc_transform(kappa2, 2, geom), geom)

@@ -25,15 +25,11 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
-import numpy as np
-
 from .errors import ContractError, DomainError, StallError
 from .geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
-                       StiffnessState, wrap_angle)
+                       StiffnessState, past_bound, wrap_angle)
 from .jacobian import Columns, active_columns, shared_terms
 from .simulator import fk_step_detailed
-
-_BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class PlanStep:
     t: float
     config: AgentConfig
     stiffness: StiffnessState
-    speeds: np.ndarray
+    speeds: tuple[float, ...]       # (v1, v2, u0, v0, r0)
     saturated: bool                 # the step's curvature clamp engaged
 
 
@@ -172,7 +168,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     params = params if params is not None else PlannerParams()
     for name, cfg in (("q0", q0), ("target", target)):
         for j in (1, 2):
-            if abs(cfg.kappa(j)) > geom.kappa_max * (1 + _BOUND_TOL):
+            if past_bound(cfg.kappa(j), geom.kappa_max):
                 raise DomainError(
                     f"{name}.kappa{j} = {cfg.kappa(j):.6g} exceeds the "
                     f"curvature bound {geom.kappa_max:.6g}")
@@ -183,15 +179,15 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     configs = [q]
     distances = [dist]
     prev_idx: int | None = None
-    limits = [s.kappa_bound(geom) * (1 + _BOUND_TOL) for s in STIFFNESS_STATES]
+    bounds = [s.kappa_bound(geom) for s in STIFFNESS_STATES]
     for step_no in range(params.max_steps):
         if dist <= params.eps_goal:
             return PlanResult(q0, target, params, steps, configs, distances,
                               True)
         bend = max(abs(q.kappa1), abs(q.kappa2))
         # the equal-bend pattern cannot take over a bend past its bound
-        reachable = [idx for idx, limit in enumerate(limits)
-                     if not bend > limit]
+        reachable = [idx for idx, bound in enumerate(bounds)
+                     if not past_bound(bend, bound)]
         shared = shared_terms(q, geom)
         tried: dict[int, tuple] = {}
 
@@ -239,7 +235,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                         for i, c in candidates.items()})
         dist, err, ups, q_next, sat = tried[chosen]
         steps.append(PlanStep(step_no * params.dt, q,
-                              STIFFNESS_STATES[chosen], np.array(ups), sat))
+                              STIFFNESS_STATES[chosen], ups, sat))
         prev_idx = chosen
         q = q_next
         configs.append(q)
@@ -259,16 +255,16 @@ def fk_reference(q0: AgentConfig, target: AgentConfig, n_steps: int,
         raise ContractError(f"need at least one step, got {n_steps}")
     if weights is None:
         weights = PlannerParams().weights
-    a0 = q0.as_array()
-    a1 = target.as_array()
-    dphi = wrap_angle(a1[2] - a0[2])
+    start = (q0.x, q0.y, q0.kappa1, q0.kappa2)
+    end = (target.x, target.y, target.kappa1, target.kappa2)
+    dphi = wrap_angle(target.phi - q0.phi)
     configs = []
     distances = []
     for i in range(n_steps + 1):
         frac = i / n_steps
-        arr = a0 + frac * (a1 - a0)
-        arr[2] = a0[2] + frac * dphi
-        qi = AgentConfig.from_array(arr)
+        x, y, kappa1, kappa2 = (a + frac * (b - a)
+                                for a, b in zip(start, end))
+        qi = AgentConfig(x, y, q0.phi + frac * dphi, kappa1, kappa2)
         configs.append(qi)
         distances.append(weighted_distance(config_error(target, qi), weights))
     return configs, distances

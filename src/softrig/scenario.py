@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ScenarioError
-from .geometry import AgentConfig, GeometryParams
+from .geometry import AgentConfig, GeometryParams, past_bound
 from .planner import PlannerParams
 from .thermal import ThermalParams
 
@@ -70,7 +70,7 @@ def _build_config(obj, path: str, geom: GeometryParams) -> AgentConfig:
                 or not math.isfinite(value):
             raise ScenarioError(f"{path}.{key} must be a finite number")
     for key in ("kappa1", "kappa2"):
-        if abs(obj[key]) > geom.kappa_max * (1 + 1e-9):
+        if past_bound(obj[key], geom.kappa_max):
             raise ScenarioError(
                 f"{path}.{key} = {obj[key]:.6g} exceeds the curvature bound "
                 f"{geom.kappa_max:.6g}")

@@ -102,7 +102,7 @@ class SimRow(NamedTuple):
     t: float
     config: AgentConfig
     stiffness: StiffnessState
-    speeds: np.ndarray
+    speeds: tuple[float, ...]       # (v1, v2, u0, v0, r0)
     temp1: float
     duty1: float
     phase1: str
@@ -158,7 +158,7 @@ def rollout(plan: PlanResult,
     t = 0.0
     rows: list[SimRow] = []
     prev_cmd: StiffnessState | None = None
-    zero = np.zeros(5)
+    zero = (0.0,) * 5
 
     def advance(q, cmd, speeds, paused, saturated):
         # a row at time t, then both plants advance by dt

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, FitError
-from .geometry import GeometryParams, arc_chord
+from .geometry import GeometryParams, arc_chord, past_bound
 
 _THETA_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -68,7 +68,7 @@ class SpiralModel:
         tightens toward the meeting point of the two units.
         """
         bound = self.kappa_bound / seg_len
-        if abs(kappa) > bound * (1 + _THETA_TOL):
+        if past_bound(kappa, bound):
             raise DomainError(
                 f"mode {self.mode} curvature {kappa:.6g} outside [-{bound:.6g}, "
                 f"{bound:.6g}]")
@@ -127,13 +127,13 @@ def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
     mode 3, segment 2's end in segment 1's, 2 (h + cx) (cos alpha, sin alpha).
     """
     spiral_model(mode)        # ContractError for a mode other than 1, 2, 3
-    kappas = np.asarray(kappas, dtype=float)
-    if np.any(kappas < 0) or np.any(kappas > geom.kappa_max * (1 + 1e-9)):
+    kappas = np.asarray(kappas, dtype=float).tolist()
+    if any(kap < 0 or past_bound(kap, geom.kappa_max) for kap in kappas):
         raise DomainError("sweep kappas are bend magnitudes and must lie in "
                           f"[0, {geom.kappa_max:.6g}]")
     l, half_mid = geom.seg_len, geom.mid_link / 2
     pts = np.empty((len(kappas), 2))
-    for i, kap in enumerate(kappas.tolist()):
+    for i, kap in enumerate(kappas):
         cx, cy = arc_chord(kap, l)
         c, s = math.cos(kap * l), math.sin(kap * l)
         if mode == 1:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SingularityError
-from .geometry import AgentConfig, GeometryParams, StiffnessState, wheel_poses_body
+from .geometry import (AgentConfig, GeometryParams, StiffnessState,
+                       cc_transform, wheel_layout)
 
 # wheel rate magnitude treated as the drive limit (rad/s)
 OMEGA_MAX_DEFAULT = 4.0 * math.pi
@@ -32,42 +33,38 @@ _RANK_TOL = 1e-10
 class WheelSpeeds:
     """Angular rates of wheels 1..4 plus a drive-limit flag."""
 
-    omega: np.ndarray
+    omega: tuple[float, float, float, float]
     saturated: bool = False
 
 
-def soft_block(geom: GeometryParams) -> np.ndarray:
-    """Columns of V active while the fibre deforms, (4, 2).
+def wheel_rows(q: AgentConfig, s: StiffnessState,
+               geom: GeometryParams) -> tuple[tuple[float, ...], ...]:
+    """Active block of V: one float row per wheel over the inputs ``s.inputs``.
 
-    Wheel 1 drives the unit at {b1} with omega1 = v1 / wheel_radius; wheel 3
-    drives the unit at {b2} mounted mirrored, omega3 = -v2 / wheel_radius.
-    The lateral wheels idle.
+    The one place the wheel-rate rule is built; ``config_matrix`` and the
+    pseudoinverse below are filled from it.  Soft: wheel 1 drives the unit
+    at {b1} with omega1 = v1 / wheel_radius, wheel 3 drives the unit at
+    {b2} mounted mirrored, omega3 = -v2 / wheel_radius, and the lateral
+    wheels idle.  Rigid: row i is (cos psi_i, sin psi_i,
+    x_i sin psi_i - y_i cos psi_i) / wheel_radius, with the wheel poses of
+    ``wheel_layout`` in the body frame.
     """
-    m = np.zeros((4, 2))
-    m[0, 0] = 1.0
-    m[2, 1] = -1.0
-    return m / geom.wheel_radius
-
-
-def rigid_block(q: AgentConfig, geom: GeometryParams) -> np.ndarray:
-    """Columns of V active for rigid-body rolling, (4, 3).
-
-    Row i is (cos psi_i, sin psi_i, x_i sin psi_i - y_i cos psi_i) scaled by
-    1 / wheel_radius, with wheel poses in the body frame.
-    """
-    positions, headings = wheel_poses_body(q.kappa1, q.kappa2, geom)
-    rows = np.empty((4, 3))
-    for i in range(4):
-        c, s = math.cos(headings[i]), math.sin(headings[i])
-        x, y = positions[i]
-        rows[i] = (c, s, x * s - y * c)
-    return rows / geom.wheel_radius
+    r = geom.wheel_radius
+    if s.any_soft:
+        return (1.0 / r, 0.0), (0.0, 0.0), (0.0, -1.0 / r), (0.0, 0.0)
+    positions, headings = wheel_layout(cc_transform(q.kappa1, 1, geom),
+                                       cc_transform(q.kappa2, 2, geom), geom)
+    rows = []
+    for (x, y), psi in zip(positions, headings):
+        c, sn = math.cos(psi), math.sin(psi)
+        rows.append((c / r, sn / r, (x * sn - y * c) / r))
+    return tuple(rows)
 
 
 def config_matrix(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> np.ndarray:
     """Unified wheel configuration matrix V, (4, 5), gated by stiffness."""
     v = np.zeros((4, 5))
-    v[:, s.inputs] = soft_block(geom) if s.any_soft else rigid_block(q, geom)
+    v[:, s.inputs] = wheel_rows(q, s, geom)
     return v
 
 
@@ -79,19 +76,21 @@ def wheel_speeds(q: AgentConfig, s: StiffnessState, ups,
     OMEGA_MAX_DEFAULT the whole vector is scaled down so the demanded motion
     direction is preserved, and the result is flagged.
     """
-    ups = np.asarray(ups, dtype=float)
-    if ups.shape != (5,):
-        raise ContractError(f"velocity input must have 5 entries, got {ups.shape}")
-    idle = np.delete(ups, s.inputs)
-    if np.any(idle != 0.0):
+    ups = tuple(map(float, ups))
+    if len(ups) != 5:
+        raise ContractError(f"velocity input must have 5 entries, got {len(ups)}")
+    if any(u != 0.0 for j, u in enumerate(ups) if j not in s.inputs):
         raise ContractError(
             f"stiffness {s.label()} drives only entries {s.inputs} of "
             f"(v1, v2, u0, v0, r0); the others must be zero, got {ups}")
-    omega = config_matrix(q, s, geom) @ ups
-    peak = np.max(np.abs(omega))
+    active = [ups[j] for j in s.inputs]
+    omega = [sum(m * u for m, u in zip(row, active))
+             for row in wheel_rows(q, s, geom)]
+    peak = max(map(abs, omega))
     if peak > OMEGA_MAX_DEFAULT:
-        return WheelSpeeds(omega * (OMEGA_MAX_DEFAULT / peak), saturated=True)
-    return WheelSpeeds(omega, saturated=False)
+        scale = OMEGA_MAX_DEFAULT / peak
+        return WheelSpeeds(tuple(w * scale for w in omega), saturated=True)
+    return WheelSpeeds(tuple(omega), saturated=False)
 
 
 def body_twist_from_wheels(q: AgentConfig, s: StiffnessState, omega,
@@ -104,7 +103,7 @@ def body_twist_from_wheels(q: AgentConfig, s: StiffnessState, omega,
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4,):
         raise ContractError(f"wheel rates must have 4 entries, got {omega.shape}")
-    block = config_matrix(q, s, geom)[:, s.inputs]
+    block = np.array(wheel_rows(q, s, geom))
     sv = np.linalg.svd(block, compute_uv=False)
     if sv[-1] / sv[0] < _RANK_TOL:
         regime = "soft" if s.any_soft else "rigid"

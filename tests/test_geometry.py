@@ -5,7 +5,7 @@ import pytest
 
 from softrig.errors import ContractError, DomainError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
-                              StiffnessState, cc_transform, wheel_poses_body,
+                              StiffnessState, cc_transform, wheel_layout,
                               wrap_angle)
 
 from conftest import frame
@@ -55,14 +55,12 @@ def test_config_wraps_heading_and_round_trips():
     q = AgentConfig(0.1, -0.2, 4.0, 10.0, -20.0)
     assert -math.pi < q.phi <= math.pi
     assert math.isclose(q.phi, wrap_angle(4.0))
-    back = AgentConfig.from_array(q.as_array())
+    back = AgentConfig(*q.as_array().tolist())
     assert back == q
     assert q.kappa(1) == 10.0
     assert q.kappa(2) == -20.0
     with pytest.raises(ContractError):
         q.kappa(3)
-    with pytest.raises(ContractError):
-        AgentConfig.from_array(np.zeros(4))
 
 
 def test_stiffness_states_order_and_labels():
@@ -129,7 +127,8 @@ def test_cc_transform_rejects_over_bend():
 
 
 def test_wheel_layout_straight():
-    positions, headings = wheel_poses_body(0.0, 0.0, GEOM)
+    positions, headings = wheel_layout(cc_transform(0.0, 1, GEOM),
+                                       cc_transform(0.0, 2, GEOM), GEOM)
     np.testing.assert_allclose(
         positions,
         [[-0.136, 0.0], [-0.108, 0.028], [0.136, 0.0], [0.108, -0.028]],
@@ -140,7 +139,8 @@ def test_wheel_layout_straight():
 
 def test_wheel_headings_follow_bend():
     a1 = 20.0 * GEOM.seg_len
-    positions, headings = wheel_poses_body(20.0, -10.0, GEOM)
+    positions, headings = wheel_layout(cc_transform(20.0, 1, GEOM),
+                                       cc_transform(-10.0, 2, GEOM), GEOM)
     assert math.isclose(headings[0], -a1 + math.pi / 2)
     assert math.isclose(headings[2], -10.0 * GEOM.seg_len - math.pi / 2)
     # wheels ride the segment-end frames at their anchor offsets

@@ -134,7 +134,7 @@ def test_rollout_gating_pauses_at_stiffness_changes():
     # paused rows freeze the configuration and command zero speeds
     for start, count in blocks:
         for row in traj.rows[start:start + count]:
-            assert np.all(row.speeds == 0.0)
+            assert row.speeds == (0.0,) * 5
     assert [lab for lab, _ in traj.stiffness_runs()] == labels
 
 
