@@ -51,9 +51,9 @@ class PlannerParams:
             raise ContractError("max_steps must be at least 1")
 
     @classmethod
-    def unweighted(cls, **overrides) -> "PlannerParams":
+    def unweighted(cls) -> "PlannerParams":
         """Plain Euclidean distance over all five coordinates."""
-        return cls(weights=(1.0,) * 5, **overrides)
+        return cls(weights=(1.0,) * 5)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ from .geometry import GeometryParams, arc_chord, past_bound
 _THETA_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 _OFFSET_TOL = 1e-12          # converged relative offset of the centre solve
-_UNRESOLVED = 1e3 * _EPS     # share of the sum of squares lost to rounding
 _MAX_ITER = 100
+_MAX_REL_RESIDUAL = 0.10     # refit rms residual gate, share of the mean radius
 
 
 @dataclass(frozen=True)
@@ -196,76 +196,55 @@ def _spiral_residual(pts: np.ndarray, centre: np.ndarray):
 def _solve_centre(pts: np.ndarray, centre0: np.ndarray):
     """Converge the projected log-spiral fit from a starting centre.
 
-    Levenberg-Marquardt on the 2-D centre, minimising the sum of squares
-    |r|^2 of ``_spiral_residual``; (log a, b) are the least-squares line of
-    log rho against unwrapped theta for each centre tried (variable
-    projection, Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973).  It
-    stops on the relative offset (Bates & Watts, Technometrics 23(2),
-    1981): the gradient g = J^T r measured in the Gauss-Newton metric,
-    sqrt(g^T (J^T J)^-1 g), must fall to _OFFSET_TOL of |r|, plus a floor
-    of 8 eps |rho| that bounds the rounding of r.  Both sides scale with the
-    geometry, so the rule is scale free.  A step is accepted when it lowers
-    |r|^2.  Close to the optimum rounding hides that lowering (the
-    Gauss-Newton step would lower |r|^2 by less than _UNRESOLVED of it),
-    and there a step is accepted when it lowers the scaled gradient
-    instead.  Returns (a, b, centre, theta, rms); raises FitError when the
-    residual is not finite at the start (a centre on a sample), the normal
-    matrix is singular, the damping grows without an accepted step, or the
-    solve has not converged in _MAX_ITER steps.
+    Gauss-Newton on the 2-D centre, minimising the sum of squares |r|^2 of
+    ``_spiral_residual``: each step solves (J^T J) s = J^T r and moves the
+    centre by -s.  (log a, b) are the least-squares line of log rho against
+    unwrapped theta for each centre (variable projection, Golub & Pereyra,
+    SIAM J. Numer. Anal. 10(2), 1973).  It stops on the relative offset
+    (Bates & Watts, Technometrics 23(2), 1981): the gradient g = J^T r
+    measured in the Gauss-Newton metric, sqrt(g^T (J^T J)^-1 g), must fall
+    to _OFFSET_TOL of |r|, plus a floor of 8 eps |rho| that bounds the
+    rounding of r.  Both sides scale with the geometry, so the rule is
+    scale free.  Returns (a, b, centre, theta, rms); raises FitError when
+    the residual or the offset is not finite (a centre on a sample), the
+    normal matrix is singular, or the rule is not met at any of the first
+    _MAX_ITER centres.
     """
-
-    def evaluate(centre):
+    centre = np.array(centre0, dtype=float)
+    for _ in range(_MAX_ITER):
         with np.errstate(all="ignore"):
             r, jac, a, b, theta = _spiral_residual(pts, centre)
             grad = jac.T @ r
-            normal = jac.T @ jac
             try:
-                decrement = grad @ np.linalg.solve(normal, grad)
+                step = np.linalg.solve(jac.T @ jac, grad)
             except np.linalg.LinAlgError:
-                return None
-        if not (np.isfinite(decrement) and decrement >= 0.0):
-            return None
-        return centre, r @ r, decrement, grad, normal, (a, b, theta)
-
-    state = evaluate(np.array(centre0, dtype=float))
-    if state is None:
-        raise FitError("log-spiral fit is not defined at the start centre")
-    damping = 1e-3
-    for _ in range(_MAX_ITER):
-        centre, ss, decrement, grad, normal, (a, b, theta) = state
+                raise FitError("log-spiral fit has a singular normal matrix at "
+                               f"centre ({centre[0]:.6g}, {centre[1]:.6g})") from None
+            ss, decrement = r @ r, grad @ step
+        if not (np.isfinite(ss) and np.isfinite(decrement) and decrement >= 0.0):
+            raise FitError("log-spiral fit is not defined at centre "
+                           f"({centre[0]:.6g}, {centre[1]:.6g})")
         floor = 8.0 * _EPS * np.linalg.norm(pts - centre)
         if math.sqrt(decrement) <= _OFFSET_TOL * math.sqrt(ss) + floor:
             return a, b, centre, theta, math.sqrt(ss / len(pts))
-        unresolved = decrement <= _UNRESOLVED * ss
-        while True:
-            step = np.linalg.solve(normal + damping * np.diag(np.diag(normal)), -grad)
-            trial = evaluate(centre + step)
-            if trial is not None and (trial[1] < ss or
-                                      (unresolved and trial[2] < decrement)):
-                break
-            damping *= 10.0
-            if damping > 1e16:
-                raise FitError("log-spiral centre solve stalled before converging")
-        state = trial
-        damping = max(damping / 10.0, 1e-12)
-    raise FitError(f"log-spiral centre solve did not converge in {_MAX_ITER} steps")
+        centre = centre - step
+    raise FitError(f"log-spiral centre solve did not converge in {_MAX_ITER} iterations")
 
 
-def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
-                 max_rel_residual: float = 0.10) -> SpiralFit:
+def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200) -> SpiralFit:
     """Refit a mode's spiral from pure arc geometry.
 
     Sweeps the bend from straight to the mode bound in n_samples steps and
-    fits rho = a * exp(b * theta) by ``_solve_centre``, started once from
-    the mean point of the sweep: the centre minimises sum_i (rho_i - a *
-    exp(b * theta_i))^2 with (log a, b) the least-squares line of log rho
-    against theta for that centre, and the solve stops once the
+    fits rho = a * exp(b * theta) by ``_solve_centre``, Gauss-Newton started
+    once from the mean point of the sweep: the centre minimises sum_i
+    (rho_i - a * exp(b * theta_i))^2 with (log a, b) the least-squares line
+    of log rho against theta for that centre, and the solve stops once the
     Gauss-Newton-scaled gradient is 1e-12 of the residual norm, so the
     constants are the converged optimum rather than wherever a solver
     happened to stop.  Reports them in the reference convention for the
     positive bend: lengths over seg_len and b negative, opposite to the
     bend, together with the swept kappas and points the fit was made to.
-    Raises FitError when the rms residual exceeds max_rel_residual of the
+    Raises FitError when the rms residual exceeds _MAX_REL_RESIDUAL of the
     mean radius, or when the centre solve fails.
     """
     if n_samples < 10:
@@ -276,10 +255,10 @@ def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200,
     pts = sweep_curve(mode, geom, kappas)
     a, b, centre, theta, rms = _solve_centre(pts, pts.mean(axis=0))
     mean_radius = float(np.mean(np.hypot(*(pts - centre).T)))
-    if rms > max_rel_residual * mean_radius:
+    if rms > _MAX_REL_RESIDUAL * mean_radius:
         raise FitError(
             f"mode {mode} spiral fit residual {rms:.3g} m exceeds "
-            f"{max_rel_residual:.0%} of the mean radius {mean_radius:.3g} m",
+            f"{_MAX_REL_RESIDUAL:.0%} of the mean radius {mean_radius:.3g} m",
             residual=rms)
     l = geom.seg_len
     return SpiralFit(

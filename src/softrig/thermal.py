@@ -21,6 +21,7 @@ from .errors import ContractError, ThermalTimeoutError
 PHASE_SOFT = "soft"
 PHASE_RIGID = "rigid"
 _TRANSITION_DT = 0.01         # s, integration step of transition_time
+_TRANSITION_LIMIT = 120.0     # s, transition_time gives up past this
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,13 @@ def is_ready(state: ThermalState, soft: bool) -> bool:
     return state.phase == (PHASE_SOFT if soft else PHASE_RIGID)
 
 
-def transition_time(params: ThermalParams, to_soft: bool,
-                    t_limit: float = 120.0) -> float:
+def transition_time(params: ThermalParams, to_soft: bool) -> float:
     """Simulated time for a settled segment to switch phase.
 
     Starts from the steady state of the opposite command (ambient for
     rigid, the soft equilibrium for soft) and integrates until the phase
     flips in steps of _TRANSITION_DT.  Raises ThermalTimeoutError past
-    t_limit.
+    _TRANSITION_LIMIT.
     """
     dt = _TRANSITION_DT
     if to_soft:
@@ -128,9 +128,9 @@ def transition_time(params: ThermalParams, to_soft: bool,
         state = command(state, soft=False, params=params)
     t = 0.0
     while not is_ready(state, to_soft):
-        if t >= t_limit:
+        if t >= _TRANSITION_LIMIT:
             raise ThermalTimeoutError(
-                f"no phase change after {t_limit:g} s",
+                f"no phase change after {_TRANSITION_LIMIT:g} s",
                 temperatures=(state.temperature,), elapsed=t)
         state, _ = thermal_step(state, params, dt)
         t += dt

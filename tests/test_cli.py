@@ -10,6 +10,7 @@ import softrig
 from softrig import cli, outputs, spiral
 from softrig.cli import (EXIT_INPUT, EXIT_NO_CONVERGE, EXIT_OK, EXIT_THERMAL,
                          main)
+from softrig.errors import FitError
 from softrig.scenario import example_scenario_dict
 
 
@@ -271,6 +272,25 @@ def test_sweep_samples_each_mode_once(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--out", str(tmp_path / "o")]) == EXIT_OK
     assert sorted(modes) == [1, 2, 3]
     capsys.readouterr()
+
+
+def test_failed_refit_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    original = spiral.refit_oracle
+
+    def failing(mode, *args):
+        if mode == 3:
+            raise FitError("forced refit failure")
+        return original(mode, *args)
+
+    # every module binding of the function; modes 1 and 2 still fit
+    for module in (softrig, spiral, outputs, cli):
+        if getattr(module, "refit_oracle", None) is original:
+            monkeypatch.setattr(module, "refit_oracle", failing)
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--out", str(out)]) == EXIT_NO_CONVERGE
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "refit.json").exists()
+    assert "fit failed: forced refit failure" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

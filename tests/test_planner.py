@@ -209,7 +209,7 @@ def test_stall_raises_with_diagnostics():
     target = AgentConfig(0.1, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(StallError) as info:
         plan_motion(ORIGIN, target, GEOM,
-                    PlannerParams.unweighted(eps_progress=1.0))
+                    PlannerParams(weights=(1.0,) * 5, eps_progress=1.0))
     # at the origin every pattern is reachable, and each one is listed
     assert set(info.value.diagnostics) == {"00", "01", "10", "11"}
 
@@ -279,7 +279,7 @@ def test_curvature_beyond_bound_is_rejected():
 def test_max_steps_returns_unconverged():
     target = AgentConfig(0.2, 0.1, 0.5, 80.0, -90.0)
     plan = plan_motion(ORIGIN, target, GEOM,
-                       PlannerParams.unweighted(max_steps=5))
+                       PlannerParams(weights=(1.0,) * 5, max_steps=5))
     assert not plan.converged
     assert len(plan.steps) == 5
 

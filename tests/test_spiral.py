@@ -5,7 +5,7 @@ import pytest
 
 import softrig
 from softrig import cli, outputs, spiral
-from softrig.errors import ContractError, DomainError
+from softrig.errors import ContractError, DomainError, FitError
 from softrig.geometry import GeometryParams, cc_transform
 from softrig.spiral import (SPIRALS, _solve_centre, rate_coeffs, refit_oracle,
                             spiral_model, sweep_curve, theta_from_kappa)
@@ -181,11 +181,47 @@ def test_refit_input_checks():
         refit_oracle(1, GEOM, 5)
 
 
-def test_refit_residual_gate():
-    from softrig.errors import FitError
+def test_refit_residual_gate(monkeypatch):
+    monkeypatch.setattr(spiral, "_MAX_REL_RESIDUAL", 1e-9)
     with pytest.raises(FitError):
-        refit_oracle(1, GEOM, 100, max_rel_residual=1e-9)
+        refit_oracle(1, GEOM, 100)
     try:
-        refit_oracle(1, GEOM, 100, max_rel_residual=1e-9)
+        refit_oracle(1, GEOM, 100)
     except FitError as exc:
         assert exc.residual is not None and exc.residual > 0.0
+
+
+def mode_sweep(mode, geom, n_samples):
+    bound = spiral_model(mode).kappa_bound / geom.seg_len
+    return sweep_curve(mode, geom, np.linspace(0.0, bound, n_samples))
+
+
+def test_solve_centre_fails_on_a_sample():
+    # a centre on a sample leaves rho = 0 there and the spiral undefined
+    pts = mode_sweep(2, GEOM, 50)
+    with pytest.raises(FitError):
+        _solve_centre(pts, pts[7])
+
+
+def test_solve_centre_fails_without_converging(monkeypatch):
+    monkeypatch.setattr(spiral, "_MAX_ITER", 1)
+    pts = mode_sweep(1, GEOM, 200)
+    with pytest.raises(FitError, match="did not converge"):
+        _solve_centre(pts, pts.mean(axis=0))
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.75, 3.0])
+def test_refit_independent_of_start_across_link_ratios(ratio):
+    # mid_link / seg_len away from the default 0.75 as well, and few or many
+    # samples: the starts the refit test uses land on one optimum
+    geom = GeometryParams(mid_link=ratio * L)
+    for n_samples in (10, 1000):
+        for mode in (1, 2, 3):
+            pts = mode_sweep(mode, geom, n_samples)
+            mean = pts.mean(axis=0)
+            span = pts.max(axis=0) - pts.min(axis=0)
+            a, b, _, _, _ = _solve_centre(pts, mean)
+            for centre0 in (mean + 0.25 * span, mean - 0.25 * span):
+                fit_a, fit_b, _, _, _ = _solve_centre(pts, centre0)
+                assert math.isclose(fit_a, a, rel_tol=1e-9), (mode, n_samples)
+                assert math.isclose(fit_b, b, rel_tol=1e-9), (mode, n_samples)

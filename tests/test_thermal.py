@@ -107,7 +107,8 @@ def test_step_rejects_bad_dt():
 
 
 def test_transition_timeout():
-    # a heater too weak to reach the melt band must raise, not hang
+    # a heater too weak to reach the melt band must raise at the 120 s
+    # limit, not hang
     weak = ThermalParams(gain=10.0)
-    with pytest.raises(ThermalTimeoutError):
-        transition_time(weak, to_soft=True, t_limit=20.0)
+    with pytest.raises(ThermalTimeoutError, match="after 120 s"):
+        transition_time(weak, to_soft=True)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from softrig.errors import ContractError
-from softrig.geometry import STIFFNESS_STATES, AgentConfig, GeometryParams
+from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
+                              apply_pose, cc_transform, wheel_layout)
 from softrig.planner import PlannerParams, plan_motion
 from softrig.scenario import sample_scenario
 from softrig.wheelmodel import (OMEGA_MAX_DEFAULT, body_twist_from_wheels,
@@ -31,6 +32,31 @@ def test_rigid_block_straight_forward_roll():
     # pure sway engages the axle wheels
     omega = m @ [0.0, 1.0, 0.0]
     np.testing.assert_allclose(omega, [100.0, 0.0, -100.0, 0.0], atol=1e-12)
+
+
+def test_rigid_rows_are_contact_point_rolling_speeds():
+    # each wheel's rate is the speed of its contact point along its heading
+    # under the body twist (u0, v0, r0), over the wheel radius; the speed is
+    # a central difference of the wheel position moved by the twist, so the
+    # check does not restate the row formula
+    rng = np.random.default_rng(21)
+    kb, h = RIGID.kappa_bound(GEOM), 1e-6
+    for _ in range(50):
+        kappa1, kappa2 = rng.uniform(-kb, kb, 2)
+        twist = (*rng.uniform(-0.05, 0.05, 2), rng.uniform(-1.0, 1.0))
+        q = AgentConfig(0.0, 0.0, 0.0, kappa1, kappa2)
+        positions, headings = wheel_layout(cc_transform(kappa1, 1, GEOM),
+                                           cc_transform(kappa2, 2, GEOM), GEOM)
+        rates, expect = [], []
+        for row, (px, py), psi in zip(wheel_rows(q, RIGID, GEOM), positions,
+                                      headings):
+            ax, ay = apply_pose(tuple(h * t for t in twist), px, py)
+            bx, by = apply_pose(tuple(-h * t for t in twist), px, py)
+            speed = ((ax - bx) * math.cos(psi) + (ay - by) * math.sin(psi)) / (2 * h)
+            rates.append(sum(m * t for m, t in zip(row, twist)))
+            expect.append(speed / GEOM.wheel_radius)
+        np.testing.assert_allclose(rates, expect, rtol=0.0,
+                                   atol=1e-7 * np.max(np.abs(expect)))
 
 
 def test_config_matrix_gates_on_regime():
