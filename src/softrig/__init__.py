@@ -26,6 +26,7 @@ from .spiral import (SPIRALS, SpiralFit, SpiralModel, rate_coeffs,
                      refit_oracle, spiral_model, sweep_curve,
                      theta_from_kappa)
 from .thermal import (ThermalParams, ThermalState, command, duty,
-                      initial_state, is_ready, thermal_step, transition_time)
+                      initial_state, is_ready, loop_step, target_phase,
+                      thermal_step, transition_time)
 from .wheelmodel import (WheelSpeeds, body_twist_from_wheels, config_matrix,
                          wheel_rows, wheel_speeds)

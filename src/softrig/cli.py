@@ -109,10 +109,12 @@ def _run_one(scn: Scenario, out_dir: str, args, write=_write_run) -> int:
     except ThermalTimeoutError as exc:
         print(f"{scn.label}: thermal timeout: {exc}", file=sys.stderr)
         return EXIT_THERMAL
-    write(out_dir, scn, plan, traj, gating, args.keyframes)
     state = "converged" if plan.converged else "did not converge"
-    print(f"{scn.label}: {state} in {len(plan.steps)} steps, "
-          f"{plan.n_switches} switches, final error {plan.final_error:.4g}")
+    # worked out before the write, so a forked writer inherits the plan's runs
+    line = (f"{scn.label}: {state} in {len(plan.steps)} steps, "
+            f"{plan.n_switches} switches, final error {plan.final_error:.4g}")
+    write(out_dir, scn, plan, traj, gating, args.keyframes)
+    print(line)
     return EXIT_OK if plan.converged else EXIT_NO_CONVERGE
 
 

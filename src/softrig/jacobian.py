@@ -35,9 +35,10 @@ from .spiral import rate_coeffs
 Columns = tuple[tuple[float, ...], ...]
 
 
-# Terms every pattern's columns share at one configuration: the heading's
-# (cos, sin) and each segment's ``delta_coeff`` pair
-Shared = tuple[float, float, tuple[float, float], tuple[float, float]]
+# Terms every pattern's columns share at one configuration, filled as the
+# patterns ask for them: [heading (cos, sin), segment 1's ``delta_coeff``
+# pair or None, segment 2's pair or None]
+Shared = list
 
 
 def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams,
@@ -81,15 +82,25 @@ def _rigid_columns(c: float, s: float) -> Columns:
             (0.0, 0.0, 1.0, 0.0, 0.0))
 
 
-def shared_terms(q: AgentConfig, geom: GeometryParams) -> Shared:
-    """The terms all four patterns' columns at q share, built once.
+def shared_terms(q: AgentConfig) -> Shared:
+    """The terms all four patterns' columns at q share, each built once.
 
-    The planner tries every pattern at the same configuration; passing
-    this to ``active_columns`` spares each candidate the heading rotation
-    and the arc derivatives.
+    The planner tries several patterns at the same configuration; passing
+    this to ``active_columns`` spares each candidate the heading rotation,
+    and each segment's arc derivative is worked out on the first pattern
+    that bends that segment, so a step that tries only the rigid pattern
+    builds none.
     """
-    rot = (math.cos(q.phi), math.sin(q.phi))
-    return (*rot, delta_coeff(q, 1, geom, rot), delta_coeff(q, 2, geom, rot))
+    return [(math.cos(q.phi), math.sin(q.phi)), None, None]
+
+
+def _arc_term(shared: Shared, q: AgentConfig, j: int,
+              geom: GeometryParams) -> tuple[float, float]:
+    # segment j's delta_coeff pair, built on first use
+    term = shared[j]
+    if term is None:
+        term = shared[j] = delta_coeff(q, j, geom, shared[0])
+    return term
 
 
 def active_columns(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
@@ -98,26 +109,30 @@ def active_columns(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
 
     The one place the columns are built (see the module docstring); the
     array Jacobian below is filled from it.  ``shared`` is
-    ``shared_terms(q, geom)`` when the caller already built it.
+    ``shared_terms(q)`` when the caller tries several patterns at q.
     """
-    c, sn, (dx1, dy1), (dx2, dy2) = (shared if shared is not None
-                                     else shared_terms(q, geom))
+    if shared is None:
+        shared = shared_terms(q)
     if not s.any_soft:
-        return _rigid_columns(c, sn)
+        return _rigid_columns(*shared[0])
     l = geom.seg_len
     if not s.soft1:
         # segment 2 soft: v1 drives it from the far side, v2 from next door
+        dx2, dy2 = _arc_term(shared, q, 2, geom)
         k2 = rate_coeffs(2, q.kappa2, l)
         k1 = rate_coeffs(1, q.kappa2, l)
         return ((k2 * dx2, k2 * dy2, -l * k2, 0.0, k2),
                 (0.0, 0.0, 0.0, 0.0, k1))
     if not s.soft2:
         # segment 1 soft: mirror pairing
+        dx1, dy1 = _arc_term(shared, q, 1, geom)
         k2 = rate_coeffs(2, q.kappa1, l)
         k1 = rate_coeffs(1, q.kappa1, l)
         return ((0.0, 0.0, 0.0, k1, 0.0),
                 (k2 * dx1, k2 * dy1, l * k2, k2, 0.0))
     # both soft: the segment by the stationary unit carries the pose
+    dx1, dy1 = _arc_term(shared, q, 1, geom)
+    dx2, dy2 = _arc_term(shared, q, 2, geom)
     k31 = rate_coeffs(3, q.kappa1, l)
     k32 = rate_coeffs(3, q.kappa2, l)
     return ((k32 * dx2, k32 * dy2, -l * k32, k31, k32),

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ContractError, DomainError, StallError
 from .geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
@@ -56,8 +59,10 @@ class PlannerParams:
         return cls(weights=(1.0,) * 5)
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
+    """One planner step.  Immutable; a named tuple because one is built per
+    step and costs a fraction of a frozen dataclass."""
+
     t: float
     config: AgentConfig
     stiffness: StiffnessState
@@ -85,8 +90,14 @@ class PlanResult:
 
     def runs(self) -> list[tuple[str, int]]:
         """Consecutive same-stiffness spans as (label, step count)."""
-        labels = (step.stiffness.label() for step in self.steps)
-        return [(label, sum(1 for _ in run)) for label, run in groupby(labels)]
+        return self._runs
+
+    @cached_property
+    def _runs(self) -> list[tuple[str, int]]:
+        # worked out once per plan, which does not change after planning:
+        # one label per span, not one per step
+        return [(stiffness.label(), sum(1 for _ in run)) for stiffness, run
+                in groupby(self.steps, key=attrgetter("stiffness"))]
 
     @property
     def n_switches(self) -> int:
@@ -112,11 +123,12 @@ def config_error(target: AgentConfig,
 
 
 def weighted_distance(err, weights) -> float:
-    total = 0.0
-    for w, e in zip(weights, err):
-        we = w * e
-        total += we * we
-    return math.sqrt(total)
+    """Weighted Euclidean norm of a five-coordinate error."""
+    e0, e1, e2, e3, e4 = err
+    w0, w1, w2, w3, w4 = weights
+    # summed in coordinate order from +0.0
+    a0, a1, a2, a3, a4 = w0 * e0, w1 * e1, w2 * e2, w3 * e3, w4 * e4
+    return math.sqrt(0.0 + a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4)
 
 
 def _dot(a, b) -> float:
@@ -140,12 +152,14 @@ def damped_speeds(cols: Columns, s: StiffnessState, err, lam: float,
     Cramer's rule.  Returns all five inputs; the inactive ones are exactly
     zero.
     """
-    le = [lam * e for e in err]
+    e0, e1, e2, e3, e4 = err
+    le = (lam * e0, lam * e1, lam * e2, lam * e3, lam * e4)
     damp = mu * mu
     if not s.any_soft:
         scale = 1.0 + damp
-        u0, v0, r0 = (_dot(col, le) / scale for col in cols)
-        return 0.0, 0.0, u0, v0, r0
+        c0, c1, c2 = cols
+        return (0.0, 0.0, _dot(c0, le) / scale, _dot(c1, le) / scale,
+                _dot(c2, le) / scale)
     a, b = cols
     g11 = _dot(a, a) + damp
     g12 = _dot(a, b)
@@ -172,41 +186,48 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                 raise DomainError(
                     f"{name}.kappa{j} = {cfg.kappa(j):.6g} exceeds the "
                     f"curvature bound {geom.kappa_max:.6g}")
+    weights, lam, mu, dt = params.weights, params.lam, params.mu, params.dt
+    eps_progress = params.eps_progress
     q = q0
     err = config_error(target, q)
-    dist = weighted_distance(err, params.weights)
+    dist = weighted_distance(err, weights)
     steps: list[PlanStep] = []
     configs = [q]
     distances = [dist]
     prev_idx: int | None = None
     bounds = [s.kappa_bound(geom) for s in STIFFNESS_STATES]
+
+    def trial(idx: int) -> tuple:
+        # (distance, error, inputs, configuration, saturated) of one step
+        # under pattern idx from the loop's current q, err and shared terms,
+        # worked out once per step and kept in its tried list
+        found = tried[idx]
+        if found is None:
+            s = STIFFNESS_STATES[idx]
+            cols = active_columns(q, s, geom, shared)
+            ups = damped_speeds(cols, s, err, lam, mu)
+            q_next, sat = fk_step_detailed(q, s, ups, dt, geom, cols=cols)
+            err_next = config_error(target, q_next)
+            found = tried[idx] = (weighted_distance(err_next, weights),
+                                  err_next, ups, q_next, sat)
+        return found
+
+    def reachable(bend: float) -> list[int]:
+        # the equal-bend pattern cannot take over a bend past its bound
+        return [idx for idx, bound in enumerate(bounds)
+                if not past_bound(bend, bound)]
+
     for step_no in range(params.max_steps):
         if dist <= params.eps_goal:
             return PlanResult(q0, target, params, steps, configs, distances,
                               True)
         bend = max(abs(q.kappa1), abs(q.kappa2))
-        # the equal-bend pattern cannot take over a bend past its bound
-        reachable = [idx for idx, bound in enumerate(bounds)
-                     if not past_bound(bend, bound)]
-        shared = shared_terms(q, geom)
-        tried: dict[int, tuple] = {}
-
-        def trial(idx: int) -> tuple:
-            # (distance, error, inputs, configuration, saturated) of one
-            # step under pattern idx, worked out once per step
-            if idx not in tried:
-                s = STIFFNESS_STATES[idx]
-                cols = active_columns(q, s, geom, shared)
-                ups = damped_speeds(cols, s, err, params.lam, params.mu)
-                q_next, sat = fk_step_detailed(q, s, ups, params.dt, geom,
-                                               cols=cols)
-                err_next = config_error(target, q_next)
-                tried[idx] = (weighted_distance(err_next, params.weights),
-                              err_next, ups, q_next, sat)
-            return tried[idx]
-
+        shared = shared_terms(q)
+        tried = [None] * len(STIFFNESS_STATES)
         chosen = None
-        if prev_idx in reachable:
+        # the held pattern's bound is tested alone; the reachable list is
+        # built only when the other patterns are tried
+        if prev_idx is not None and not past_bound(bend, bounds[prev_idx]):
             held = trial(prev_idx)
             gain = dist - held[0]
             # hold the pattern while it still gains ground and still changes
@@ -216,17 +237,17 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
             # is the step whatever the others reach: they only decide
             # whether the step stalls.
             if (gain > 0.0
-                    and weighted_distance(config_error(held[3], q),
-                                          params.weights)
-                    > params.eps_progress
-                    and (gain > params.eps_progress
-                         or any(dist - trial(idx)[0] > params.eps_progress
-                                for idx in reachable if idx != prev_idx))):
+                    and weighted_distance(config_error(held[3], q), weights)
+                    > eps_progress
+                    and (gain > eps_progress
+                         or any(dist - trial(idx)[0] > eps_progress
+                                for idx in reachable(bend)
+                                if idx != prev_idx))):
                 chosen = prev_idx
         if chosen is None:
-            candidates = {idx: trial(idx) for idx in reachable}
+            candidates = {idx: trial(idx) for idx in reachable(bend)}
             chosen = min(candidates, key=lambda i: candidates[i][0])
-            if dist - candidates[chosen][0] <= params.eps_progress:
+            if dist - candidates[chosen][0] <= eps_progress:
                 raise StallError(
                     f"no stiffness pattern makes progress at step {step_no} "
                     f"(distance {dist:.6g})",
@@ -234,8 +255,8 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                         STIFFNESS_STATES[i].label(): dist - c[0]
                         for i, c in candidates.items()})
         dist, err, ups, q_next, sat = tried[chosen]
-        steps.append(PlanStep(step_no * params.dt, q,
-                              STIFFNESS_STATES[chosen], ups, sat))
+        steps.append(PlanStep(step_no * dt, q, STIFFNESS_STATES[chosen], ups,
+                              sat))
         prev_idx = chosen
         q = q_next
         configs.append(q)

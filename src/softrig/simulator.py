@@ -28,8 +28,12 @@ _SAT_TOL = 1e-12
 
 def _clipped(values, bound: float) -> AgentConfig:
     x, y, phi, kappa1, kappa2 = values
-    return AgentConfig(x, y, phi, min(max(kappa1, -bound), bound),
-                       min(max(kappa2, -bound), bound))
+    # min(max(kappa, -bound), bound) for the positive bound, without the
+    # four builtin calls
+    return AgentConfig(
+        x, y, phi,
+        -bound if kappa1 < -bound else bound if bound < kappa1 else kappa1,
+        -bound if kappa2 < -bound else bound if bound < kappa2 else kappa2)
 
 
 def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
@@ -49,9 +53,9 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
     """
     if dt <= 0:
         raise ContractError(f"step dt must be positive, got {dt}")
-    ups = tuple(map(float, speeds))
-    if len(ups) != 5:
-        raise ContractError(f"speed vector must have 5 entries, got {len(ups)}")
+    if len(speeds) != 5:
+        raise ContractError(
+            f"speed vector must have 5 entries, got {len(speeds)}")
     bound = s.kappa_bound(geom)
     if integrator == "euler":
         if cols is None:
@@ -61,7 +65,7 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
         # leaves the step as 0.0
         if s.any_soft:
             (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = cols
-            u, v = ups[0], ups[1]
+            u, v = float(speeds[0]), float(speeds[1])
             values = (q.x + dt * (0.0 + a0 * u + b0 * v),
                       q.y + dt * (0.0 + a1 * u + b1 * v),
                       q.phi + dt * (0.0 + a2 * u + b2 * v),
@@ -70,14 +74,14 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
         else:
             ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4),
              (c0, c1, c2, c3, c4)) = cols
-            u, v, w = ups[2], ups[3], ups[4]
+            u, v, w = float(speeds[2]), float(speeds[3]), float(speeds[4])
             values = (q.x + dt * (0.0 + a0 * u + b0 * v + c0 * w),
                       q.y + dt * (0.0 + a1 * u + b1 * v + c1 * w),
                       q.phi + dt * (0.0 + a2 * u + b2 * v + c2 * w),
                       q.kappa1 + dt * (0.0 + a3 * u + b3 * v + c3 * w),
                       q.kappa2 + dt * (0.0 + a4 * u + b4 * v + c4 * w))
     elif integrator == "rk4":
-        u_arr = np.array(ups)
+        u_arr = np.array(speeds, dtype=float)
 
         def rate(arr_in):
             return hybrid_jacobian(_clipped(arr_in.tolist(), bound), s,
@@ -153,45 +157,52 @@ def rollout(plan: PlanResult,
     """
     params = thermal_params if thermal_params is not None else th.ThermalParams()
     dt = float(plan.params.dt)
-    st1 = th.initial_state(params)
-    st2 = th.initial_state(params)
+    # each segment's loop as plain floats (temperature, setpoint, integral,
+    # phase), advanced by th.loop_step; no state tuple is built per row
+    temp1, set1, int1, phase1 = th.initial_state(params)
+    temp2, set2, int2, phase2 = th.initial_state(params)
+    loop_step = th.loop_step
     t = 0.0
     rows: list[SimRow] = []
     prev_cmd: StiffnessState | None = None
     zero = (0.0,) * 5
-
-    def advance(q, cmd, speeds, paused, saturated):
-        # a row at time t, then both plants advance by dt
-        nonlocal st1, st2, t
-        n1, u1 = th.thermal_step(st1, params, dt)
-        n2, u2 = th.thermal_step(st2, params, dt)
-        rows.append(SimRow(t, q, cmd, speeds,
-                           st1.temperature, u1, st1.phase,
-                           st2.temperature, u2, st2.phase, paused, saturated))
-        st1, st2 = n1, n2
-        t += dt
-
     for step in plan.steps:
         q, cmd = step.config, step.stiffness
         if cmd != prev_cmd:
-            st1 = th.command(st1, cmd.soft1, params)
-            st2 = th.command(st2, cmd.soft2, params)
+            set1 = th.command(th.ThermalState(temp1, set1, int1, phase1),
+                              cmd.soft1, params).setpoint
+            set2 = th.command(th.ThermalState(temp2, set2, int2, phase2),
+                              cmd.soft2, params).setpoint
+            want1 = th.target_phase(cmd.soft1)
+            want2 = th.target_phase(cmd.soft2)
             prev_cmd = cmd
-        if thermal_gating:
-            waited = 0.0
-            while not (th.is_ready(st1, cmd.soft1) and th.is_ready(st2, cmd.soft2)):
-                if waited >= max_wait:
-                    raise ThermalTimeoutError(
-                        f"segments stuck at {st1.temperature:.1f} / "
-                        f"{st2.temperature:.1f} deg C after {waited:g} s",
-                        temperatures=(st1.temperature, st2.temperature),
-                        elapsed=waited)
-                advance(q, cmd, zero, True, False)
-                waited += dt
-        advance(q, cmd, step.speeds, False, step.saturated)
+        waited = 0.0
+        while True:
+            # a row at time t, then both plants advance by dt; with gating
+            # on, rows pause until both segments reach the commanded phase
+            paused = ((phase1 != want1 or phase2 != want2)
+                      if thermal_gating else False)
+            if paused and waited >= max_wait:
+                raise ThermalTimeoutError(
+                    f"segments stuck at {temp1:.1f} / "
+                    f"{temp2:.1f} deg C after {waited:g} s",
+                    temperatures=(temp1, temp2), elapsed=waited)
+            next1, int1, next_phase1, u1 = loop_step(temp1, set1, int1,
+                                                     phase1, params, dt)
+            next2, int2, next_phase2, u2 = loop_step(temp2, set2, int2,
+                                                     phase2, params, dt)
+            rows.append(SimRow(t, q, cmd, zero if paused else step.speeds,
+                               temp1, u1, phase1, temp2, u2, phase2, paused,
+                               False if paused else step.saturated))
+            temp1, phase1, temp2, phase2 = next1, next_phase1, next2, next_phase2
+            t += dt
+            if not paused:
+                break
+            waited += dt
     last_cmd = prev_cmd if prev_cmd is not None else StiffnessState(False, False)
+    last1 = th.ThermalState(temp1, set1, int1, phase1)
+    last2 = th.ThermalState(temp2, set2, int2, phase2)
     rows.append(SimRow(t, plan.final_config, last_cmd, zero,
-                       st1.temperature, th.duty(st1, params), st1.phase,
-                       st2.temperature, th.duty(st2, params), st2.phase,
-                       False, False))
+                       temp1, th.duty(last1, params), phase1,
+                       temp2, th.duty(last2, params), phase2, False, False))
     return Trajectory(rows)

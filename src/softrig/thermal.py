@@ -48,8 +48,8 @@ class ThermalParams:
 
 
 class ThermalState(NamedTuple):
-    """One segment loop's state; immutable, and a named tuple because
-    playback builds two per row."""
+    """One segment loop's state, immutable; its fields in order are the
+    first four arguments of ``loop_step``."""
 
     temperature: float
     setpoint: float
@@ -69,25 +69,39 @@ def command(state: ThermalState, soft: bool, params: ThermalParams) -> ThermalSt
     return ThermalState(state.temperature, target, state.integral, state.phase)
 
 
-def _pi_law(state: ThermalState,
-            params: ThermalParams) -> tuple[float, float, float]:
-    """(setpoint error, unclamped PI output, duty clamped to [0, u_max])."""
-    err = state.setpoint - state.temperature
-    raw = params.kp * err + params.ki * state.integral
-    return err, raw, min(max(raw, 0.0), params.u_max)
+def loop_step(temperature: float, setpoint: float, integral: float,
+              phase: str, params: ThermalParams,
+              dt: float) -> tuple[float, float, str, float]:
+    """The loop's one home on plain floats: PI law, plant and phase rule.
+
+    Advances one segment by dt and returns (temperature, integral, phase)
+    after the step plus the duty applied during it; the duty does not
+    depend on dt.  dt is not checked here: ``thermal_step`` checks it for
+    state callers, and playback steps at the plan's validated dt.
+    """
+    err = setpoint - temperature
+    raw = params.kp * err + params.ki * integral
+    # each clamp is min(max(value, 0.0), limit) for a limit >= 0, without
+    # the builtin calls
+    u_max = params.u_max
+    u = 0.0 if raw < 0.0 else u_max if u_max < raw else raw
+    if raw == u:
+        # conditional integration: hold the integrator while clamped
+        cap = u_max / params.ki if params.ki > 0 else 0.0
+        summed = integral + err * dt
+        integral = 0.0 if summed < 0.0 else cap if cap < summed else summed
+    temp = temperature + dt * (
+        -(temperature - params.t_ambient) + params.gain * u) / params.tau
+    if temp >= params.t_melt:
+        phase = PHASE_SOFT
+    elif temp <= params.t_solid:
+        phase = PHASE_RIGID
+    return temp, integral, phase, u
 
 
 def duty(state: ThermalState, params: ThermalParams) -> float:
     """Clamped PI heater duty for the current state."""
-    return _pi_law(state, params)[2]
-
-
-def _phase_after(temperature: float, previous: str, params: ThermalParams) -> str:
-    if temperature >= params.t_melt:
-        return PHASE_SOFT
-    if temperature <= params.t_solid:
-        return PHASE_RIGID
-    return previous
+    return loop_step(*state, params, 0.0)[3]
 
 
 def thermal_step(state: ThermalState, params: ThermalParams,
@@ -95,21 +109,18 @@ def thermal_step(state: ThermalState, params: ThermalParams,
     """Advance the loop by dt; returns (new state, applied duty)."""
     if dt <= 0:
         raise ContractError(f"thermal step dt must be positive, got {dt}")
-    err, raw, u = _pi_law(state, params)
-    integral = state.integral
-    if raw == u:
-        # conditional integration: hold the integrator while clamped
-        integral = min(max(integral + err * dt, 0.0), params.u_max / params.ki
-                       if params.ki > 0 else 0.0)
-    temp = state.temperature + dt * (
-        -(state.temperature - params.t_ambient) + params.gain * u) / params.tau
-    return ThermalState(temp, state.setpoint, integral,
-                        _phase_after(temp, state.phase, params)), u
+    temp, integral, phase, u = loop_step(*state, params, dt)
+    return ThermalState(temp, state.setpoint, integral, phase), u
+
+
+def target_phase(soft: bool) -> str:
+    """The alloy phase a segment commanded to this stiffness must reach."""
+    return PHASE_SOFT if soft else PHASE_RIGID
 
 
 def is_ready(state: ThermalState, soft: bool) -> bool:
     """True when the alloy phase matches the requested stiffness."""
-    return state.phase == (PHASE_SOFT if soft else PHASE_RIGID)
+    return state.phase == target_phase(soft)
 
 
 def transition_time(params: ThermalParams, to_soft: bool) -> float:

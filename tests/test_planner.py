@@ -121,19 +121,40 @@ def test_planning_makes_no_lapack_call(monkeypatch):
 
 
 def test_each_step_builds_shared_terms_once(monkeypatch):
-    # the candidates of a step share one arc derivative per segment and
-    # one heading rotation, which the derivatives receive
-    original = jacobian.delta_coeff
-    calls = []
+    # the candidates of a step share one heading rotation and at most one
+    # arc derivative per segment, built when a soft pattern first needs it:
+    # a step that tries only the rigid pattern builds none
+    original_shared = jacobian.shared_terms
+    original_cols = jacobian.active_columns
+    original_delta = jacobian.delta_coeff
+    steps = []
+
+    def shared(q):
+        steps.append({"soft_tried": False, "segments": []})
+        return original_shared(q)
+
+    def columns(q, s, geom, shared=None):
+        steps[-1]["soft_tried"] |= s.any_soft
+        return original_cols(q, s, geom, shared)
 
     def counted(q, j, geom, rot):
-        calls.append((j, rot == (math.cos(q.phi), math.sin(q.phi))))
-        return original(q, j, geom, rot)
+        assert rot == (math.cos(q.phi), math.sin(q.phi))
+        steps[-1]["segments"].append(j)
+        return original_delta(q, j, geom, rot)
 
+    monkeypatch.setattr(planner, "shared_terms", shared)
+    monkeypatch.setattr(planner, "active_columns", columns)
     monkeypatch.setattr(jacobian, "delta_coeff", counted)
     plan = plan_motion(ORIGIN, AgentConfig(0.12, 0.08, 0.6, 60.0, -40.0), GEOM)
     assert plan.converged and plan.steps
-    assert calls == [(1, True), (2, True)] * len(plan.steps)
+    assert len(steps) == len(plan.steps)
+    for step in steps:
+        assert len(step["segments"]) == len(set(step["segments"]))
+        if not step["soft_tried"]:
+            assert step["segments"] == []
+    # both kinds of step occur, so neither rule holds vacuously
+    assert any(step["segments"] for step in steps)
+    assert any(not step["soft_tried"] for step in steps)
 
 
 def test_trivial_goal_needs_no_steps():

@@ -9,7 +9,8 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
 from softrig.jacobian import hybrid_jacobian
 from softrig.planner import PlannerParams, plan_motion
 from softrig.simulator import Trajectory, fk_step_detailed, rollout
-from softrig.thermal import PHASE_RIGID, PHASE_SOFT, ThermalParams
+from softrig.thermal import (PHASE_RIGID, PHASE_SOFT, ThermalParams, command,
+                             initial_state, thermal_step)
 
 GEOM = GeometryParams()
 RIGID = STIFFNESS_STATES[0]
@@ -20,6 +21,14 @@ S11 = StiffnessState(True, True)
 def small_plan():
     q0 = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
     target = AgentConfig(0.05, 0.02, 0.2, 40.0, 0.0)
+    return plan_motion(q0, target, GEOM, PlannerParams())
+
+
+def two_switch_plan():
+    # rigid, then segment 1 soft, then segment 2 soft: the second switch
+    # solidifies one segment while it melts the other
+    q0 = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
+    target = AgentConfig(0.05, 0.02, 0.2, 40.0, -30.0)
     return plan_motion(q0, target, GEOM, PlannerParams())
 
 
@@ -150,10 +159,49 @@ def test_rollout_thermal_phases_track_commands():
     assert max(temps) < ThermalParams().sensor_t_hi
 
 
+def test_rollout_matches_the_public_thermal_chain():
+    # every row, the last included, shows each segment's state before the
+    # row's step and the duty that step applies, as a chain of command and
+    # thermal_step gives them
+    plan = two_switch_plan()
+    assert plan.n_switches >= 2
+    params = ThermalParams()
+    traj = rollout(plan, thermal_params=params)
+    assert len(traj.pause_blocks()) >= 2
+    dt = plan.params.dt
+    states = [initial_state(params), initial_state(params)]
+    commanded = None
+    for row in traj.rows:
+        if row.stiffness != commanded:
+            commanded = row.stiffness
+            states = [command(st, soft, params) for st, soft
+                      in zip(states, (commanded.soft1, commanded.soft2))]
+        expected = []
+        for j, st in enumerate(states):
+            states[j], applied = thermal_step(st, params, dt)
+            expected.append((st.temperature, applied, st.phase))
+        assert [(row.temp1, row.duty1, row.phase1),
+                (row.temp2, row.duty2, row.phase2)] == expected
+
+
 def test_rollout_times_out_on_tiny_budget():
     plan = small_plan()
-    with pytest.raises(ThermalTimeoutError):
-        rollout(plan, max_wait=0.2)
+    budget = 0.2
+    with pytest.raises(ThermalTimeoutError) as info:
+        rollout(plan, max_wait=budget)
+    # the first pause runs out of budget: the error reports the wait so far
+    # and the temperatures of the row that would have paused next
+    dt = plan.params.dt
+    waited, paused = 0.0, 0
+    while waited < budget:
+        waited += dt
+        paused += 1
+    traj = rollout(plan)
+    start, count = traj.pause_blocks()[0]
+    assert count > paused
+    row = traj.rows[start + paused]
+    assert info.value.elapsed == waited
+    assert info.value.temperatures == (row.temp1, row.temp2)
 
 
 def test_rollout_time_axis_is_uniform():
