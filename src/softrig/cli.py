@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -80,9 +81,23 @@ def _apply_preset(scn: Scenario, args) -> Scenario:
     return scn
 
 
-def _write_run(out_dir: str, scn: Scenario, plan, traj, gating: bool,
-               keyframes: int) -> None:
-    """The writing stage of one run: its CSVs, summary.json and keyframes."""
+def _run_one(scn: Scenario, out_dir: str, args) -> tuple[int, str, str]:
+    """Plan, play back and write one scenario.
+
+    Returns the exit code and the text the run prints on stdout and on
+    stderr, so that a batch can print its runs in scenario order.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        plan = plan_motion(scn.q0, scn.target, scn.geometry, scn.planner)
+    except StallError as exc:
+        return EXIT_NO_CONVERGE, "", f"{scn.label}: stalled: {exc}\n"
+    gating = scn.thermal_gating and not args.no_thermal
+    try:
+        traj = rollout(plan, thermal_params=scn.thermal,
+                       thermal_gating=gating, max_wait=args.max_wait)
+    except ThermalTimeoutError as exc:
+        return EXIT_THERMAL, "", f"{scn.label}: thermal timeout: {exc}\n"
     outputs.write_run_csvs(out_dir, plan, traj, scn.thermal)
     summary = plan.summary()
     summary["label"] = scn.label
@@ -90,32 +105,13 @@ def _write_run(out_dir: str, scn: Scenario, plan, traj, gating: bool,
     summary["pause_blocks"] = len(traj.pause_blocks())
     summary["sim_rows"] = len(traj.rows)
     outputs.write_json(os.path.join(out_dir, "summary.json"), summary)
-    if keyframes > 0:
+    if args.keyframes > 0:
         outputs.save_keyframes(traj, os.path.join(out_dir, "frames"),
-                               scn.geometry, every=keyframes)
-
-
-def _run_one(scn: Scenario, out_dir: str, args, write=_write_run) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        plan = plan_motion(scn.q0, scn.target, scn.geometry, scn.planner)
-    except StallError as exc:
-        print(f"{scn.label}: stalled: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGE
-    gating = scn.thermal_gating and not args.no_thermal
-    try:
-        traj = rollout(plan, thermal_params=scn.thermal,
-                       thermal_gating=gating, max_wait=args.max_wait)
-    except ThermalTimeoutError as exc:
-        print(f"{scn.label}: thermal timeout: {exc}", file=sys.stderr)
-        return EXIT_THERMAL
+                               scn.geometry, every=args.keyframes)
     state = "converged" if plan.converged else "did not converge"
-    # worked out before the write, so a forked writer inherits the plan's runs
     line = (f"{scn.label}: {state} in {len(plan.steps)} steps, "
-            f"{plan.n_switches} switches, final error {plan.final_error:.4g}")
-    write(out_dir, scn, plan, traj, gating, args.keyframes)
-    print(line)
-    return EXIT_OK if plan.converged else EXIT_NO_CONVERGE
+            f"{plan.n_switches} switches, final error {plan.final_error:.4g}\n")
+    return EXIT_OK if plan.converged else EXIT_NO_CONVERGE, line, ""
 
 
 def _usable_cpus() -> int:
@@ -125,60 +121,47 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _wait_writer(pid: int, out_dir: str) -> None:
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise ChildProcessError(f"writing {out_dir} failed: its writer "
-                                f"process exited with status {code}")
+def _run_lane(scenarios: list[Scenario], lane: int, lanes: int, args):
+    """Run scenarios lane, lane + lanes, ... in this process, in order.
 
-
-class _Writers:
-    """A batch's writing stages, each in a forked child, `limit` alive at most.
-
-    The parent plans and plays the next scenario while a child writes the
-    previous one from its copy-on-write view of the plan and trajectory;
-    with `limit` 0 every stage runs in process.  Streams are flushed before each
-    fork and a child leaves through os._exit, so no buffered line prints
-    twice.  Only the parent prints run lines, in scenario order.
+    Yields one record per run: (index, label, exit code, stdout text,
+    stderr text).
     """
+    for i in range(lane, len(scenarios), lanes):
+        scn = scenarios[i]
+        yield (i, scn.label,
+               *_run_one(scn, os.path.join(args.out, f"run_{i:03d}"), args))
 
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.alive: list[tuple[int, str]] = []
 
-    def write(self, out_dir: str, *stage) -> None:
-        if self.limit < 1:
-            _write_run(out_dir, *stage)
-            return
-        if len(self.alive) >= self.limit:
-            _wait_writer(*self.alive.pop(0))
-        sys.stdout.flush()
+def _fork_lane(scenarios: list[Scenario], lane: int, lanes: int,
+               args) -> tuple[int, int]:
+    """Run one lane in a forked child; return its pid and the pipe it
+    sends its records down, one JSON line per run.
+
+    Streams are flushed before the fork and the child leaves through
+    os._exit, so no buffered line prints twice.  A child that fails prints
+    its traceback and exits 1 after sending the records it finished.
+    """
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    os.close(read_fd)
+    code = 1
+    try:
+        with open(write_fd, "w") as pipe:
+            for record in _run_lane(scenarios, lane, lanes, args):
+                pipe.write(json.dumps(record) + "\n")
+        code = 0
+    except BaseException:
+        import traceback
+        traceback.print_exc()
         sys.stderr.flush()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                _write_run(out_dir, *stage)
-                code = 0
-            except BaseException:
-                import traceback
-                traceback.print_exc()
-                sys.stderr.flush()
-            finally:
-                os._exit(code)
-        self.alive.append((pid, out_dir))
-
-    def join(self) -> None:
-        """Wait for every writer still alive; raise if one of them failed."""
-        alive, self.alive = self.alive, []
-        failure = None
-        for pid, out_dir in alive:
-            try:
-                _wait_writer(pid, out_dir)
-            except ChildProcessError as exc:
-                failure = failure or exc
-        if failure is not None:
-            raise failure
+    finally:
+        os._exit(code)
 
 
 def _run_batch(args) -> int:
@@ -187,28 +170,42 @@ def _run_batch(args) -> int:
         return EXIT_INPUT
     seed = 0 if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
-    results = []
+    scenarios = [_apply_preset(sample_scenario(rng, index=i), args)
+                 for i in range(args.batch)]
     os.makedirs(args.out, exist_ok=True)
-    # a spare CPU writes each run while this process plans the next one; the
-    # last run has no next one to overlap, so it is written in process
-    writers = _Writers(_usable_cpus() - 1 if hasattr(os, "fork") else 0)
+    # one lane per usable CPU, this process being lane 0: each lane plans,
+    # plays back and writes every lanes-th scenario
+    lanes = min(_usable_cpus(), args.batch) if hasattr(os, "fork") else 1
+    children, records, status = {}, [], {}
     try:
-        for i in range(args.batch):
-            scn = sample_scenario(rng, index=i)
-            scn = _apply_preset(scn, args)
-            write = writers.write if i + 1 < args.batch else _write_run
-            code = _run_one(scn, os.path.join(args.out, f"run_{i:03d}"), args,
-                            write)
-            results.append((scn.label, code))
+        for lane in range(1, lanes):
+            children[lane] = _fork_lane(scenarios, lane, lanes, args)
+        records += _run_lane(scenarios, 0, lanes, args)
     finally:
-        writers.join()
-    n_ok = sum(1 for _, code in results if code == EXIT_OK)
+        for lane, (pid, read_fd) in children.items():
+            # a lane killed mid-write leaves a partial last line
+            with open(read_fd) as pipe:
+                records += [tuple(json.loads(line)) for line in pipe
+                            if line.endswith("\n")]
+            status[lane] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    done = {record[0] for record in records}
+    for i in range(args.batch):
+        if i not in done:
+            raise ChildProcessError(
+                f"run_{i:03d} failed: its lane process exited with status "
+                f"{status[i % lanes]}")
+    records.sort()
+    for _, _, _, out, err in records:
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+    n_ok = sum(1 for record in records if record[2] == EXIT_OK)
     study = {
         "seed": seed,
         "n_runs": args.batch,
         "n_converged": n_ok,
         "convergence_rate": n_ok / args.batch,
-        "runs": [{"label": lab, "exit": code} for lab, code in results],
+        "runs": [{"label": label, "exit": code}
+                 for _, label, code, _, _ in records],
     }
     outputs.write_json(os.path.join(args.out, "study.json"), study)
     print(f"batch: {n_ok}/{args.batch} converged, study.json written")
@@ -239,7 +236,10 @@ def _cmd_run(args) -> int:
         return _run_batch(args)
     scn = load_scenario(args.scenario)
     scn = _apply_preset(scn, args)
-    return _run_one(scn, args.out, args)
+    code, out, err = _run_one(scn, args.out, args)
+    sys.stdout.write(out)
+    sys.stderr.write(err)
+    return code
 
 
 def _cmd_sweep(args) -> int:

@@ -4,14 +4,16 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import softrig
 from softrig import cli, outputs, spiral
 from softrig.cli import (EXIT_INPUT, EXIT_NO_CONVERGE, EXIT_OK, EXIT_THERMAL,
                          main)
-from softrig.errors import FitError
-from softrig.scenario import example_scenario_dict
+from softrig.errors import FitError, SoftrigError
+from softrig.planner import plan_motion
+from softrig.scenario import example_scenario_dict, sample_scenario
 
 
 def write_scenario(tmp_path, name="scn.json", **changes):
@@ -156,7 +158,7 @@ def batch_files(out):
 
 @pytest.fixture
 def writer_log(monkeypatch):
-    """Count writer children the batch forked and has not yet reaped."""
+    """Count lane children the batch forked and has not yet reaped."""
     log = {"forked": 0, "unreaped": 0, "peak": 0}
     fork, waitpid = os.fork, os.waitpid
 
@@ -177,33 +179,64 @@ def writer_log(monkeypatch):
     return log
 
 
-def test_batch_writer_children_match_in_process_writing(tmp_path, monkeypatch,
-                                                       capsys, writer_log):
-    # 2 usable CPUs: a forked child writes each run but the last; 1 CPU: all
-    # in process
-    printed, files = [], []
-    for cpus in (2, 1):
+def batch_by_cpus(tmp_path, monkeypatch, capsys, argv, cpu_counts):
+    """Files and (stdout, stderr) of the same batch for each usable CPU count."""
+    runs = []
+    for cpus in cpu_counts:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         out = str(tmp_path / f"cpus{cpus}")
-        assert main(["run", "--batch", "3", "--seed", "4", "--keyframes",
-                     "200", "--out", out]) == EXIT_OK
-        printed.append(capsys.readouterr())
-        files.append(batch_files(out))
-    assert writer_log["forked"] == 2 and writer_log["unreaped"] == 0
-    assert "study.json" in files[0] and "run_002/frames/frame_00000.svg" in files[0]
-    assert files[0] == files[1]
-    assert printed[0] == printed[1]
-    assert printed[0].out.count("converged in") == 3
+        assert main(["run", *argv, "--out", out]) == EXIT_OK
+        runs.append((batch_files(out), capsys.readouterr()))
+    return runs
+
+
+def test_batch_writer_children_match_in_process_writing(tmp_path, monkeypatch,
+                                                       capsys, writer_log):
+    # one lane per usable CPU, at most one per scenario: 4 CPUs run the
+    # 3-scenario batch in 3 lanes, as 3 CPUs do; 1 CPU runs it in process
+    runs = batch_by_cpus(tmp_path, monkeypatch, capsys,
+                         ["--batch", "3", "--seed", "4", "--keyframes", "200"],
+                         (1, 2, 3, 4))
+    assert writer_log["forked"] == 0 + 1 + 2 + 2
+    assert writer_log["unreaped"] == 0
+    files, printed = runs[0]
+    assert "study.json" in files and "run_002/frames/frame_00000.svg" in files
+    assert printed.out.count("converged in") == 3
+    for other in runs[1:]:
+        assert other == runs[0]
+
+
+def test_batch_stderr_keeps_text_and_order_across_lanes(tmp_path, monkeypatch,
+                                                        capsys, writer_log):
+    # runs 0 and 1 time out, each in its own lane when 2 CPUs are usable
+    serial, lanes = batch_by_cpus(tmp_path, monkeypatch, capsys,
+                                  ["--batch", "3", "--max-wait", "0"], (1, 2))
+    assert writer_log["forked"] == 1 and writer_log["unreaped"] == 0
+    assert [line.split(":")[0] for line in serial[1].err.splitlines()] == [
+        "sample-000", "sample-001"]
+    assert lanes == serial
 
 
 def test_batch_keeps_one_cpu_for_planning(tmp_path, monkeypatch, capsys,
                                           writer_log):
+    # this process is lane 0 of 3 and plans scenarios 0 and 3 itself; the
+    # two forked lanes plan the others in their own processes
+    planned = []
+
+    def recorded(q0, *args):
+        planned.append(q0)
+        return plan_motion(q0, *args)
+
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "plan_motion", recorded)
     assert main(["run", "--batch", "5", "--out", str(tmp_path)]) == EXIT_OK
-    assert writer_log["forked"] == 4
+    assert writer_log["forked"] == 2
     assert writer_log["peak"] == 2
     assert writer_log["unreaped"] == 0
-    capsys.readouterr()
+    rng = np.random.default_rng(0)
+    scenarios = [sample_scenario(rng, index=i) for i in range(5)]
+    assert planned == [scenarios[0].q0, scenarios[3].q0]
+    assert capsys.readouterr().out.count("converged in") == 5
 
 
 @pytest.mark.parametrize("cpus, error", [(1, OSError), (2, ChildProcessError)])
@@ -212,8 +245,8 @@ def test_batch_writer_error_fails_the_batch(tmp_path, monkeypatch, capfd, cpus,
     write_run_csvs = outputs.write_run_csvs
 
     def broken(out_dir, *args):
-        # the first run: with a spare CPU it is written in a child
-        if out_dir.endswith("run_000"):
+        # the second run: with 2 usable CPUs it runs in the forked lane
+        if out_dir.endswith("run_001"):
             raise OSError("disk full")
         write_run_csvs(out_dir, *args)
 
@@ -223,10 +256,31 @@ def test_batch_writer_error_fails_the_batch(tmp_path, monkeypatch, capfd, cpus,
         main(["run", "--batch", "2", "--out", str(tmp_path)])
     assert not (tmp_path / "study.json").exists()
     message = str(info.value)
-    if cpus > 1:  # the parent names the run; the child's traceback tells why
-        assert "run_000" in message
+    if cpus > 1:  # the parent names the run; the lane's traceback tells why
+        assert "run_001" in message
         message = capfd.readouterr().err
     assert "disk full" in message
+
+
+def test_batch_reaps_lanes_when_its_own_lane_fails(tmp_path, monkeypatch,
+                                                   capsys, writer_log):
+    parent = os.getpid()
+
+    def failing_here(*args):
+        # scenario 0 is this process's; the forked lane plans scenario 1
+        if os.getpid() == parent:
+            raise SoftrigError("forced planner failure")
+        return plan_motion(*args)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "plan_motion", failing_here)
+    assert main(["run", "--batch", "2", "--out", str(tmp_path)]) == EXIT_INPUT
+    assert writer_log["forked"] == 1 and writer_log["unreaped"] == 0
+    assert (tmp_path / "run_001" / "summary.json").exists()
+    assert not (tmp_path / "study.json").exists()
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: forced planner failure\n"
 
 
 def test_piped_batch_prints_each_run_once_in_order(tmp_path):

@@ -48,7 +48,7 @@ def test_no_unused_imports(path):
 
 
 def test_cli_import_loads_no_process_pool():
-    # batch writers are plain os.fork children; multiprocessing alone would
+    # batch lanes are plain os.fork children; multiprocessing alone would
     # add ~10 ms to every start-up
     code = ("import sys, softrig.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
