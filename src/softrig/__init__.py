@@ -5,6 +5,9 @@ segments can be melted soft or frozen rigid.  The package models the
 constant-curvature geometry, the wheel-to-configuration kinematics in both
 regimes, a log-spiral deformation rate model, a greedy stiffness-switching
 planner, the segment thermal loops and deterministic CSV/SVG outputs.
+numpy is imported inside the functions that build arrays (the spiral
+sweep and refit, the batch's random draws, the rk4 step and the gate
+helpers), so planning, playing back and writing one scenario never load it.
 """
 
 __version__ = "0.1.0"

@@ -21,8 +21,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, outputs
 from .errors import (FitError, ScenarioError, SoftrigError, StallError,
                      ThermalTimeoutError)
@@ -165,6 +163,7 @@ def _fork_lane(scenarios: list[Scenario], lane: int, lanes: int,
 
 
 def _run_batch(args) -> int:
+    import numpy as np
     if args.batch < 1:
         print("--batch must be at least 1", file=sys.stderr)
         return EXIT_INPUT

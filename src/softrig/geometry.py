@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ContractError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,6 +141,7 @@ class AgentConfig:
                           kappa2=kappa2)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.x, self.y, self.phi, self.kappa1, self.kappa2])
 
     def kappa(self, j: int) -> float:

@@ -25,11 +25,13 @@ segment 2.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import AgentConfig, GeometryParams, StiffnessState
 from .spiral import rate_coeffs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Jacobian columns, one float 5-tuple over (x, y, phi, kappa1, kappa2) each
 Columns = tuple[tuple[float, ...], ...]
@@ -147,6 +149,7 @@ def hybrid_jacobian(q: AgentConfig, s: StiffnessState,
     any segment is soft, the 5 x 3 rigid block otherwise.  The other
     columns are zero.
     """
+    import numpy as np
     jac = np.zeros((5, 5))
     jac[:, s.inputs] = np.array(active_columns(q, s, geom)).T
     return jac

@@ -105,13 +105,15 @@ class PlanResult:
         return max(len(self.runs()) - 1, 0)
 
     def summary(self) -> dict:
+        q = self.final_config
         return {
             "converged": self.converged,
             "n_steps": len(self.steps),
             "n_switches": self.n_switches,
             "runs": [{"stiffness": lab, "steps": n} for lab, n in self.runs()],
             "final_error": self.final_error,
-            "final_config": self.final_config.as_array().tolist(),
+            "final_config": [float(q.x), float(q.y), float(q.phi),
+                             float(q.kappa1), float(q.kappa2)],
         }
 
 

@@ -12,13 +12,15 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ContractError, ScenarioError
 from .geometry import AgentConfig, GeometryParams, past_bound
 from .planner import PlannerParams
 from .thermal import ThermalParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CONFIG_KEYS = ("x", "y", "phi", "kappa1", "kappa2")
 POSE_BOX = 0.3                # half side of the sampled position box, metres

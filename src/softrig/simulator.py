@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 from . import thermal as th
 from .errors import ContractError, ThermalTimeoutError
 from .geometry import AgentConfig, GeometryParams, StiffnessState
@@ -81,6 +79,7 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
                       q.kappa1 + dt * (0.0 + a3 * u + b3 * v + c3 * w),
                       q.kappa2 + dt * (0.0 + a4 * u + b4 * v + c4 * w))
     elif integrator == "rk4":
+        import numpy as np
         u_arr = np.array(speeds, dtype=float)
 
         def rate(arr_in):

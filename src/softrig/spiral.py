@@ -29,15 +29,18 @@ reference table, which quotes the magnitudes in a mirrored axis convention.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ContractError, DomainError, FitError
 from .geometry import GeometryParams, arc_chord, past_bound
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _THETA_TOL = 1e-9
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _OFFSET_TOL = 1e-12          # converged relative offset of the centre solve
 _MAX_ITER = 100
 _MAX_REL_RESIDUAL = 0.10     # refit rms residual gate, share of the mean radius
@@ -126,6 +129,7 @@ def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
     end in the bent segment's end frame, R(-alpha) (-(2h + l + cx), -cy);
     mode 3, segment 2's end in segment 1's, 2 (h + cx) (cos alpha, sin alpha).
     """
+    import numpy as np
     spiral_model(mode)        # ContractError for a mode other than 1, 2, 3
     kappas = np.asarray(kappas, dtype=float).tolist()
     if any(kap < 0 or past_bound(kap, geom.kappa_max) for kap in kappas):
@@ -172,6 +176,7 @@ def _spiral_residual(pts: np.ndarray, centre: np.ndarray):
     depends on the centre alone; the (n, 2) Jacobian dr/dc chains through
     rho(c), theta(c) and the closed-form line.  Returns (r, jac, a, b, theta).
     """
+    import numpy as np
     d = pts - centre
     rho2 = d[:, 0] ** 2 + d[:, 1] ** 2
     rho = np.sqrt(rho2)
@@ -210,6 +215,7 @@ def _solve_centre(pts: np.ndarray, centre0: np.ndarray):
     normal matrix is singular, or the rule is not met at any of the first
     _MAX_ITER centres.
     """
+    import numpy as np
     centre = np.array(centre0, dtype=float)
     for _ in range(_MAX_ITER):
         with np.errstate(all="ignore"):
@@ -247,6 +253,7 @@ def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200) -> Spira
     Raises FitError when the rms residual exceeds _MAX_REL_RESIDUAL of the
     mean radius, or when the centre solve fails.
     """
+    import numpy as np
     if n_samples < 10:
         raise ContractError(f"need at least 10 sweep samples, got {n_samples}")
     sp = spiral_model(mode)

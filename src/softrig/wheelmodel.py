@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ContractError, SingularityError
 from .geometry import (AgentConfig, GeometryParams, StiffnessState,
                        cc_transform, wheel_layout)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # wheel rate magnitude treated as the drive limit (rad/s)
 OMEGA_MAX_DEFAULT = 4.0 * math.pi
@@ -63,6 +65,7 @@ def wheel_rows(q: AgentConfig, s: StiffnessState,
 
 def config_matrix(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> np.ndarray:
     """Unified wheel configuration matrix V, (4, 5), gated by stiffness."""
+    import numpy as np
     v = np.zeros((4, 5))
     v[:, s.inputs] = wheel_rows(q, s, geom)
     return v
@@ -100,6 +103,7 @@ def body_twist_from_wheels(q: AgentConfig, s: StiffnessState, omega,
     Inverts only the active block of V with the Moore-Penrose pseudoinverse
     and pads the inactive entries with zeros.
     """
+    import numpy as np
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (4,):
         raise ContractError(f"wheel rates must have 4 entries, got {omega.shape}")

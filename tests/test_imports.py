@@ -1,12 +1,17 @@
-"""Every imported name is used by the module that imports it, and the CLI
-loads no process-pool module at start-up.
+"""Every imported name is used by the module that imports it, the CLI
+loads no process-pool module at start-up, and numpy is loaded only by the
+functions that build arrays.
 
 No linter ships with the package, so this walks the syntax tree with the
 standard library: a name bound by an import statement must appear as a
 name somewhere else in the same file.  The package ``__init__`` is left
-out, since its imports are the public re-exports.
+out, since its imports are the public re-exports.  No module may import
+numpy when it is itself imported: every numpy import sits in a function
+body or under ``if TYPE_CHECKING:``, so ``softrig run FILE`` never pays for
+loading numpy.
 """
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -14,9 +19,11 @@ import sys
 
 import pytest
 
+from softrig.scenario import example_scenario_dict
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted(p for p in (ROOT / "src" / "softrig").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "softrig").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -56,3 +63,68 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
     assert proc.stdout == "[]\n"
+
+
+def eager_numpy_imports(source: str) -> list[str]:
+    """numpy imports that run when the module is imported: any outside a
+    function body and outside the ``if TYPE_CHECKING:`` branch."""
+    found, stack = [], list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            stack += node.orelse
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}")
+                      for alias in node.names
+                      if alias.name.split(".")[0] == "numpy"]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "numpy"):
+            found.append((node.lineno, f"from {node.module} import"))
+        stack += ast.iter_child_nodes(node)
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_detects_an_eager_numpy_import():
+    assert eager_numpy_imports("import numpy as np\n") == [
+        "line 1: import numpy"]
+    assert eager_numpy_imports("import math\ntry:\n    from numpy import "
+                               "zeros\nexcept ImportError:\n    pass\n") == [
+        "line 3: from numpy import"]
+    assert eager_numpy_imports("if TYPE_CHECKING:\n    import numpy\n"
+                               "else:\n    import numpy.random\n") == [
+        "line 4: import numpy.random"]
+    assert eager_numpy_imports("class A:\n    import numpy\n") == [
+        "line 2: import numpy"]
+    assert eager_numpy_imports("def f():\n    import numpy as np\n"
+                               "    return np.zeros(3)\n") == []
+    assert eager_numpy_imports("import typing\nif typing.TYPE_CHECKING:\n"
+                               "    import numpy as np\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_numpy_import_at_module_level(path):
+    assert eager_numpy_imports(path.read_text()) == []
+
+
+def test_run_file_loads_no_numpy(tmp_path):
+    # one scenario is planned, played back and written on plain floats;
+    # numpy would add ~150 ms to every start-up
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(example_scenario_dict()))
+    code = ("import sys, softrig.cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "code = softrig.cli.main(['run', sys.argv[1], '--out', sys.argv[2],"
+            " '--keyframes', '50'])\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "print(code, loaded)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(scenario),
+                           str(tmp_path / "out")], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 [False, False]"
+    assert (tmp_path / "out" / "summary.json").exists()

@@ -42,6 +42,11 @@ def test_model_table():
         spiral_model(4)
 
 
+def test_eps_is_the_float64_epsilon():
+    # the centre solve's rounding floor, read without importing numpy
+    assert spiral._EPS == np.finfo(float).eps
+
+
 def test_theta_kappa_round_trip():
     for mode in (1, 2, 3):
         bound = spiral_model(mode).kappa_bound / L
