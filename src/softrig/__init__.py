@@ -28,8 +28,7 @@ from .simulator import SimRow, Trajectory, fk_step_detailed, rollout
 from .spiral import (SPIRALS, SpiralFit, SpiralModel, rate_coeffs,
                      refit_oracle, spiral_model, sweep_curve,
                      theta_from_kappa)
-from .thermal import (ThermalParams, ThermalState, command, duty,
-                      initial_state, is_ready, loop_step, target_phase,
-                      thermal_step, transition_time)
+from .thermal import (ThermalParams, initial_state, loop_step, setpoint_for,
+                      target_phase, transition_time)
 from .wheelmodel import (WheelSpeeds, body_twist_from_wheels, config_matrix,
                          wheel_rows, wheel_speeds)

@@ -219,6 +219,8 @@ def _run_input_error(args) -> str | None:
         return "need a scenario file or --batch N"
     if args.seed is not None and args.batch is None:
         return "--seed seeds --batch only; a scenario file takes none"
+    if args.seed is not None and args.seed < 0:
+        return f"--seed must be 0 or more, got {args.seed}"
     if not math.isfinite(args.max_wait) or args.max_wait < 0:
         return f"--max-wait must be a finite number >= 0, got {args.max_wait:g}"
     if args.keyframes < 0:

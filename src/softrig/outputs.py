@@ -17,7 +17,7 @@ from .geometry import (AgentConfig, GeometryParams, StiffnessState,
 from .planner import PlanResult
 from .simulator import Trajectory
 from .spiral import spiral_model, theta_from_kappa
-from .thermal import ThermalParams
+from .thermal import ThermalParams, setpoint_for
 
 SOFT_COLOR = "#1f77b4"
 RIGID_COLOR = "#d62728"
@@ -95,7 +95,8 @@ def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory,
                           "u1_duty", "phase1", "T2", "u2_duty", "phase2",
                           "paused", "saturated"])
     therm_lines = _header(["t", "segment", "T", "u", "phase", "setpoint"])
-    set_soft, set_rigid = _fmt(params.setpoint_soft), _fmt(params.setpoint_rigid)
+    setpoint = {soft: _fmt(setpoint_for(soft, params))
+                for soft in (False, True)}
     for row in traj.rows:
         t, temp1, duty1, temp2, duty2 = map(
             _fmt, (row.t, row.temp1, row.duty1, row.temp2, row.duty2))
@@ -106,9 +107,9 @@ def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory,
             f"{temp2},{duty2},{row.phase2},{int(row.paused)},"
             f"{int(row.saturated)}")
         therm_lines.append(f"{t},1,{temp1},{duty1},{row.phase1},"
-                           f"{set_soft if s.soft1 else set_rigid}")
+                           f"{setpoint[s.soft1]}")
         therm_lines.append(f"{t},2,{temp2},{duty2},{row.phase2},"
-                           f"{set_soft if s.soft2 else set_rigid}")
+                           f"{setpoint[s.soft2]}")
     _write_lines(os.path.join(out_dir, "trajectory.csv"), traj_lines)
     _write_lines(os.path.join(out_dir, "thermal.csv"), therm_lines)
 

@@ -50,6 +50,10 @@ def _build_params(cls, obj, path: str):
     for key, value in obj.items():
         if key not in known:
             raise ScenarioError(f"{path}.{key} is not a known field")
+        # json reads NaN and Infinity, which the range checks let by
+        for entry in value if isinstance(value, list) else [value]:
+            if isinstance(entry, float) and not math.isfinite(entry):
+                raise ScenarioError(f"{path}.{key} must be a finite number")
         if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value

@@ -157,7 +157,7 @@ def rollout(plan: PlanResult,
     params = thermal_params if thermal_params is not None else th.ThermalParams()
     dt = float(plan.params.dt)
     # each segment's loop as plain floats (temperature, setpoint, integral,
-    # phase), advanced by th.loop_step; no state tuple is built per row
+    # phase), advanced by th.loop_step
     temp1, set1, int1, phase1 = th.initial_state(params)
     temp2, set2, int2, phase2 = th.initial_state(params)
     loop_step = th.loop_step
@@ -168,10 +168,8 @@ def rollout(plan: PlanResult,
     for step in plan.steps:
         q, cmd = step.config, step.stiffness
         if cmd != prev_cmd:
-            set1 = th.command(th.ThermalState(temp1, set1, int1, phase1),
-                              cmd.soft1, params).setpoint
-            set2 = th.command(th.ThermalState(temp2, set2, int2, phase2),
-                              cmd.soft2, params).setpoint
+            set1 = th.setpoint_for(cmd.soft1, params)
+            set2 = th.setpoint_for(cmd.soft2, params)
             want1 = th.target_phase(cmd.soft1)
             want2 = th.target_phase(cmd.soft2)
             prev_cmd = cmd
@@ -199,9 +197,9 @@ def rollout(plan: PlanResult,
                 break
             waited += dt
     last_cmd = prev_cmd if prev_cmd is not None else StiffnessState(False, False)
-    last1 = th.ThermalState(temp1, set1, int1, phase1)
-    last2 = th.ThermalState(temp2, set2, int2, phase2)
+    duty1 = loop_step(temp1, set1, int1, phase1, params, 0.0)[3]
+    duty2 = loop_step(temp2, set2, int2, phase2, params, 0.0)[3]
     rows.append(SimRow(t, plan.final_config, last_cmd, zero,
-                       temp1, th.duty(last1, params), phase1,
-                       temp2, th.duty(last2, params), phase2, False, False))
+                       temp1, duty1, phase1, temp2, duty2, phase2,
+                       False, False))
     return Trajectory(rows)

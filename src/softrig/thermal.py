@@ -14,7 +14,6 @@ soft setpoint without winding past the sensor ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ContractError, ThermalTimeoutError
 
@@ -22,6 +21,7 @@ PHASE_SOFT = "soft"
 PHASE_RIGID = "rigid"
 _TRANSITION_DT = 0.01         # s, integration step of transition_time
 _TRANSITION_LIMIT = 120.0     # s, transition_time gives up past this
+_SOFT_SETTLE = 60.0           # s, soft hold before the cooling transition
 
 
 @dataclass(frozen=True)
@@ -47,26 +47,15 @@ class ThermalParams:
             raise ContractError("solidify threshold must sit below melt")
 
 
-class ThermalState(NamedTuple):
-    """One segment loop's state, immutable; its fields in order are the
-    first four arguments of ``loop_step``."""
-
-    temperature: float
-    setpoint: float
-    integral: float = 0.0
-    phase: str = PHASE_RIGID
+def setpoint_for(soft: bool, params: ThermalParams) -> float:
+    """The setpoint the loop holds for the requested stiffness."""
+    return params.setpoint_soft if soft else params.setpoint_rigid
 
 
-def initial_state(params: ThermalParams) -> ThermalState:
-    """Segment at ambient, rigid, holding the rigid setpoint."""
-    return ThermalState(temperature=params.t_ambient,
-                        setpoint=params.setpoint_rigid)
-
-
-def command(state: ThermalState, soft: bool, params: ThermalParams) -> ThermalState:
-    """Retarget the loop for the requested stiffness."""
-    target = params.setpoint_soft if soft else params.setpoint_rigid
-    return ThermalState(state.temperature, target, state.integral, state.phase)
+def initial_state(params: ThermalParams) -> tuple[float, float, float, str]:
+    """Segment at ambient, rigid, holding the rigid setpoint, as loop_step's
+    first four arguments (temperature, setpoint, integral, phase)."""
+    return params.t_ambient, setpoint_for(False, params), 0.0, PHASE_RIGID
 
 
 def loop_step(temperature: float, setpoint: float, integral: float,
@@ -76,8 +65,8 @@ def loop_step(temperature: float, setpoint: float, integral: float,
 
     Advances one segment by dt and returns (temperature, integral, phase)
     after the step plus the duty applied during it; the duty does not
-    depend on dt.  dt is not checked here: ``thermal_step`` checks it for
-    state callers, and playback steps at the plan's validated dt.
+    depend on dt, so dt = 0.0 reads it.  dt is not checked here: playback
+    steps at the plan's validated dt, transition_time at _TRANSITION_DT.
     """
     err = setpoint - temperature
     raw = params.kp * err + params.ki * integral
@@ -99,61 +88,39 @@ def loop_step(temperature: float, setpoint: float, integral: float,
     return temp, integral, phase, u
 
 
-def duty(state: ThermalState, params: ThermalParams) -> float:
-    """Clamped PI heater duty for the current state."""
-    return loop_step(*state, params, 0.0)[3]
-
-
-def thermal_step(state: ThermalState, params: ThermalParams,
-                 dt: float) -> tuple[ThermalState, float]:
-    """Advance the loop by dt; returns (new state, applied duty)."""
-    if dt <= 0:
-        raise ContractError(f"thermal step dt must be positive, got {dt}")
-    temp, integral, phase, u = loop_step(*state, params, dt)
-    return ThermalState(temp, state.setpoint, integral, phase), u
-
-
 def target_phase(soft: bool) -> str:
     """The alloy phase a segment commanded to this stiffness must reach."""
     return PHASE_SOFT if soft else PHASE_RIGID
-
-
-def is_ready(state: ThermalState, soft: bool) -> bool:
-    """True when the alloy phase matches the requested stiffness."""
-    return state.phase == target_phase(soft)
 
 
 def transition_time(params: ThermalParams, to_soft: bool) -> float:
     """Simulated time for a settled segment to switch phase.
 
     Starts from the steady state of the opposite command (ambient for
-    rigid, the soft equilibrium for soft) and integrates until the phase
-    flips in steps of _TRANSITION_DT.  Raises ThermalTimeoutError past
+    rigid, the soft hold after _SOFT_SETTLE for soft) and integrates until
+    the phase flips in steps of _TRANSITION_DT.  Raises ThermalTimeoutError
+    when the soft hold has not melted the segment, or past
     _TRANSITION_LIMIT.
     """
     dt = _TRANSITION_DT
-    if to_soft:
-        state = command(initial_state(params), soft=True, params=params)
-    else:
-        state = _settled_soft_state(params, dt)
-        state = command(state, soft=False, params=params)
+    temp, _, integral, phase = initial_state(params)
+    if not to_soft:
+        soft_set = setpoint_for(True, params)
+        for _ in range(int(round(_SOFT_SETTLE / dt))):
+            temp, integral, phase, _ = loop_step(temp, soft_set, integral,
+                                                 phase, params, dt)
+        if phase != PHASE_SOFT:
+            raise ThermalTimeoutError(
+                "segment never reached the soft phase while settling",
+                temperatures=(temp,), elapsed=_SOFT_SETTLE)
+    setpoint = setpoint_for(to_soft, params)
     t = 0.0
-    while not is_ready(state, to_soft):
+    while phase != target_phase(to_soft):
         if t >= _TRANSITION_LIMIT:
             raise ThermalTimeoutError(
                 f"no phase change after {_TRANSITION_LIMIT:g} s",
-                temperatures=(state.temperature,), elapsed=t)
-        state, _ = thermal_step(state, params, dt)
+                temperatures=(temp,), elapsed=t)
+        temp, integral, phase, _ = loop_step(temp, setpoint, integral, phase,
+                                             params, dt)
         t += dt
     return t
-
-
-def _settled_soft_state(params: ThermalParams, dt: float) -> ThermalState:
-    state = command(initial_state(params), soft=True, params=params)
-    for _ in range(int(round(60.0 / dt))):
-        state, _ = thermal_step(state, params, dt)
-    if state.phase != PHASE_SOFT:
-        raise ThermalTimeoutError(
-            "segment never reached the soft phase while settling",
-            temperatures=(state.temperature,), elapsed=60.0)
-    return state

@@ -18,7 +18,8 @@ from softrig.planner import (PlannerParams, config_error, fk_reference,
 from softrig.scenario import example_scenario_dict, sample_scenario
 from softrig.simulator import fk_step_detailed, rollout
 from softrig.spiral import SPIRALS, refit_oracle
-from softrig.thermal import ThermalParams, transition_time
+from softrig.thermal import (ThermalParams, initial_state, loop_step,
+                             setpoint_for, transition_time)
 from softrig.wheelmodel import body_twist_from_wheels, config_matrix
 
 GEOM = GeometryParams()
@@ -226,12 +227,13 @@ def test_09_thermal_behaviour(study):
     assert gaps[0] < gaps[1] < gaps[2], f"latencies not monotone: {gaps}"
     # closed loop never crosses the sensor ceiling, in a long soft hold
     # and across every playback of the study
-    from softrig.thermal import command, initial_state, thermal_step
-    st = command(initial_state(params), soft=True, params=params)
-    peak = st.temperature
+    temp, _, integral, phase = initial_state(params)
+    setpoint = setpoint_for(True, params)
+    peak = temp
     for _ in range(12000):
-        st, _ = thermal_step(st, params, 0.01)
-        peak = max(peak, st.temperature)
+        temp, integral, phase, _ = loop_step(temp, setpoint, integral, phase,
+                                             params, 0.01)
+        peak = max(peak, temp)
     assert peak < params.sensor_t_hi, f"soft hold peaked at {peak:.1f}"
     for traj in study["rollouts"].values():
         for row in traj.rows:

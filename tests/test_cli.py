@@ -82,14 +82,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["run"]) == EXIT_INPUT
     capsys.readouterr()
     good = write_scenario(tmp_path, name="good.json")
+    nan_dt = write_scenario(tmp_path, name="nan.json",
+                            planner={"dt": float("nan")})
     out = tmp_path / "never"
     for argv, message in (
+            ([nan_dt], "planner.dt must be a finite number"),
             ([good, "--batch", "2"], "not both"),
             ([good, "--max-wait", "-1"], "--max-wait"),
             ([good, "--max-wait", "nan"], "--max-wait"),
             (["--batch", "2", "--max-wait", "-1"], "--max-wait"),
             ([good, "--keyframes", "-3"], "--keyframes"),
-            ([good, "--seed", "3"], "--seed")):
+            ([good, "--seed", "3"], "--seed"),
+            (["--batch", "2", "--seed", "-1"], "--seed")):
         assert main(["run", *argv, "--out", str(out)]) == EXIT_INPUT, argv
         assert message in capsys.readouterr().err, argv
         assert not out.exists(), argv

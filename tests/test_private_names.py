@@ -1,10 +1,15 @@
-"""Every module-level private name in the package is used by the package.
+"""Every module-level private name in the package is used by the package,
+and so is every public module-level function but the reference helpers.
 
 A private name is a function, class or constant written ``_foo`` at the top
 level of a module under ``src/softrig``.  It must be read somewhere in the
 package outside its own definition; a use from the tests alone does not
-count, since a helper only the tests call is dead code.  Like
-``test_imports.py`` this walks the syntax tree with the standard library.
+count, since a helper only the tests call is dead code.  A public
+module-level function must be read the same way (the re-exports of
+``__init__.py`` are imports, not reads), unless it is one of
+REFERENCE_HELPERS, which the acceptance gates, the tests or the benchmark
+check the package against.  Like ``test_imports.py`` this walks the syntax
+tree with the standard library.
 """
 import ast
 import pathlib
@@ -25,21 +30,32 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
             if name.startswith("_") and not name.startswith("__")]
 
 
+def read_elsewhere(name: str, definition: ast.AST, trees) -> bool:
+    """True when a tree reads ``name`` outside its own definition."""
+    inside = {id(n) for n in ast.walk(definition)}
+    return any(
+        id(node) not in inside
+        and ((isinstance(node, ast.Name) and node.id == name
+              and isinstance(node.ctx, ast.Load))
+             or (isinstance(node, ast.Attribute) and node.attr == name))
+        for tree in trees for node in ast.walk(tree))
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    unused = []
-    for module, tree in trees.items():
-        for name, definition in private_definitions(tree):
-            inside = {id(n) for n in ast.walk(definition)}
-            used = any(
-                id(node) not in inside
-                and ((isinstance(node, ast.Name) and node.id == name
-                      and isinstance(node.ctx, ast.Load))
-                     or (isinstance(node, ast.Attribute) and node.attr == name))
-                for other in trees.values() for node in ast.walk(other))
-            if not used:
-                unused.append(f"{module}: {name}")
-    return unused
+    return [f"{module}: {name}"
+            for module, tree in trees.items()
+            for name, definition in private_definitions(tree)
+            if not read_elsewhere(name, definition, trees.values())]
+
+
+def unread_public_functions(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    return [node.name
+            for tree in trees.values() for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and not read_elsewhere(node.name, node, trees.values())]
 
 
 def test_detects_an_unused_private_name():
@@ -55,3 +71,32 @@ def test_detects_an_unused_private_name():
 
 def test_no_unused_private_names():
     assert unused_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+# public functions the package never calls itself, each with what calls it
+REFERENCE_HELPERS = {
+    "fk_reference": "acceptance gate 8",
+    "transition_time": "acceptance gate 9",
+    "config_matrix": "acceptance gates 5 and 6",
+    "body_twist_from_wheels": "acceptance gate 6",
+    "wheel_speeds": "perfbench/checks.py",
+    "example_scenario_dict": "the tests",
+}
+
+
+def test_detects_an_unread_public_function():
+    sources = {
+        "a.py": ("def used():\n    return 1\n"
+                 "def recursive(x):\n    return recursive(x - 1)\n"
+                 "def orphan():\n    return used()\n"
+                 "class Box:\n    def method(self):\n        pass\n"),
+        "__init__.py": "from .a import orphan, recursive, used\n",
+    }
+    assert unread_public_functions(sources) == ["recursive", "orphan"]
+
+
+def test_public_functions_are_read_or_reference_helpers():
+    unread = set(unread_public_functions(
+        {p.name: p.read_text() for p in SOURCES}))
+    assert unread - REFERENCE_HELPERS.keys() == set(), "never read"
+    assert REFERENCE_HELPERS.keys() - unread == set(), "read: not a helper"

@@ -61,6 +61,24 @@ def test_config_fields_are_all_required_and_finite():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("planner", "dt", float("nan")),
+    ("geometry", "seg_len", float("nan")),
+    ("thermal", "tau", float("inf")),
+    ("thermal", "t_ambient", float("-inf")),
+    ("planner", "weights", [1.0, 1.0, float("nan"), 1.0, 1.0]),
+], ids=["nan-dt", "nan-seg_len", "inf-tau", "-inf-t_ambient", "nan-weight"])
+def test_parameters_must_be_finite(tmp_path, section, key, value):
+    data = example_scenario_dict()
+    data[section] = {key: value}
+    # json writes and reads NaN and Infinity, so a file can carry them
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError,
+                       match=f"{section}.{key} must be a finite number"):
+        load_scenario(str(path))
+
+
 def test_curvature_bound_checked_against_geometry():
     data = example_scenario_dict()
     data["target"]["kappa1"] = 1000.0

@@ -9,8 +9,8 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
 from softrig.jacobian import hybrid_jacobian
 from softrig.planner import PlannerParams, plan_motion
 from softrig.simulator import Trajectory, fk_step_detailed, rollout
-from softrig.thermal import (PHASE_RIGID, PHASE_SOFT, ThermalParams, command,
-                             initial_state, thermal_step)
+from softrig.thermal import (PHASE_RIGID, PHASE_SOFT, ThermalParams,
+                             initial_state, loop_step, setpoint_for)
 
 GEOM = GeometryParams()
 RIGID = STIFFNESS_STATES[0]
@@ -161,8 +161,8 @@ def test_rollout_thermal_phases_track_commands():
 
 def test_rollout_matches_the_public_thermal_chain():
     # every row, the last included, shows each segment's state before the
-    # row's step and the duty that step applies, as a chain of command and
-    # thermal_step gives them
+    # row's step and the duty that step applies, as a chain of setpoint_for
+    # and loop_step gives them
     plan = two_switch_plan()
     assert plan.n_switches >= 2
     params = ThermalParams()
@@ -174,12 +174,15 @@ def test_rollout_matches_the_public_thermal_chain():
     for row in traj.rows:
         if row.stiffness != commanded:
             commanded = row.stiffness
-            states = [command(st, soft, params) for st, soft
+            states = [(temp, setpoint_for(soft, params), integral, phase)
+                      for (temp, _, integral, phase), soft
                       in zip(states, (commanded.soft1, commanded.soft2))]
         expected = []
-        for j, st in enumerate(states):
-            states[j], applied = thermal_step(st, params, dt)
-            expected.append((st.temperature, applied, st.phase))
+        for j, (temp, setpoint, integral, phase) in enumerate(states):
+            after, integral_after, phase_after, applied = loop_step(
+                temp, setpoint, integral, phase, params, dt)
+            states[j] = (after, setpoint, integral_after, phase_after)
+            expected.append((temp, applied, phase))
         assert [(row.temp1, row.duty1, row.phase1),
                 (row.temp2, row.duty2, row.phase2)] == expected
 

@@ -2,18 +2,30 @@ import pytest
 
 from softrig.errors import ContractError, ThermalTimeoutError
 from softrig.thermal import (PHASE_RIGID, PHASE_SOFT, ThermalParams,
-                             ThermalState, command, duty, initial_state,
-                             is_ready, thermal_step, transition_time)
+                             initial_state, loop_step, setpoint_for,
+                             target_phase, transition_time)
 
 PARAMS = ThermalParams()
 
 
+def soft_start(params):
+    """A segment at ambient just commanded soft, as loop_step's first four
+    arguments."""
+    temp, _, integral, phase = initial_state(params)
+    return temp, setpoint_for(True, params), integral, phase
+
+
 def run_loop(state, params, seconds, dt=0.01):
-    temps = []
+    """Hold the state's setpoint for seconds; returns the last state and
+    every temperature and duty along the way."""
+    temp, setpoint, integral, phase = state
+    temps, duties = [], []
     for _ in range(int(round(seconds / dt))):
-        state, _ = thermal_step(state, params, dt)
-        temps.append(state.temperature)
-    return state, temps
+        temp, integral, phase, u = loop_step(temp, setpoint, integral, phase,
+                                             params, dt)
+        temps.append(temp)
+        duties.append(u)
+    return (temp, setpoint, integral, phase), temps, duties
 
 
 def test_params_validation():
@@ -26,26 +38,28 @@ def test_params_validation():
 
 
 def test_initial_state_rigid_at_ambient():
-    st = initial_state(PARAMS)
-    assert st.temperature == PARAMS.t_ambient
-    assert st.phase == PHASE_RIGID
-    assert st.setpoint == PARAMS.setpoint_rigid
-    assert is_ready(st, soft=False)
-    assert not is_ready(st, soft=True)
+    temp, setpoint, integral, phase = initial_state(PARAMS)
+    assert temp == PARAMS.t_ambient
+    assert setpoint == PARAMS.setpoint_rigid
+    assert integral == 0.0
+    assert phase == PHASE_RIGID == target_phase(False)
+    assert phase != target_phase(True)
 
 
 def test_command_retargets_setpoint():
-    st = command(initial_state(PARAMS), soft=True, params=PARAMS)
-    assert st.setpoint == PARAMS.setpoint_soft
-    st = command(st, soft=False, params=PARAMS)
-    assert st.setpoint == PARAMS.setpoint_rigid
+    assert setpoint_for(True, PARAMS) == PARAMS.setpoint_soft
+    assert setpoint_for(False, PARAMS) == PARAMS.setpoint_rigid
+    custom = ThermalParams(setpoint_soft=70.0, setpoint_rigid=30.0)
+    assert setpoint_for(True, custom) == 70.0
+    assert setpoint_for(False, custom) == 30.0
 
 
 def test_duty_is_clamped():
-    cold = ThermalState(temperature=0.0, setpoint=65.0)
-    assert duty(cold, PARAMS) == PARAMS.u_max
-    hot = ThermalState(temperature=90.0, setpoint=25.0)
-    assert duty(hot, PARAMS) == 0.0
+    # a step of dt = 0 reads the duty without moving the state
+    cold = loop_step(0.0, 65.0, 0.0, PHASE_RIGID, PARAMS, 0.0)
+    assert cold[0] == 0.0 and cold[3] == PARAMS.u_max
+    hot = loop_step(90.0, 25.0, 0.0, PHASE_SOFT, PARAMS, 0.0)
+    assert hot[0] == 90.0 and hot[3] == 0.0
 
 
 def test_heating_reaches_soft_with_latency():
@@ -55,6 +69,9 @@ def test_heating_reaches_soft_with_latency():
     assert 0.5 < t_solid < 10.0
     # melting is the slow direction for this build
     assert t_melt > t_solid
+    # the exact sums of 0.01 s steps for the default build
+    assert t_melt == 8.079999999999872
+    assert t_solid == 2.299999999999995
 
 
 def test_latency_monotone_in_threshold_gap():
@@ -67,48 +84,49 @@ def test_latency_monotone_in_threshold_gap():
 
 
 def test_phase_hysteresis_band():
-    st = ThermalState(temperature=58.0, setpoint=65.0, phase=PHASE_RIGID)
-    st, _ = thermal_step(st, PARAMS, 0.01)
-    assert st.phase == PHASE_RIGID  # inside the band, keeps its phase
-    st = ThermalState(temperature=58.0, setpoint=65.0, phase=PHASE_SOFT)
-    st, _ = thermal_step(st, PARAMS, 0.01)
-    assert st.phase == PHASE_SOFT
-    st = ThermalState(temperature=63.0, setpoint=65.0, phase=PHASE_RIGID)
-    st, _ = thermal_step(st, PARAMS, 0.01)
-    assert st.phase == PHASE_SOFT  # above melt
-    st = ThermalState(temperature=54.0, setpoint=25.0, phase=PHASE_SOFT)
-    st, _ = thermal_step(st, PARAMS, 0.01)
-    assert st.phase == PHASE_RIGID  # below solidify
+    def phase_after(temp, setpoint, phase):
+        return loop_step(temp, setpoint, 0.0, phase, PARAMS, 0.01)[2]
+
+    # inside the band, each phase is kept
+    assert phase_after(58.0, 65.0, PHASE_RIGID) == PHASE_RIGID
+    assert phase_after(58.0, 65.0, PHASE_SOFT) == PHASE_SOFT
+    assert phase_after(63.0, 65.0, PHASE_RIGID) == PHASE_SOFT  # above melt
+    assert phase_after(54.0, 25.0, PHASE_SOFT) == PHASE_RIGID  # below solidify
 
 
 def test_no_overshoot_past_sensor_ceiling():
-    st = command(initial_state(PARAMS), soft=True, params=PARAMS)
-    st, temps = run_loop(st, PARAMS, 120.0)
+    _, temps, _ = run_loop(soft_start(PARAMS), PARAMS, 120.0)
     assert max(temps) < PARAMS.sensor_t_hi
     # settles near the soft setpoint
     assert abs(temps[-1] - PARAMS.setpoint_soft) < 1.0
 
 
 def test_integrator_antiwindup():
-    st = command(initial_state(PARAMS), soft=True, params=PARAMS)
-    st, _ = run_loop(st, PARAMS, 200.0)
-    assert 0.0 <= st.integral <= PARAMS.u_max / PARAMS.ki
+    (temp, _, integral, phase), _, _ = run_loop(soft_start(PARAMS), PARAMS,
+                                                200.0)
+    assert 0.0 <= integral <= PARAMS.u_max / PARAMS.ki
     # cooling leg never drives the heater negative
-    st = command(st, soft=False, params=PARAMS)
-    for _ in range(2000):
-        st, u = thermal_step(st, PARAMS, 0.01)
-        assert u >= 0.0
-    assert st.phase == PHASE_RIGID
-
-
-def test_step_rejects_bad_dt():
-    with pytest.raises(ContractError):
-        thermal_step(initial_state(PARAMS), PARAMS, 0.0)
+    cooling = (temp, setpoint_for(False, PARAMS), integral, phase)
+    (_, _, _, phase), _, duties = run_loop(cooling, PARAMS, 20.0)
+    assert min(duties) >= 0.0
+    assert phase == PHASE_RIGID
 
 
 def test_transition_timeout():
     # a heater too weak to reach the melt band must raise at the 120 s
     # limit, not hang
     weak = ThermalParams(gain=10.0)
-    with pytest.raises(ThermalTimeoutError, match="after 120 s"):
+    with pytest.raises(ThermalTimeoutError, match="after 120 s") as info:
         transition_time(weak, to_soft=True)
+    assert info.value.elapsed >= 120.0
+    assert len(info.value.temperatures) == 1
+    assert info.value.temperatures[0] < weak.t_melt
+    # the cooling leg starts from a 60 s soft hold, which the same heater
+    # never melts
+    with pytest.raises(ThermalTimeoutError,
+                       match="never reached the soft phase while settling"
+                       ) as info:
+        transition_time(weak, to_soft=False)
+    assert info.value.elapsed == 60.0
+    assert len(info.value.temperatures) == 1
+    assert info.value.temperatures[0] < weak.t_melt
