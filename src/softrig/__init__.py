@@ -6,8 +6,8 @@ constant-curvature geometry, the wheel-to-configuration kinematics in both
 regimes, a log-spiral deformation rate model, a greedy stiffness-switching
 planner, the segment thermal loops and deterministic CSV/SVG outputs.
 numpy is imported inside the functions that build arrays (the spiral
-sweep and refit, the batch's random draws, the rk4 step and the gate
-helpers), so planning, playing back and writing one scenario never load it.
+sweep and refit, the batch's random draws and the gate helpers), so
+planning, playing back and writing one scenario never load it.
 """
 
 __version__ = "0.1.0"
@@ -17,8 +17,7 @@ from .errors import (ContractError, DomainError, FitError, ScenarioError,
                      ThermalTimeoutError)
 from .geometry import (BETA, STIFFNESS_STATES, AgentConfig, GeometryParams,
                        StiffnessState, apply_pose, cc_transform, wrap_angle)
-from .jacobian import (active_columns, delta_coeff, hybrid_jacobian,
-                       shared_terms)
+from .jacobian import active_columns, delta_coeff, shared_terms
 from .planner import (PlannerParams, PlanResult, PlanStep, config_error,
                       damped_speeds, fk_reference, plan_motion,
                       weighted_distance)

@@ -21,12 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import ContractError, DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,10 +135,6 @@ class AgentConfig:
         # instance dict instead of five passes through the frozen guard
         vars(self).update(x=x, y=y, phi=wrap_angle(phi), kappa1=kappa1,
                           kappa2=kappa2)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array([self.x, self.y, self.phi, self.kappa1, self.kappa2])
 
     def kappa(self, j: int) -> float:
         _check_segment(j)

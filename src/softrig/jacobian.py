@@ -25,13 +25,9 @@ segment 2.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .geometry import AgentConfig, GeometryParams, StiffnessState
 from .spiral import rate_coeffs
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Jacobian columns, one float 5-tuple over (x, y, phi, kappa1, kappa2) each
 Columns = tuple[tuple[float, ...], ...]
@@ -110,7 +106,7 @@ def active_columns(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
     """Jacobian columns of the driven inputs ``s.inputs``, float 5-tuples.
 
     The one place the columns are built (see the module docstring); the
-    array Jacobian below is filled from it.  ``shared`` is
+    inputs outside ``s.inputs`` have no column.  ``shared`` is
     ``shared_terms(q)`` when the caller tries several patterns at q.
     """
     if shared is None:
@@ -139,17 +135,3 @@ def active_columns(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
     k32 = rate_coeffs(3, q.kappa2, l)
     return ((k32 * dx2, k32 * dy2, -l * k32, k31, k32),
             (k31 * dx1, k31 * dy1, l * k31, k31, k32))
-
-
-def hybrid_jacobian(q: AgentConfig, s: StiffnessState,
-                    geom: GeometryParams) -> np.ndarray:
-    """Full 5 x 5 Jacobian over (v1, v2, u0, v0, r0), regime gated.
-
-    Only the columns ``s.inputs`` are filled: the 5 x 2 soft block while
-    any segment is soft, the 5 x 3 rigid block otherwise.  The other
-    columns are zero.
-    """
-    import numpy as np
-    jac = np.zeros((5, 5))
-    jac[:, s.inputs] = np.array(active_columns(q, s, geom)).T
-    return jac

@@ -76,13 +76,9 @@ class PlanResult:
     target: AgentConfig
     params: PlannerParams
     steps: list[PlanStep]
-    configs: list[AgentConfig]      # len(steps) + 1, ends at the final state
-    distances: list[float]          # weighted, aligned with configs
+    final_config: AgentConfig       # the state after the last step
+    distances: list[float]          # weighted, len(steps) + 1
     converged: bool
-
-    @property
-    def final_config(self) -> AgentConfig:
-        return self.configs[-1]
 
     @property
     def final_error(self) -> float:
@@ -194,7 +190,6 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     err = config_error(target, q)
     dist = weighted_distance(err, weights)
     steps: list[PlanStep] = []
-    configs = [q]
     distances = [dist]
     prev_idx: int | None = None
     bounds = [s.kappa_bound(geom) for s in STIFFNESS_STATES]
@@ -221,8 +216,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
 
     for step_no in range(params.max_steps):
         if dist <= params.eps_goal:
-            return PlanResult(q0, target, params, steps, configs, distances,
-                              True)
+            return PlanResult(q0, target, params, steps, q, distances, True)
         bend = max(abs(q.kappa1), abs(q.kappa2))
         shared = shared_terms(q)
         tried = [None] * len(STIFFNESS_STATES)
@@ -261,9 +255,8 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                               sat))
         prev_idx = chosen
         q = q_next
-        configs.append(q)
         distances.append(dist)
-    return PlanResult(q0, target, params, steps, configs, distances, False)
+    return PlanResult(q0, target, params, steps, q, distances, False)
 
 
 def fk_reference(q0: AgentConfig, target: AgentConfig, n_steps: int,

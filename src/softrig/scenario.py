@@ -11,10 +11,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ContractError, ScenarioError
+from .errors import ScenarioError
 from .geometry import AgentConfig, GeometryParams, past_bound
 from .planner import PlannerParams
 from .thermal import ThermalParams
@@ -43,23 +44,37 @@ def _require_mapping(obj, path: str) -> dict:
     return obj
 
 
+def _require_number(value, path: str, integer: bool = False) -> None:
+    # a bool is an int to Python; json reads NaN, Infinity and integers
+    # past the float range, which fail the comparison
+    if (not isinstance(value, int if integer else (int, float))
+            or isinstance(value, bool)
+            or not integer and not abs(value) <= sys.float_info.max):
+        kind = "an integer" if integer else "a finite number"
+        raise ScenarioError(f"{path} must be {kind}")
+
+
 def _build_params(cls, obj, path: str):
     obj = _require_mapping(obj, path)
-    known = {f.name: f for f in dataclasses.fields(cls)}
+    known = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in obj.items():
         if key not in known:
             raise ScenarioError(f"{path}.{key} is not a known field")
-        # json reads NaN and Infinity, which the range checks let by
-        for entry in value if isinstance(value, list) else [value]:
-            if isinstance(entry, float) and not math.isfinite(entry):
-                raise ScenarioError(f"{path}.{key} must be a finite number")
-        if isinstance(value, list):
+        # a tuple default takes a list of numbers, an integer one an integer
+        if isinstance(known[key], tuple):
+            if not isinstance(value, list):
+                raise ScenarioError(f"{path}.{key} must be a list")
+            for entry in value:
+                _require_number(entry, f"{path}.{key}")
             value = tuple(value)
+        else:
+            _require_number(value, f"{path}.{key}",
+                            integer=isinstance(known[key], int))
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (ContractError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -71,10 +86,7 @@ def _build_config(obj, path: str, geom: GeometryParams) -> AgentConfig:
     for key in _CONFIG_KEYS:
         if key not in obj:
             raise ScenarioError(f"{path}.{key} is required")
-        value = obj[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(value):
-            raise ScenarioError(f"{path}.{key} must be a finite number")
+        _require_number(obj[key], f"{path}.{key}")
     for key in ("kappa1", "kappa2"):
         if past_bound(obj[key], geom.kappa_max):
             raise ScenarioError(

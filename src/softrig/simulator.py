@@ -1,11 +1,11 @@
 """Forward kinematics stepping and plan playback.
 
-``fk_step_detailed`` advances the configuration under the regime-gated
-Jacobian; the planner integrates every step with it.  ``rollout`` replays
-the configurations the planner already integrated with the segment thermal
-loops in the loop: at every stiffness change the motion pauses (drive
-speeds zero) until both segments report the commanded phase, unless gating
-is disabled.
+``fk_step_detailed`` advances the configuration by one explicit Euler step
+under the regime-gated Jacobian; the planner integrates every step with
+it.  ``rollout`` replays the configurations the planner already integrated
+with the segment thermal loops in the loop: at every stiffness change the
+motion pauses (drive speeds zero) until both segments report the
+commanded phase, unless gating is disabled.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import thermal as th
 from .errors import ContractError, ThermalTimeoutError
 from .geometry import AgentConfig, GeometryParams, StiffnessState
-from .jacobian import Columns, active_columns, hybrid_jacobian
+from .jacobian import Columns, active_columns
 
 if TYPE_CHECKING:
     from .planner import PlanResult
@@ -24,28 +24,16 @@ if TYPE_CHECKING:
 _SAT_TOL = 1e-12
 
 
-def _clipped(values, bound: float) -> AgentConfig:
-    x, y, phi, kappa1, kappa2 = values
-    # min(max(kappa, -bound), bound) for the positive bound, without the
-    # four builtin calls
-    return AgentConfig(
-        x, y, phi,
-        -bound if kappa1 < -bound else bound if bound < kappa1 else kappa1,
-        -bound if kappa2 < -bound else bound if bound < kappa2 else kappa2)
-
-
 def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
                      dt: float, geom: GeometryParams,
-                     integrator: str = "euler",
                      cols: Columns | None = None
                      ) -> tuple[AgentConfig, bool]:
-    """One integration step; returns (new config, curvature saturated).
+    """One explicit Euler step; returns (new config, curvature saturated).
 
-    The Euler step is straight-line float arithmetic over the Jacobian's
-    active columns at q, the two unit-speed or the three body-twist ones:
+    The step is straight-line float arithmetic over the Jacobian's active
+    columns at q, the two unit-speed or the three body-twist ones:
     ``cols`` when the caller already built them with ``active_columns``.
-    The planner steps every candidate with it.  The rk4 step is the
-    reference flow through ``hybrid_jacobian``.  Curvatures are clamped to
+    The planner steps every candidate with it.  Curvatures are clamped to
     ``s.kappa_bound(geom)`` after the step; the flag reports whether the
     clamp engaged.
     """
@@ -55,47 +43,36 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
         raise ContractError(
             f"speed vector must have 5 entries, got {len(speeds)}")
     bound = s.kappa_bound(geom)
-    if integrator == "euler":
-        if cols is None:
-            cols = active_columns(q, s, geom)
-        # each rate is the sum J u accumulated from +0.0, column by column,
-        # so a rate that is exactly zero is +0.0 and a -0.0 coordinate
-        # leaves the step as 0.0
-        if s.any_soft:
-            (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = cols
-            u, v = float(speeds[0]), float(speeds[1])
-            values = (q.x + dt * (0.0 + a0 * u + b0 * v),
-                      q.y + dt * (0.0 + a1 * u + b1 * v),
-                      q.phi + dt * (0.0 + a2 * u + b2 * v),
-                      q.kappa1 + dt * (0.0 + a3 * u + b3 * v),
-                      q.kappa2 + dt * (0.0 + a4 * u + b4 * v))
-        else:
-            ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4),
-             (c0, c1, c2, c3, c4)) = cols
-            u, v, w = float(speeds[2]), float(speeds[3]), float(speeds[4])
-            values = (q.x + dt * (0.0 + a0 * u + b0 * v + c0 * w),
-                      q.y + dt * (0.0 + a1 * u + b1 * v + c1 * w),
-                      q.phi + dt * (0.0 + a2 * u + b2 * v + c2 * w),
-                      q.kappa1 + dt * (0.0 + a3 * u + b3 * v + c3 * w),
-                      q.kappa2 + dt * (0.0 + a4 * u + b4 * v + c4 * w))
-    elif integrator == "rk4":
-        import numpy as np
-        u_arr = np.array(speeds, dtype=float)
-
-        def rate(arr_in):
-            return hybrid_jacobian(_clipped(arr_in.tolist(), bound), s,
-                                   geom) @ u_arr
-
-        a0 = q.as_array()
-        k1 = hybrid_jacobian(q, s, geom) @ u_arr
-        k2 = rate(a0 + 0.5 * dt * k1)
-        k3 = rate(a0 + 0.5 * dt * k2)
-        k4 = rate(a0 + dt * k3)
-        values = (a0 + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6).tolist()
+    if cols is None:
+        cols = active_columns(q, s, geom)
+    # each rate is the sum J u accumulated from +0.0, column by column, so
+    # a rate that is exactly zero is +0.0 and a -0.0 coordinate leaves the
+    # step as 0.0
+    if s.any_soft:
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = cols
+        u, v = float(speeds[0]), float(speeds[1])
+        values = (q.x + dt * (0.0 + a0 * u + b0 * v),
+                  q.y + dt * (0.0 + a1 * u + b1 * v),
+                  q.phi + dt * (0.0 + a2 * u + b2 * v),
+                  q.kappa1 + dt * (0.0 + a3 * u + b3 * v),
+                  q.kappa2 + dt * (0.0 + a4 * u + b4 * v))
     else:
-        raise ContractError(f"unknown integrator {integrator!r}")
-    saturated = max(abs(values[3]), abs(values[4])) > bound + _SAT_TOL
-    return _clipped(values, bound), saturated
+        ((a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4),
+         (c0, c1, c2, c3, c4)) = cols
+        u, v, w = float(speeds[2]), float(speeds[3]), float(speeds[4])
+        values = (q.x + dt * (0.0 + a0 * u + b0 * v + c0 * w),
+                  q.y + dt * (0.0 + a1 * u + b1 * v + c1 * w),
+                  q.phi + dt * (0.0 + a2 * u + b2 * v + c2 * w),
+                  q.kappa1 + dt * (0.0 + a3 * u + b3 * v + c3 * w),
+                  q.kappa2 + dt * (0.0 + a4 * u + b4 * v + c4 * w))
+    x, y, phi, kappa1, kappa2 = values
+    # min(max(kappa, -bound), bound) for the positive bound, without the
+    # four builtin calls
+    clipped = AgentConfig(
+        x, y, phi,
+        -bound if kappa1 < -bound else bound if bound < kappa1 else kappa1,
+        -bound if kappa2 < -bound else bound if bound < kappa2 else kappa2)
+    return clipped, max(abs(kappa1), abs(kappa2)) > bound + _SAT_TOL
 
 
 class SimRow(NamedTuple):
@@ -134,12 +111,6 @@ class Trajectory:
                 blocks.append((start, count))
             start += count
         return blocks
-
-    def stiffness_runs(self) -> list[tuple[str, int]]:
-        """Plan-order stiffness labels with motion-row counts."""
-        labels = (row.stiffness.label() for row in self.rows[:-1]
-                  if not row.paused)
-        return [(label, sum(1 for _ in run)) for label, run in groupby(labels)]
 
 
 def rollout(plan: PlanResult,

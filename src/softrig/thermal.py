@@ -7,9 +7,9 @@ single thermal pole,
 
     T_dot = (-(T - T_ambient) + gain * u) / tau
 
-with u in [0, u_max].  The integrator only runs while the duty output is
-unclamped and is kept non-negative, so the loop heats from ambient to the
-soft setpoint without winding past the sensor ceiling.
+with u in [0, u_max].  The integral term only accumulates while the duty
+output is unclamped and is kept non-negative, so the loop heats from
+ambient to the soft setpoint without winding past the sensor ceiling.
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ def loop_step(temperature: float, setpoint: float, integral: float,
     u_max = params.u_max
     u = 0.0 if raw < 0.0 else u_max if u_max < raw else raw
     if raw == u:
-        # conditional integration: hold the integrator while clamped
+        # conditional integration: hold the integral term while clamped
         cap = u_max / params.ki if params.ki > 0 else 0.0
         summed = integral + err * dt
         integral = 0.0 if summed < 0.0 else cap if cap < summed else summed

@@ -12,15 +12,16 @@ import pytest
 
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState, wrap_angle)
-from softrig.jacobian import hybrid_jacobian
 from softrig.planner import (PlannerParams, config_error, fk_reference,
                              plan_motion, weighted_distance)
 from softrig.scenario import example_scenario_dict, sample_scenario
-from softrig.simulator import fk_step_detailed, rollout
+from softrig.simulator import rollout
 from softrig.spiral import SPIRALS, refit_oracle
 from softrig.thermal import (ThermalParams, initial_state, loop_step,
                              setpoint_for, transition_time)
 from softrig.wheelmodel import body_twist_from_wheels, config_matrix
+
+from conftest import as_array, hybrid_jacobian, rk4_step
 
 GEOM = GeometryParams()
 ONES = (1.0,) * 5
@@ -100,8 +101,8 @@ def test_03_jacobian_matches_flow():
         rate = hybrid_jacobian(q, s, GEOM) @ ups
 
         def flow_error(step):
-            q1, _ = fk_step_detailed(q, s, ups, step, GEOM, integrator="rk4")
-            diff = q1.as_array() - q.as_array()
+            q1, _ = rk4_step(q, s, ups, step, GEOM)
+            diff = as_array(q1) - as_array(q)
             diff[2] = wrap_angle(diff[2])
             return float(np.linalg.norm(diff / step - rate))
 
@@ -240,8 +241,8 @@ def test_09_thermal_behaviour(study):
             assert row.temp1 < params.sensor_t_hi
             assert row.temp2 < params.sensor_t_hi
     # exactly one pause block per stiffness boundary during playback
-    for traj in study["rollouts"].values():
-        labels = [lab for lab, _ in traj.stiffness_runs()]
+    for i, traj in study["rollouts"].items():
+        labels = [lab for lab, _ in study["plans"][i].runs()]
         boundaries = len(labels) - 1 + (1 if labels[0] != "00" else 0)
         assert len(traj.pause_blocks()) == boundaries
     print(f"thermal: latency {t_soft:.1f}s/{t_rigid:.1f}s, monotone, "

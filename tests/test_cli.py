@@ -84,9 +84,12 @@ def test_input_errors_exit_2(tmp_path, capsys):
     good = write_scenario(tmp_path, name="good.json")
     nan_dt = write_scenario(tmp_path, name="nan.json",
                             planner={"dt": float("nan")})
+    float_steps = write_scenario(tmp_path, name="steps.json",
+                                 planner={"max_steps": 2.5})
     out = tmp_path / "never"
     for argv, message in (
             ([nan_dt], "planner.dt must be a finite number"),
+            ([float_steps], "planner.max_steps must be an integer"),
             ([good, "--batch", "2"], "not both"),
             ([good, "--max-wait", "-1"], "--max-wait"),
             ([good, "--max-wait", "nan"], "--max-wait"),

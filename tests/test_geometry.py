@@ -55,7 +55,7 @@ def test_config_wraps_heading_and_round_trips():
     q = AgentConfig(0.1, -0.2, 4.0, 10.0, -20.0)
     assert -math.pi < q.phi <= math.pi
     assert math.isclose(q.phi, wrap_angle(4.0))
-    back = AgentConfig(*q.as_array().tolist())
+    back = AgentConfig(q.x, q.y, q.phi, q.kappa1, q.kappa2)
     assert back == q
     assert q.kappa(1) == 10.0
     assert q.kappa(2) == -20.0

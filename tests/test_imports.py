@@ -1,6 +1,6 @@
 """Every imported name is used by the module that imports it, the CLI
 loads no process-pool module at start-up, and numpy is loaded only by the
-functions that build arrays.
+functions that build arrays, in the three modules that have any.
 
 No linter ships with the package, so this walks the syntax tree with the
 standard library: a name bound by an import statement must appear as a
@@ -8,7 +8,8 @@ name somewhere else in the same file.  The package ``__init__`` is left
 out, since its imports are the public re-exports.  No module may import
 numpy when it is itself imported: every numpy import sits in a function
 body or under ``if TYPE_CHECKING:``, so ``softrig run FILE`` never pays for
-loading numpy.
+loading numpy.  Only ``spiral``, ``cli`` and ``wheelmodel`` import it at
+all, so the planning and playback step stays on plain floats.
 """
 import ast
 import json
@@ -25,6 +26,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "softrig").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+# the sweep and refit, the batch's random draws, the gate helpers' matrices
+NUMPY_MODULES = ("spiral.py", "cli.py", "wheelmodel.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -65,14 +68,15 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
-def eager_numpy_imports(source: str) -> list[str]:
-    """numpy imports that run when the module is imported: any outside a
-    function body and outside the ``if TYPE_CHECKING:`` branch."""
+def numpy_imports(source: str, eager: bool = True) -> list[str]:
+    """numpy imports outside the ``if TYPE_CHECKING:`` branch; with
+    ``eager``, only those that run when the module is imported, outside
+    any function body."""
     found, stack = [], list(ast.parse(source).body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
+        if eager and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda)):
             continue
         if isinstance(node, ast.If) and ast.unparse(node.test) in (
                 "TYPE_CHECKING", "typing.TYPE_CHECKING"):
@@ -90,25 +94,39 @@ def eager_numpy_imports(source: str) -> list[str]:
 
 
 def test_detects_an_eager_numpy_import():
-    assert eager_numpy_imports("import numpy as np\n") == [
+    assert numpy_imports("import numpy as np\n") == [
         "line 1: import numpy"]
-    assert eager_numpy_imports("import math\ntry:\n    from numpy import "
+    assert numpy_imports("import math\ntry:\n    from numpy import "
                                "zeros\nexcept ImportError:\n    pass\n") == [
         "line 3: from numpy import"]
-    assert eager_numpy_imports("if TYPE_CHECKING:\n    import numpy\n"
+    assert numpy_imports("if TYPE_CHECKING:\n    import numpy\n"
                                "else:\n    import numpy.random\n") == [
         "line 4: import numpy.random"]
-    assert eager_numpy_imports("class A:\n    import numpy\n") == [
+    assert numpy_imports("class A:\n    import numpy\n") == [
         "line 2: import numpy"]
-    assert eager_numpy_imports("def f():\n    import numpy as np\n"
+    assert numpy_imports("def f():\n    import numpy as np\n"
                                "    return np.zeros(3)\n") == []
-    assert eager_numpy_imports("import typing\nif typing.TYPE_CHECKING:\n"
+    assert numpy_imports("import typing\nif typing.TYPE_CHECKING:\n"
                                "    import numpy as np\n") == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_numpy_import_at_module_level(path):
-    assert eager_numpy_imports(path.read_text()) == []
+    assert numpy_imports(path.read_text()) == []
+
+
+def test_detects_a_numpy_import_in_a_function():
+    source = ("if TYPE_CHECKING:\n    import numpy as np\n"
+              "def f():\n    import numpy as np\n    return np.zeros(3)\n")
+    assert numpy_imports(source) == []
+    assert numpy_imports(source, eager=False) == ["line 4: import numpy"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name not in NUMPY_MODULES],
+    ids=lambda p: p.name)
+def test_only_the_array_modules_import_numpy(path):
+    assert numpy_imports(path.read_text(), eager=False) == []
 
 
 def test_run_file_loads_no_numpy(tmp_path):

@@ -8,12 +8,12 @@ from softrig import jacobian, spiral
 from softrig.errors import ContractError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState, cc_transform, wrap_angle)
-from softrig.jacobian import active_columns, delta_coeff, hybrid_jacobian
-from softrig.simulator import fk_step_detailed
+from softrig.jacobian import active_columns, delta_coeff
 from softrig.spiral import rate_coeffs
 from softrig.wheelmodel import config_matrix
 
-from conftest import frame, frame_inverse
+from conftest import (as_array, frame, frame_inverse, hybrid_jacobian,
+                      rk4_step)
 
 GEOM = GeometryParams()
 
@@ -115,7 +115,7 @@ def test_soft_jacobian_looks_up_each_gain_once(monkeypatch):
     q = AgentConfig(0.05, -0.1, -0.4, 20.0, -30.0)
     for s in (S01, S10, S11):
         calls.clear()
-        hybrid_jacobian(q, s, GEOM)
+        active_columns(q, s, GEOM)
         assert len(calls) == 2, s.label()
 
 
@@ -186,7 +186,7 @@ def test_stationary_anchor_under_integration():
     anchor0 = frame(q.x, q.y, q.phi) @ frame(*cc_transform(q.kappa2, 2, GEOM))
     ups = np.array([0.02, 0.0, 0.0, 0.0, 0.0])
     for _ in range(400):
-        q = fk_step_detailed(q, S01, ups, 0.005, GEOM, integrator="rk4")[0]
+        q = rk4_step(q, S01, ups, 0.005, GEOM)[0]
     anchor1 = frame(q.x, q.y, q.phi) @ frame(*cc_transform(q.kappa2, 2, GEOM))
     np.testing.assert_allclose(anchor1, anchor0, atol=5e-6)
 
@@ -204,7 +204,7 @@ def test_first_order_rates_match_integration():
         else:
             ups[2:] = rng.uniform(-0.01, 0.01, 3)
         jac = hybrid_jacobian(q, s, GEOM)
-        q1 = fk_step_detailed(q, s, ups, dt, GEOM, integrator="rk4")[0]
-        diff = q1.as_array() - q.as_array()
+        q1 = rk4_step(q, s, ups, dt, GEOM)[0]
+        diff = as_array(q1) - as_array(q)
         diff[2] = wrap_angle(diff[2])
         np.testing.assert_allclose(diff / dt, jac @ ups, atol=5e-7)

@@ -10,10 +10,12 @@ import pytest
 from softrig import cli, jacobian, planner
 from softrig.errors import ContractError, DomainError, StallError
 from softrig.geometry import STIFFNESS_STATES, AgentConfig, GeometryParams
-from softrig.jacobian import active_columns, hybrid_jacobian
+from softrig.jacobian import active_columns
 from softrig.planner import (PlannerParams, config_error, damped_speeds,
                              fk_reference, plan_motion, weighted_distance)
 from softrig.scenario import sample_scenario
+
+from conftest import as_array, hybrid_jacobian
 
 GEOM = GeometryParams()
 ORIGIN = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -95,7 +97,7 @@ def test_damped_speeds_match_stacked_least_squares():
 
 
 def plan_record(plan):
-    return (plan.converged, plan.configs, plan.distances,
+    return (plan.converged, plan.final_config, plan.distances,
             [(st.t, st.config, st.stiffness, st.speeds, st.saturated)
              for st in plan.steps])
 
@@ -191,15 +193,14 @@ def test_distances_strictly_decrease():
     plan = plan_motion(ORIGIN, target, GEOM)
     d = np.array(plan.distances)
     assert np.all(np.diff(d) < 0.0)
-    assert len(plan.configs) == len(plan.steps) + 1
-    assert len(plan.distances) == len(plan.configs)
+    assert len(plan.distances) == len(plan.steps) + 1
 
 
 def test_planned_configs_hold_plain_floats():
     # every configuration field is a Python float, not a numpy scalar
     target = AgentConfig(0.12, 0.08, 0.6, 60.0, -40.0)
     plan = plan_motion(ORIGIN, target, GEOM)
-    for q in plan.configs:
+    for q in [step.config for step in plan.steps] + [plan.final_config]:
         assert all(type(v) is float for v in dataclasses.astuple(q)), q
 
 
@@ -310,8 +311,8 @@ def test_planning_is_deterministic():
     a = plan_motion(ORIGIN, target, GEOM)
     b = plan_motion(ORIGIN, target, GEOM)
     assert len(a.steps) == len(b.steps)
-    for qa, qb in zip(a.configs, b.configs):
-        assert qa == qb
+    assert [st.config for st in a.steps] == [st.config for st in b.steps]
+    assert a.final_config == b.final_config
     assert a.summary() == b.summary()
     assert "wall_time" not in a.summary()
 
@@ -332,7 +333,7 @@ def test_fk_reference_is_the_straight_chord():
     configs, dists = fk_reference(ORIGIN, target, 10, weights=(1.0,) * 5)
     assert len(configs) == 11 and len(dists) == 11
     assert configs[0] == ORIGIN
-    np.testing.assert_allclose(configs[-1].as_array(), target.as_array(),
+    np.testing.assert_allclose(as_array(configs[-1]), as_array(target),
                                atol=1e-12)
     # linear interpolation in every coordinate makes the distance linear
     np.testing.assert_allclose(dists, dists[0] * np.linspace(1, 0, 11),

@@ -3,8 +3,10 @@ and so is every public module-level function but the reference helpers.
 
 A private name is a function, class or constant written ``_foo`` at the top
 level of a module under ``src/softrig``.  It must be read somewhere in the
-package outside its own definition; a use from the tests alone does not
-count, since a helper only the tests call is dead code.  A public
+package outside its own definition, as a name or as an attribute of a
+module bound by ``from . import <module>``; a use from the tests alone does
+not count, since a helper only the tests call is dead code, and neither
+does an attribute of anything else, such as ``args.command``.  A public
 module-level function must be read the same way (the re-exports of
 ``__init__.py`` are imports, not reads), unless it is one of
 REFERENCE_HELPERS, which the acceptance gates, the tests or the benchmark
@@ -30,15 +32,28 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
             if name.startswith("_") and not name.startswith("__")]
 
 
+def package_modules(tree: ast.Module) -> set[str]:
+    """Names the tree binds to package modules with ``from . import``."""
+    return {alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module is None
+            for alias in node.names}
+
+
 def read_elsewhere(name: str, definition: ast.AST, trees) -> bool:
-    """True when a tree reads ``name`` outside its own definition."""
+    """True when a tree reads ``name`` outside its own definition, as a
+    name or as an attribute of a package module."""
     inside = {id(n) for n in ast.walk(definition)}
     return any(
         id(node) not in inside
         and ((isinstance(node, ast.Name) and node.id == name
               and isinstance(node.ctx, ast.Load))
-             or (isinstance(node, ast.Attribute) and node.attr == name))
-        for tree in trees for node in ast.walk(tree))
+             or (isinstance(node, ast.Attribute) and node.attr == name
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in modules))
+        for tree in trees for modules in [package_modules(tree)]
+        for node in ast.walk(tree))
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
@@ -93,6 +108,20 @@ def test_detects_an_unread_public_function():
         "__init__.py": "from .a import orphan, recursive, used\n",
     }
     assert unread_public_functions(sources) == ["recursive", "orphan"]
+
+
+def test_an_attribute_of_a_non_module_is_not_a_read():
+    # cli reads args.command, which is no read of thermal.command; the
+    # th.loop_step read through the module binding counts
+    sources = {
+        "thermal.py": ("def command():\n    return 1\n"
+                       "def loop_step():\n    return 2\n"),
+        "cli.py": ("from . import thermal as th\n\n"
+                   "def main(args):\n"
+                   "    return th.loop_step() if args.command else 0\n"),
+        "__main__.py": "from .cli import main\n\nmain(None)\n",
+    }
+    assert unread_public_functions(sources) == ["command"]
 
 
 def test_public_functions_are_read_or_reference_helpers():

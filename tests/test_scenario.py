@@ -59,24 +59,49 @@ def test_config_fields_are_all_required_and_finite():
     data["q0"]["x"] = True
     with pytest.raises(ScenarioError, match="finite number"):
         scenario_from_dict(data)
+    data = example_scenario_dict()
+    data["q0"]["x"] = 10 ** 400      # json reads it as an int past floats
+    with pytest.raises(ScenarioError, match="finite number"):
+        scenario_from_dict(data)
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("planner", "dt", float("nan")),
-    ("geometry", "seg_len", float("nan")),
-    ("thermal", "tau", float("inf")),
-    ("thermal", "t_ambient", float("-inf")),
-    ("planner", "weights", [1.0, 1.0, float("nan"), 1.0, 1.0]),
-], ids=["nan-dt", "nan-seg_len", "inf-tau", "-inf-t_ambient", "nan-weight"])
-def test_parameters_must_be_finite(tmp_path, section, key, value):
+@pytest.mark.parametrize("section, key, value, kind", [
+    ("planner", "dt", float("nan"), "a finite number"),
+    ("geometry", "seg_len", float("nan"), "a finite number"),
+    ("thermal", "tau", float("inf"), "a finite number"),
+    ("thermal", "t_ambient", float("-inf"), "a finite number"),
+    ("planner", "dt", 10 ** 400, "a finite number"),
+    ("planner", "weights", [1.0, 1.0, float("nan"), 1.0, 1.0],
+     "a finite number"),
+    ("planner", "max_steps", 2.5, "an integer"),
+    ("planner", "max_steps", True, "an integer"),
+    ("planner", "dt", True, "a finite number"),
+    ("geometry", "seg_len", "0.04", "a finite number"),
+    ("geometry", "seg_len", [0.04], "a finite number"),
+    ("thermal", "tau", True, "a finite number"),
+    ("planner", "weights", [1.0, 1.0, True, 1.0, 1.0], "a finite number"),
+    ("planner", "weights", 1.0, "a list"),
+], ids=["nan-dt", "nan-seg_len", "inf-tau", "-inf-t_ambient", "huge-int-dt",
+        "nan-weight",
+        "float-max_steps", "bool-max_steps", "bool-dt", "str-seg_len",
+        "list-seg_len", "bool-tau", "bool-weight", "number-weights"])
+def test_parameters_must_be_finite(tmp_path, section, key, value, kind):
+    # a number field takes a finite number but no bool, an integer field
+    # an integer and the weights a list of numbers
     data = example_scenario_dict()
     data[section] = {key: value}
     # json writes and reads NaN and Infinity, so a file can carry them
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ScenarioError,
-                       match=f"{section}.{key} must be a finite number"):
+    with pytest.raises(ScenarioError, match=f"{section}.{key} must be {kind}"):
         load_scenario(str(path))
+
+
+def test_an_integer_passes_where_a_number_is_meant():
+    data = example_scenario_dict()
+    data["planner"] = {"max_steps": 100, "dt": 1}
+    scn = scenario_from_dict(data)
+    assert (scn.planner.max_steps, scn.planner.dt) == (100, 1)
 
 
 def test_curvature_bound_checked_against_geometry():

@@ -6,11 +6,12 @@ import pytest
 from softrig.errors import ContractError, ThermalTimeoutError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState)
-from softrig.jacobian import hybrid_jacobian
 from softrig.planner import PlannerParams, plan_motion
 from softrig.simulator import Trajectory, fk_step_detailed, rollout
 from softrig.thermal import (PHASE_RIGID, PHASE_SOFT, ThermalParams,
                              initial_state, loop_step, setpoint_for)
+
+from conftest import as_array, hybrid_jacobian, rk4_step
 
 GEOM = GeometryParams()
 RIGID = STIFFNESS_STATES[0]
@@ -37,8 +38,8 @@ def test_euler_step_is_exact_first_order():
     ups = np.array([0.02, -0.01, 0.0, 0.0, 0.0])
     jac = hybrid_jacobian(q, S01, GEOM)
     q1 = fk_step_detailed(q, S01, ups, 0.05, GEOM)[0]
-    expect = q.as_array() + 0.05 * (jac @ ups)
-    np.testing.assert_allclose(q1.as_array(), expect, atol=1e-15)
+    expect = as_array(q) + 0.05 * (jac @ ups)
+    np.testing.assert_allclose(as_array(q1), expect, atol=1e-15)
     # the float step also equals q + dt J u followed by the clip when the
     # clip engages on one curvature and leaves the other alone
     cases = [
@@ -52,12 +53,12 @@ def test_euler_step_is_exact_first_order():
     flags = []
     for q, s, ups in cases:
         bound = s.kappa_bound(GEOM)
-        arr = q.as_array() + 0.5 * (hybrid_jacobian(q, s, GEOM) @ ups)
+        arr = as_array(q) + 0.5 * (hybrid_jacobian(q, s, GEOM) @ ups)
         expect = np.concatenate([arr[:3], np.clip(arr[3:], -bound, bound)])
         expect[2] = AgentConfig(0.0, 0.0, arr[2], 0.0, 0.0).phi
         q1, saturated = fk_step_detailed(q, s, ups, 0.5, GEOM)
         assert saturated == bool(np.max(np.abs(arr[3:])) > bound + 1e-12)
-        np.testing.assert_allclose(q1.as_array(), expect, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(as_array(q1), expect, rtol=1e-13, atol=0)
         flags.append(saturated)
     assert flags == [True, True, False]
     # each rate is a sum from +0.0, so a curvature of -0.0 that the step
@@ -72,15 +73,13 @@ def test_euler_step_is_exact_first_order():
 def test_rk4_converges_to_euler_for_small_dt():
     q = AgentConfig(0.0, 0.0, 0.0, 5.0, 5.0)
     ups = np.array([0.03, 0.0, 0.0, 0.0, 0.0])
-    qe = fk_step_detailed(q, S01, ups, 1e-6, GEOM, integrator="euler")[0]
-    qr = fk_step_detailed(q, S01, ups, 1e-6, GEOM, integrator="rk4")[0]
-    np.testing.assert_allclose(qe.as_array(), qr.as_array(), atol=1e-12)
+    qe = fk_step_detailed(q, S01, ups, 1e-6, GEOM)[0]
+    qr = rk4_step(q, S01, ups, 1e-6, GEOM)[0]
+    np.testing.assert_allclose(as_array(qe), as_array(qr), atol=1e-12)
 
 
-def test_unknown_integrator_and_bad_inputs():
+def test_step_rejects_bad_inputs():
     q = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ContractError):
-        fk_step_detailed(q, RIGID, np.zeros(5), 0.05, GEOM, integrator="heun")
     with pytest.raises(ContractError):
         fk_step_detailed(q, RIGID, np.zeros(4), 0.05, GEOM)
     with pytest.raises(ContractError):
@@ -120,11 +119,9 @@ def test_rollout_without_gating_replays_plan():
     traj = rollout(plan, thermal_gating=False)
     assert not any(row.paused for row in traj.rows)
     assert len(traj.rows) == len(plan.steps) + 1
-    np.testing.assert_allclose(traj.final_config.as_array(),
-                               plan.final_config.as_array(), atol=0.0)
-    for row, step in zip(traj.rows, plan.steps):
-        np.testing.assert_allclose(row.config.as_array(),
-                                   step.config.as_array(), atol=0.0)
+    assert traj.final_config == plan.final_config
+    assert [row.config for row in traj.rows[:-1]] == [
+        step.config for step in plan.steps]
 
 
 def test_rollout_gating_pauses_at_stiffness_changes():
@@ -135,16 +132,17 @@ def test_rollout_gating_pauses_at_stiffness_changes():
     blocks = traj.pause_blocks()
     boundaries = len(labels) - 1 + (1 if labels[0] != "00" else 0)
     assert len(blocks) == boundaries
-    # motion rows reproduce the plan exactly despite the inserted pauses
+    # motion rows reproduce the plan exactly despite the inserted pauses:
+    # each carries its step's configuration, pattern, inputs and clamp flag
     moving = [r for r in traj.rows[:-1] if not r.paused]
-    assert len(moving) == len(plan.steps)
-    np.testing.assert_allclose(traj.final_config.as_array(),
-                               plan.final_config.as_array(), atol=0.0)
+    assert [(r.config, r.stiffness, r.speeds, r.saturated)
+            for r in moving] == [(st.config, st.stiffness, st.speeds,
+                                  st.saturated) for st in plan.steps]
+    assert traj.final_config == plan.final_config
     # paused rows freeze the configuration and command zero speeds
     for start, count in blocks:
         for row in traj.rows[start:start + count]:
             assert row.speeds == (0.0,) * 5
-    assert [lab for lab, _ in traj.stiffness_runs()] == labels
 
 
 def test_rollout_thermal_phases_track_commands():
@@ -230,5 +228,5 @@ def test_pause_blocks_and_runs_bookkeeping():
             row(False, RIGID)]
     traj = Trajectory(rows=rows)
     assert traj.pause_blocks() == [(0, 2), (4, 1)]
-    # the terminal row is excluded from the run counts
-    assert traj.stiffness_runs() == [("01", 2), ("00", 1)]
+    assert traj.final_config == q
+    assert Trajectory(rows=rows[2:4]).pause_blocks() == []
