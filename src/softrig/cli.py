@@ -244,9 +244,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     geom = GeometryParams()
     fits = [refit_oracle(sp.mode, geom, args.samples) for sp in SPIRALS]
+    os.makedirs(args.out, exist_ok=True)
     outputs.write_sweep_csv(os.path.join(args.out, "sweep.csv"), fits,
                             geom.seg_len)
     report = outputs.write_refit_json(os.path.join(args.out, "refit.json"),

@@ -119,8 +119,9 @@ def write_sweep_csv(path: str, fits, seg_len: float) -> None:
     cols = ["mode", "theta", "kappa", "x", "y"]
     lines = _header(cols)
     for fit in fits:
-        for kap, (px, py) in zip(fit.kappas, fit.points):
-            theta = theta_from_kappa(fit.mode, kap, seg_len)
+        thetas = theta_from_kappa(fit.mode, fit.kappas, seg_len).tolist()
+        for theta, kap, (px, py) in zip(thetas, fit.kappas.tolist(),
+                                        fit.points.tolist()):
             lines.append(",".join([str(fit.mode), _fmt(theta), _fmt(kap),
                                    _fmt(px), _fmt(py)]))
     _write_lines(path, lines)

@@ -93,15 +93,18 @@ def spiral_model(mode: int) -> SpiralModel:
     return SPIRALS[mode - 1]
 
 
-def theta_from_kappa(mode: int, kappa: float, seg_len: float) -> float:
-    """Spiral angle for a curvature, theta = pi + kappa * l / m."""
+def theta_from_kappa(mode: int, kappas, seg_len: float) -> np.ndarray:
+    """Spiral angles of curvatures, theta = pi + kappa * l / m.  theta rises
+    with kappa, so the extremes decide whether all lie in the mode's span."""
+    import numpy as np
     sp = spiral_model(mode)
-    theta = math.pi + kappa * seg_len / sp.m
-    if not (sp.theta_lo - _THETA_TOL <= theta <= sp.theta_hi + _THETA_TOL):
+    thetas = math.pi + np.asarray(kappas, dtype=float) * seg_len / sp.m
+    if thetas.size and not (sp.theta_lo - _THETA_TOL <= thetas.min()
+                            and thetas.max() <= sp.theta_hi + _THETA_TOL):
         raise DomainError(
-            f"mode {mode} curvature {kappa:.6g} maps to theta {theta:.6g} outside "
-            f"[{sp.theta_lo:.6g}, {sp.theta_hi:.6g}]")
-    return theta
+            f"mode {mode} curvatures map to theta [{thetas.min():.6g}, "
+            f"{thetas.max():.6g}] outside [{sp.theta_lo:.6g}, {sp.theta_hi:.6g}]")
+    return thetas
 
 
 def rate_coeffs(mode: int, kappa: float, seg_len: float) -> float:
@@ -131,24 +134,25 @@ def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
     """
     import numpy as np
     spiral_model(mode)        # ContractError for a mode other than 1, 2, 3
-    kappas = np.asarray(kappas, dtype=float).tolist()
-    if any(kap < 0 or past_bound(kap, geom.kappa_max) for kap in kappas):
+    kappas = np.asarray(kappas, dtype=float)
+    lo, hi = kappas.min(initial=0.0), kappas.max(initial=0.0)   # NaN if any is
+    if not (lo >= 0.0 and not past_bound(hi, geom.kappa_max)):
         raise DomainError("sweep kappas are bend magnitudes and must lie in "
                           f"[0, {geom.kappa_max:.6g}]")
     l, half_mid = geom.seg_len, geom.mid_link / 2
-    pts = np.empty((len(kappas), 2))
-    for i, kap in enumerate(kappas):
+    pts = []
+    for kap in kappas.tolist():
         cx, cy = arc_chord(kap, l)
         c, s = math.cos(kap * l), math.sin(kap * l)
         if mode == 1:
-            pts[i] = (-cx, cy)
+            pts.append((-cx, cy))
         elif mode == 2:
             px, py = -(2 * half_mid + l + cx), -cy
-            pts[i] = (c * px + s * py, c * py - s * px)
+            pts.append((c * px + s * py, c * py - s * px))
         else:
             r = 2 * (half_mid + cx)
-            pts[i] = (r * c, r * s)
-    return pts
+            pts.append((r * c, r * s))
+    return np.array(pts, dtype=float).reshape(len(pts), 2)
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,8 @@ class SpiralFit:
     points: np.ndarray        # (n, 2) swept joint positions, fit frame, m
 
 
-def _spiral_residual(pts: np.ndarray, centre: np.ndarray):
-    """Residual of the log-spiral about ``centre`` and its Jacobian.
+def _spiral_residual(d: np.ndarray):
+    """Log-spiral residual and Jacobian at the offsets d = pts - centre.
 
     The residual is r_i = rho_i - a * exp(b * theta_i), with (rho_i,
     theta_i) the polar coordinates of point i about the centre, theta
@@ -177,12 +181,15 @@ def _spiral_residual(pts: np.ndarray, centre: np.ndarray):
     rho(c), theta(c) and the closed-form line.  Returns (r, jac, a, b, theta).
     """
     import numpy as np
-    d = pts - centre
+
+    def mean(x):    # ndarray.mean's sum and divide, without its call overhead
+        return np.add.reduce(x) / len(d)
+
     rho2 = d[:, 0] ** 2 + d[:, 1] ** 2
     rho = np.sqrt(rho2)
     theta = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
     log_rho = np.log(rho)
-    theta_mean, log_rho_mean = theta.mean(), log_rho.mean()
+    theta_mean, log_rho_mean = mean(theta), mean(log_rho)
     u = theta - theta_mean
     v = log_rho - log_rho_mean
     s_tt = u @ u
@@ -190,10 +197,10 @@ def _spiral_residual(pts: np.ndarray, centre: np.ndarray):
     log_a = log_rho_mean - b * theta_mean
     model = np.exp(log_a + b * theta)
     d_rho = -d / rho[:, None]
-    d_theta = np.column_stack((d[:, 1], -d[:, 0])) / rho2[:, None]
+    d_theta = d[:, ::-1] * (1.0, -1.0) / rho2[:, None]    # (d_y, -d_x) / rho^2
     d_log_rho = d_rho / rho[:, None]
     d_b = (v @ d_theta + u @ d_log_rho - 2.0 * b * (u @ d_theta)) / s_tt
-    d_log_a = d_log_rho.mean(axis=0) - theta_mean * d_b - b * d_theta.mean(axis=0)
+    d_log_a = mean(d_log_rho) - theta_mean * d_b - b * mean(d_theta)
     jac = d_rho - model[:, None] * (d_log_a + theta[:, None] * d_b + b * d_theta)
     return rho - model, jac, math.exp(log_a), b, theta
 
@@ -213,13 +220,14 @@ def _solve_centre(pts: np.ndarray, centre0: np.ndarray):
     scale free.  Returns (a, b, centre, theta, rms); raises FitError when
     the residual or the offset is not finite (a centre on a sample), the
     normal matrix is singular, or the rule is not met at any of the first
-    _MAX_ITER centres.
+    _MAX_ITER centres.  numpy's error state is restored on either exit.
     """
     import numpy as np
     centre = np.array(centre0, dtype=float)
-    for _ in range(_MAX_ITER):
-        with np.errstate(all="ignore"):
-            r, jac, a, b, theta = _spiral_residual(pts, centre)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            d = pts - centre
+            r, jac, a, b, theta = _spiral_residual(d)
             grad = jac.T @ r
             try:
                 step = np.linalg.solve(jac.T @ jac, grad)
@@ -227,13 +235,13 @@ def _solve_centre(pts: np.ndarray, centre0: np.ndarray):
                 raise FitError("log-spiral fit has a singular normal matrix at "
                                f"centre ({centre[0]:.6g}, {centre[1]:.6g})") from None
             ss, decrement = r @ r, grad @ step
-        if not (np.isfinite(ss) and np.isfinite(decrement) and decrement >= 0.0):
-            raise FitError("log-spiral fit is not defined at centre "
-                           f"({centre[0]:.6g}, {centre[1]:.6g})")
-        floor = 8.0 * _EPS * np.linalg.norm(pts - centre)
-        if math.sqrt(decrement) <= _OFFSET_TOL * math.sqrt(ss) + floor:
-            return a, b, centre, theta, math.sqrt(ss / len(pts))
-        centre = centre - step
+            if not (math.isfinite(ss) and math.isfinite(decrement) and decrement >= 0):
+                raise FitError("log-spiral fit is not defined at centre "
+                               f"({centre[0]:.6g}, {centre[1]:.6g})")
+            floor = 8.0 * _EPS * np.linalg.norm(d)
+            if math.sqrt(decrement) <= _OFFSET_TOL * math.sqrt(ss) + floor:
+                return a, b, centre, theta, math.sqrt(ss / len(pts))
+            centre = centre - step
     raise FitError(f"log-spiral centre solve did not converge in {_MAX_ITER} iterations")
 
 

@@ -349,9 +349,15 @@ def test_failed_refit_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
             monkeypatch.setattr(module, "refit_oracle", failing)
     out = tmp_path / "sweepout"
     assert main(["sweep", "--out", str(out)]) == EXIT_NO_CONVERGE
-    assert not (out / "sweep.csv").exists()
-    assert not (out / "refit.json").exists()
+    assert not out.exists()
     assert "fit failed: forced refit failure" in capsys.readouterr().err
+
+
+def test_sweep_input_error_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "sweepout"
+    assert main(["sweep", "--samples", "5", "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    assert "need at least 10 sweep samples" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

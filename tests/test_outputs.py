@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import os
 import pytest
 
 from softrig import __version__, outputs
+from softrig.errors import DomainError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState)
 from softrig.planner import PlannerParams, plan_motion
@@ -168,6 +170,16 @@ def test_sweep_csv_covers_all_modes(tmp_path):
     kappas = [float(r[2]) for r in rows if r[0] == "3"]
     assert min(kappas) == 0.0
     assert abs(max(kappas) - GEOM.kappa_max_uniform) < 1e-9
+
+
+def test_sweep_csv_rejects_kappas_outside_the_theta_span(tmp_path):
+    fit = refit_oracle(3, GEOM, 50)
+    # twice mode 3's bound leaves its theta span, from the middle sample on
+    bad = dataclasses.replace(fit, kappas=fit.kappas * 2)
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(DomainError):
+        outputs.write_sweep_csv(str(path), [fit, bad], GEOM.seg_len)
+    assert not path.exists()
 
 
 def test_refit_json_report(tmp_path):

@@ -3,8 +3,9 @@
 Rerun tests compare two runs of the same code; these compare against
 digests recorded from an earlier commit, so a change that claims to leave
 behaviour alone (a speed-up, a refactor) is held to every byte of
-``plan.csv``, ``trajectory.csv``, ``thermal.csv``, ``summary.json`` and the
-SVG keyframes.  A change that alters behaviour on purpose (a new planner
+``plan.csv``, ``trajectory.csv``, ``thermal.csv``, ``summary.json``, the
+SVG keyframes and the ``sweep.csv`` and ``refit.json`` of the documented
+sweep.  A change that alters behaviour on purpose (a new planner
 rule, thermal model or output column; ROADMAP items 2-5) updates these
 digests in the same change and says so in CHANGES.md.  The digests hold for
 IEEE double arithmetic with a correctly rounded libm, as on common x86-64
@@ -63,6 +64,13 @@ SINGLE_DIGESTS = {
         "502802d88a7bf4bfa548263940e8f96a24738f2639907dc5c67dae0ef21bdf82",
 }
 
+SWEEP_DIGESTS = {
+    "refit.json":
+        "e84d2e6545207839df98b1ef770b67a6cdb011d69a7282909cbc9df7c9fa559d",
+    "sweep.csv":
+        "377f1c8b65d9e22257cb4e50b80fbc90aae45b8e3920dc89fb1cd91e4e5eb2cd",
+}
+
 
 def digests(root):
     return {path.relative_to(root).as_posix():
@@ -84,3 +92,9 @@ def test_gated_keyframed_run_bytes_are_pinned(tmp_path, capsys):
     assert main(["run", str(scn), "--keyframes", "50",
                  "--out", str(out)]) == EXIT_OK
     assert digests(out) == SINGLE_DIGESTS
+
+
+def test_sweep_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--samples", "200", "--out", str(out)]) == EXIT_OK
+    assert digests(out) == SWEEP_DIGESTS

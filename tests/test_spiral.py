@@ -58,6 +58,20 @@ def test_theta_kappa_round_trip():
         theta_from_kappa(1, 3 * math.pi / L, L)
 
 
+def test_theta_from_kappa_maps_a_whole_sweep():
+    # one array expression, equal to the formula taken one curvature at a time
+    for sp in SPIRALS:
+        bound = sp.kappa_bound / L
+        kappas = np.linspace(-bound, bound, 201)
+        assert theta_from_kappa(sp.mode, kappas, L).tolist() == [
+            math.pi + kap * L / sp.m for kap in kappas.tolist()]
+        # a curvature outside the span fails wherever it sits in the sweep
+        for bad in (-1.01 * bound, 1.01 * bound, math.nan):
+            with pytest.raises(DomainError):
+                theta_from_kappa(sp.mode, [0.0, bad, bound], L)
+    assert theta_from_kappa(1, [], L).shape == (0,)
+
+
 def test_radius_symmetric_and_shrinking():
     sp = spiral_model(2)
     assert math.isclose(sp.radius(40.0, L), sp.radius(-40.0, L))
@@ -95,6 +109,22 @@ def test_sweep_curve_frames():
     np.testing.assert_allclose(p0, [-0.11, 0.0], atol=1e-15)
     with pytest.raises(DomainError):
         sweep_curve(1, GEOM, [-1.0])
+
+
+def test_sweep_curve_range_check_and_inputs():
+    assert sweep_curve(1, GEOM, []).shape == (0, 2)
+    assert sweep_curve(3, GEOM, np.empty(0)).shape == (0, 2)
+    # the range is checked once over the sweep, so a bad value anywhere fails
+    for bad in (-1e-12, GEOM.kappa_max * (1 + 1e-8), math.nan):
+        for kappas in ([bad], [0.0, bad, 1.0], [1.0, 0.0, bad]):
+            with pytest.raises(DomainError):
+                sweep_curve(2, GEOM, kappas)
+    kappas = np.linspace(0.0, GEOM.kappa_max, 50)
+    for mode in (1, 2, 3):
+        from_list = sweep_curve(mode, GEOM, kappas.tolist())
+        from_array = sweep_curve(mode, GEOM, kappas)
+        assert from_list.shape == from_array.shape == (50, 2)
+        assert from_list.tobytes() == from_array.tobytes()
 
 
 def frame_composition(mode, kappa):
@@ -206,6 +236,18 @@ def test_solve_centre_fails_on_a_sample():
     pts = mode_sweep(2, GEOM, 50)
     with pytest.raises(FitError):
         _solve_centre(pts, pts[7])
+
+
+def test_solve_centre_restores_numpy_error_state():
+    # the solve ignores floating-point errors inside and only there
+    pts = mode_sweep(2, GEOM, 50)
+    with np.errstate(all="warn", under="raise"):
+        before = np.geterr()
+        _solve_centre(pts, pts.mean(axis=0))
+        assert np.geterr() == before
+        with pytest.raises(FitError):
+            _solve_centre(pts, pts[7])
+        assert np.geterr() == before
 
 
 def test_solve_centre_fails_without_converging(monkeypatch):
