@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -36,7 +37,9 @@ EXIT_NO_CONVERGE = 3
 EXIT_THERMAL = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args keeps no option value on it."""
     parser = argparse.ArgumentParser(
         prog="softrig",
         description="planning and simulation for the stiffness-switching agent")
@@ -245,7 +248,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     geom = GeometryParams()
-    fits = [refit_oracle(sp.mode, geom, args.samples) for sp in SPIRALS]
+    fits = refit_oracle([sp.mode for sp in SPIRALS], geom, args.samples)
     os.makedirs(args.out, exist_ok=True)
     outputs.write_sweep_csv(os.path.join(args.out, "sweep.csv"), fits,
                             geom.seg_len)
@@ -259,8 +262,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -122,8 +122,8 @@ def write_sweep_csv(path: str, fits, seg_len: float) -> None:
         thetas = theta_from_kappa(fit.mode, fit.kappas, seg_len).tolist()
         for theta, kap, (px, py) in zip(thetas, fit.kappas.tolist(),
                                         fit.points.tolist()):
-            lines.append(",".join([str(fit.mode), _fmt(theta), _fmt(kap),
-                                   _fmt(px), _fmt(py)]))
+            lines.append(f"{fit.mode},{_fmt(theta)},{_fmt(kap)},{_fmt(px)},"
+                         f"{_fmt(py)}")
     _write_lines(path, lines)
 
 
@@ -151,8 +151,7 @@ def write_refit_json(path: str, fits) -> dict:
 
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ anchored, x pointing away from the moving side, positive bend curling
 toward +y.  In this frame the fitted centres land at the tabulated
 positions; the centre x for modes 2 and 3 has the opposite sign to the
 reference table, which quotes the magnitudes in a mirrored axis convention.
+``refit_oracle`` solves the modes' centres in one stacked Gauss-Newton loop,
+each sweep from its own mean-point start and with its own stop rule.
 """
 from __future__ import annotations
 
@@ -170,120 +172,147 @@ class SpiralFit:
     points: np.ndarray        # (n, 2) swept joint positions, fit frame, m
 
 
-def _spiral_residual(d: np.ndarray):
-    """Log-spiral residual and Jacobian at the offsets d = pts - centre.
+def _dot(x, y):    # x^T y for each sweep of a stack, one BLAS call per sweep
+    return x.swapaxes(1, 2) @ y
 
-    The residual is r_i = rho_i - a * exp(b * theta_i), with (rho_i,
-    theta_i) the polar coordinates of point i about the centre, theta
-    unwrapped along the sweep, and (log a, b) the unweighted least-squares
-    line of log rho against theta.  (a, b) are thereby projected out and r
-    depends on the centre alone; the (n, 2) Jacobian dr/dc chains through
-    rho(c), theta(c) and the closed-form line.  Returns (r, jac, a, b, theta).
+
+def _spiral_residual(d: np.ndarray):
+    """Log-spiral residuals and Jacobians at the offsets d = pts - centre.
+
+    d stacks k sweeps, (k, n, 2).  The residual is r_i = rho_i - a * exp(b *
+    theta_i), with (rho_i, theta_i) the polar coordinates of point i about
+    the centre, theta unwrapped along the sweep, and (log a, b) the
+    unweighted least-squares line of log rho against theta.  (a, b) are
+    thereby projected out and r depends on the centre alone; the (n, 2)
+    Jacobian dr/dc chains through rho(c), theta(c) and the closed-form line.
+    Returns (r, jac, log_a, b, theta), per sample (k, n, 1), per sweep (k, 1, 1).
     """
     import numpy as np
+    n = d.shape[1]
 
     def mean(x):    # ndarray.mean's sum and divide, without its call overhead
-        return np.add.reduce(x) / len(d)
+        return np.add.reduce(x, axis=1, keepdims=True) / n
 
-    rho2 = d[:, 0] ** 2 + d[:, 1] ** 2
+    rho2 = d[..., :1] ** 2 + d[..., 1:] ** 2
     rho = np.sqrt(rho2)
-    theta = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
+    theta = np.unwrap(np.arctan2(d[..., 1:], d[..., :1]), axis=1)
     log_rho = np.log(rho)
     theta_mean, log_rho_mean = mean(theta), mean(log_rho)
     u = theta - theta_mean
     v = log_rho - log_rho_mean
-    s_tt = u @ u
-    b = (u @ v) / s_tt
+    s_tt = _dot(u, u)
+    b = _dot(u, v) / s_tt
     log_a = log_rho_mean - b * theta_mean
     model = np.exp(log_a + b * theta)
-    d_rho = -d / rho[:, None]
-    d_theta = d[:, ::-1] * (1.0, -1.0) / rho2[:, None]    # (d_y, -d_x) / rho^2
-    d_log_rho = d_rho / rho[:, None]
-    d_b = (v @ d_theta + u @ d_log_rho - 2.0 * b * (u @ d_theta)) / s_tt
+    d_rho = -d / rho
+    d_theta = d[..., ::-1] * (1.0, -1.0) / rho2    # (d_y, -d_x) / rho^2
+    d_log_rho = d_rho / rho
+    d_b = (_dot(v, d_theta) + _dot(u, d_log_rho) - 2.0 * b * _dot(u, d_theta)) / s_tt
     d_log_a = mean(d_log_rho) - theta_mean * d_b - b * mean(d_theta)
-    jac = d_rho - model[:, None] * (d_log_a + theta[:, None] * d_b + b * d_theta)
-    return rho - model, jac, math.exp(log_a), b, theta
+    jac = d_rho - model * (d_log_a + theta * d_b + b * d_theta)
+    return rho - model, jac, log_a, b, theta
 
 
-def _solve_centre(pts: np.ndarray, centre0: np.ndarray):
-    """Converge the projected log-spiral fit from a starting centre.
+def _solve_centre(modes, pts: np.ndarray, centre0: np.ndarray):
+    """Converge the projected log-spiral fits of a stack of sweeps.
 
-    Gauss-Newton on the 2-D centre, minimising the sum of squares |r|^2 of
-    ``_spiral_residual``: each step solves (J^T J) s = J^T r and moves the
-    centre by -s.  (log a, b) are the least-squares line of log rho against
-    unwrapped theta for each centre (variable projection, Golub & Pereyra,
-    SIAM J. Numer. Anal. 10(2), 1973).  It stops on the relative offset
-    (Bates & Watts, Technometrics 23(2), 1981): the gradient g = J^T r
-    measured in the Gauss-Newton metric, sqrt(g^T (J^T J)^-1 g), must fall
-    to _OFFSET_TOL of |r|, plus a floor of 8 eps |rho| that bounds the
-    rounding of r.  Both sides scale with the geometry, so the rule is
-    scale free.  Returns (a, b, centre, theta, rms); raises FitError when
-    the residual or the offset is not finite (a centre on a sample), the
-    normal matrix is singular, or the rule is not met at any of the first
-    _MAX_ITER centres.  numpy's error state is restored on either exit.
+    Gauss-Newton on the 2-D centre of each sweep of ``modes`` in pts (k, n,
+    2), from centre0 (k, 2), minimising |r|^2 of ``_spiral_residual``: each
+    step solves (J^T J) s = J^T r and moves the centre by -s, with (log a,
+    b) projected out (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973).
+    A sweep stops on the relative offset (Bates & Watts, Technometrics
+    23(2), 1981): the gradient g = J^T r measured in the Gauss-Newton
+    metric, sqrt(g^T (J^T J)^-1 g), must fall to _OFFSET_TOL of |r|, plus a
+    floor of 8 eps |rho| that bounds the rounding of r; the rule is scale
+    free.  Each sweep leaves the stack in the iteration where it stops, and
+    gets the floats it would get solved alone.  Returns (a, b, centre,
+    theta, rms) per sweep; raises FitError, naming the lowest mode failing
+    in an iteration, when the residual or offset is not finite (a centre on
+    a sample), the normal matrix is singular, or the rule is not met at any
+    of the first _MAX_ITER centres.  numpy's error state is restored.
     """
     import numpy as np
-    centre = np.array(centre0, dtype=float)
+    k, n = pts.shape[:2]
+    live, fits = list(range(k)), [None] * k    # stack rows still iterating
+    centre = np.array(centre0, dtype=float).reshape(k, 1, 2)
+
+    def fail(i, problem):
+        return FitError(f"mode {modes[live[i]]}: log-spiral fit {problem} at "
+                        f"centre ({centre[i, 0, 0]:.6g}, {centre[i, 0, 1]:.6g})")
+
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ITER):
             d = pts - centre
-            r, jac, a, b, theta = _spiral_residual(d)
-            grad = jac.T @ r
+            r, jac, log_a, b, theta = _spiral_residual(d)
+            grad, normal = _dot(jac, r), _dot(jac, jac)
             try:
-                step = np.linalg.solve(jac.T @ jac, grad)
-            except np.linalg.LinAlgError:
-                raise FitError("log-spiral fit has a singular normal matrix at "
-                               f"centre ({centre[0]:.6g}, {centre[1]:.6g})") from None
-            ss, decrement = r @ r, grad @ step
-            if not (math.isfinite(ss) and math.isfinite(decrement) and decrement >= 0):
-                raise FitError("log-spiral fit is not defined at centre "
-                               f"({centre[0]:.6g}, {centre[1]:.6g})")
-            floor = 8.0 * _EPS * np.linalg.norm(d)
-            if math.sqrt(decrement) <= _OFFSET_TOL * math.sqrt(ss) + floor:
-                return a, b, centre, theta, math.sqrt(ss / len(pts))
-            centre = centre - step
-    raise FitError(f"log-spiral centre solve did not converge in {_MAX_ITER} iterations")
+                step = np.linalg.solve(normal, grad)
+            except np.linalg.LinAlgError:   # the lowest member with a zero pivot
+                raise fail(int(np.argmax(np.linalg.det(normal) == 0)),
+                           "has a singular normal matrix") from None
+            flat = d.reshape(len(live), 2 * n, 1)
+            ss, decrement, norm2 = (_dot(x, y).ravel().tolist() for x, y in
+                                    ((r, r), (grad, step), (flat, flat)))
+            keep = []
+            for i, row in enumerate(live):
+                if not (math.isfinite(ss[i]) and math.isfinite(decrement[i])
+                        and decrement[i] >= 0):
+                    raise fail(i, "is not defined")
+                floor = 8.0 * _EPS * math.sqrt(norm2[i])
+                if math.sqrt(decrement[i]) > _OFFSET_TOL * math.sqrt(ss[i]) + floor:
+                    keep.append(i)
+                else:
+                    fits[row] = (math.exp(log_a[i, 0, 0]), b[i, 0, 0], centre[i, 0],
+                                 theta[i, :, 0], math.sqrt(ss[i] / n))
+            if not keep:
+                return fits
+            centre = centre - step.reshape(centre.shape)
+            if len(keep) < len(live):
+                pts, centre, live = pts[keep], centre[keep], [live[i] for i in keep]
+    raise FitError(f"mode {modes[live[0]]}: log-spiral centre solve did not "
+                   f"converge in {_MAX_ITER} iterations")
 
 
-def refit_oracle(mode: int, geom: GeometryParams, n_samples: int = 200) -> SpiralFit:
-    """Refit a mode's spiral from pure arc geometry.
+def refit_oracle(modes, geom: GeometryParams, n_samples: int = 200) -> list[SpiralFit]:
+    """Refit the spirals of the given modes from pure arc geometry.
 
-    Sweeps the bend from straight to the mode bound in n_samples steps and
-    fits rho = a * exp(b * theta) by ``_solve_centre``, Gauss-Newton started
-    once from the mean point of the sweep: the centre minimises sum_i
-    (rho_i - a * exp(b * theta_i))^2 with (log a, b) the least-squares line
-    of log rho against theta for that centre, and the solve stops once the
-    Gauss-Newton-scaled gradient is 1e-12 of the residual norm, so the
-    constants are the converged optimum rather than wherever a solver
-    happened to stop.  Reports them in the reference convention for the
+    Sweeps each bend from straight to the mode bound in n_samples steps and
+    fits rho = a * exp(b * theta) by ``_solve_centre``, Gauss-Newton run on
+    the modes as one stack, each from the mean point of its sweep: the
+    centre minimises sum_i (rho_i - a * exp(b * theta_i))^2 with (log a, b)
+    the least-squares line of log rho against theta for that centre, and
+    the solve stops once the Gauss-Newton-scaled gradient is 1e-12 of the
+    residual norm, so the constants are the converged optimum.  Returns the
+    fits in the order of ``modes``, in the reference convention for the
     positive bend: lengths over seg_len and b negative, opposite to the
-    bend, together with the swept kappas and points the fit was made to.
-    Raises FitError when the rms residual exceeds _MAX_REL_RESIDUAL of the
-    mean radius, or when the centre solve fails.
+    bend, with the swept kappas and points the fit was made to.  Raises
+    FitError when a centre solve fails, or when a mode's rms residual
+    exceeds _MAX_REL_RESIDUAL of its mean radius.
     """
     import numpy as np
     if n_samples < 10:
         raise ContractError(f"need at least 10 sweep samples, got {n_samples}")
-    sp = spiral_model(mode)
-    bound = sp.kappa_bound / geom.seg_len
-    kappas = np.linspace(0.0, bound, n_samples)
-    pts = sweep_curve(mode, geom, kappas)
-    a, b, centre, theta, rms = _solve_centre(pts, pts.mean(axis=0))
-    mean_radius = float(np.mean(np.hypot(*(pts - centre).T)))
-    if rms > _MAX_REL_RESIDUAL * mean_radius:
-        raise FitError(
-            f"mode {mode} spiral fit residual {rms:.3g} m exceeds "
-            f"{_MAX_REL_RESIDUAL:.0%} of the mean radius {mean_radius:.3g} m",
-            residual=rms)
-    l = geom.seg_len
-    return SpiralFit(
-        mode=mode,
-        a_over_l=a / l,
-        b=-abs(b),
-        cx_over_l=centre[0] / l,
-        cy_over_l=centre[1] / l,
-        rms_residual=rms,
-        theta_span=float(abs(theta[-1] - theta[0])),
-        kappas=kappas,
-        points=pts,
-    )
+    kappas = [np.linspace(0.0, spiral_model(mode).kappa_bound / geom.seg_len,
+                          n_samples) for mode in modes]
+    pts = np.array([sweep_curve(mode, geom, kap) for mode, kap in zip(modes, kappas)])
+    fits, l = [], geom.seg_len
+    for mode, kap, p, (a, b, centre, theta, rms) in zip(
+            modes, kappas, pts, _solve_centre(modes, pts, pts.mean(axis=1))):
+        mean_radius = float(np.mean(np.hypot(*(p - centre).T)))
+        if rms > _MAX_REL_RESIDUAL * mean_radius:
+            raise FitError(
+                f"mode {mode} spiral fit residual {rms:.3g} m exceeds "
+                f"{_MAX_REL_RESIDUAL:.0%} of the mean radius {mean_radius:.3g} m",
+                residual=rms)
+        fits.append(SpiralFit(
+            mode=mode,
+            a_over_l=a / l,
+            b=-abs(b),
+            cx_over_l=centre[0] / l,
+            cy_over_l=centre[1] / l,
+            rms_residual=rms,
+            theta_span=float(abs(theta[-1] - theta[0])),
+            kappas=kap,
+            points=p,
+        ))
+    return fits

@@ -54,8 +54,8 @@ def study():
 def test_01_spiral_refit_accuracy():
     # geometric refit lands within 5% of the model table, under 5 seconds
     t0 = time.perf_counter()
-    for sp in SPIRALS:
-        fit = refit_oracle(sp.mode, GEOM, n_samples=200)
+    fits = refit_oracle([sp.mode for sp in SPIRALS], GEOM, n_samples=200)
+    for sp, fit in zip(SPIRALS, fits):
         rel_a = abs(fit.a_over_l - sp.a_over_l) / sp.a_over_l
         rel_b = abs(abs(fit.b) - sp.b_mag) / sp.b_mag
         assert rel_a < 0.05, f"mode {sp.mode}: a off by {rel_a:.2%}"
@@ -69,7 +69,7 @@ def test_02_refit_scale_invariance():
     # dimensionless spiral constants drift < 1% across segment lengths
     scales = (0.01, 0.04, 0.1, 0.5, 1.0)
     for sp in SPIRALS:
-        fits = [refit_oracle(sp.mode, GEOM.scaled(l), 200) for l in scales]
+        fits = [refit_oracle([sp.mode], GEOM.scaled(l), 200)[0] for l in scales]
         a = [f.a_over_l for f in fits]
         b = [abs(f.b) for f in fits]
         spread_a = (max(a) - min(a)) / min(a)

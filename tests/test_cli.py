@@ -336,17 +336,18 @@ def test_sweep_samples_each_mode_once(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_refit_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    original = spiral.refit_oracle
+    original = spiral._solve_centre
 
-    def failing(mode, *args):
-        if mode == 3:
+    def failing(modes, *args):
+        solved = original(modes, *args)      # modes 1 and 2 still fit
+        if 3 in modes:
             raise FitError("forced refit failure")
-        return original(mode, *args)
+        return solved
 
-    # every module binding of the function; modes 1 and 2 still fit
+    # every module binding of the stacked solve the sweep runs
     for module in (softrig, spiral, outputs, cli):
-        if getattr(module, "refit_oracle", None) is original:
-            monkeypatch.setattr(module, "refit_oracle", failing)
+        if getattr(module, "_solve_centre", None) is original:
+            monkeypatch.setattr(module, "_solve_centre", failing)
     out = tmp_path / "sweepout"
     assert main(["sweep", "--out", str(out)]) == EXIT_NO_CONVERGE
     assert not out.exists()
@@ -365,3 +366,24 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "softrig" in capsys.readouterr().out
+
+
+def test_calls_in_one_process_keep_no_options(tmp_path, capsys):
+    # the parser is built once per process; no option value outlives its call
+    scn = write_scenario(tmp_path)
+    assert main(["run", scn, "--keyframes", "5",
+                 "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert (tmp_path / "a" / "frames").is_dir()
+    assert main(["run", scn, "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert not (tmp_path / "b" / "frames").exists()
+    assert main(["sweep", "--samples", "60",
+                 "--out", str(tmp_path / "c")]) == EXIT_OK
+    assert main(["sweep", "--out", str(tmp_path / "d")]) == EXIT_OK
+    rows = (tmp_path / "d" / "sweep.csv").read_text().splitlines()[2:]
+    assert sorted(set(row.split(",")[0] for row in rows)) == ["1", "2", "3"]
+    for mode in "123":
+        assert sum(row.startswith(mode + ",") for row in rows) == 200
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    capsys.readouterr()

@@ -161,7 +161,7 @@ def test_write_json_stable_bytes(tmp_path):
 
 def test_sweep_csv_covers_all_modes(tmp_path):
     path = str(tmp_path / "sweep.csv")
-    fits = [refit_oracle(mode, GEOM, 50) for mode in (1, 2, 3)]
+    fits = refit_oracle((1, 2, 3), GEOM, 50)
     outputs.write_sweep_csv(path, fits, GEOM.seg_len)
     header, rows = read_rows(path)
     assert header == ["mode", "theta", "kappa", "x", "y"]
@@ -173,7 +173,7 @@ def test_sweep_csv_covers_all_modes(tmp_path):
 
 
 def test_sweep_csv_rejects_kappas_outside_the_theta_span(tmp_path):
-    fit = refit_oracle(3, GEOM, 50)
+    fit, = refit_oracle([3], GEOM, 50)
     # twice mode 3's bound leaves its theta span, from the middle sample on
     bad = dataclasses.replace(fit, kappas=fit.kappas * 2)
     path = tmp_path / "sweep.csv"
@@ -184,7 +184,7 @@ def test_sweep_csv_rejects_kappas_outside_the_theta_span(tmp_path):
 
 def test_refit_json_report(tmp_path):
     path = str(tmp_path / "refit.json")
-    fits = [refit_oracle(mode, GEOM, 120) for mode in (1, 2, 3)]
+    fits = refit_oracle((1, 2, 3), GEOM, 120)
     report = outputs.write_refit_json(path, fits)
     on_disk = json.load(open(path))
     assert on_disk == json.loads(json.dumps(report))

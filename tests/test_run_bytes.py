@@ -14,6 +14,8 @@ and arm64 Linux builds.
 import hashlib
 import json
 
+import pytest
+
 from softrig.cli import EXIT_OK, main
 from softrig.scenario import example_scenario_dict
 
@@ -71,6 +73,22 @@ SWEEP_DIGESTS = {
         "377f1c8b65d9e22257cb4e50b80fbc90aae45b8e3920dc89fb1cd91e4e5eb2cd",
 }
 
+# other sample counts: few samples, the tested 60, and many
+OTHER_SWEEP_DIGESTS = {
+    10: {"refit.json":
+         "a445fffa60da1103e057fb3c87e38062851cf7c213d2860705bf64c5060a272a",
+         "sweep.csv":
+         "e657af5d79e072b018492467433d988602d887144c1ff869708a5afbe596aa79"},
+    60: {"refit.json":
+         "e13d43bdcfe46874b9bac327c3c151dba947bc3f09310f9010da830335eeb87d",
+         "sweep.csv":
+         "c41d6e1b046b57dd23b0add58ca67c353c1ddb4f0c9a8dbec9ee943916fbffb7"},
+    1000: {"refit.json":
+           "5e7ac48c1d544da97487a47607ac67d73b47c09589162471ba41e8104169235b",
+           "sweep.csv":
+           "217636aad69b4159d2bd933791eb4f61d962f5fca33ed1b7df96e47fadb98acd"},
+}
+
 
 def digests(root):
     return {path.relative_to(root).as_posix():
@@ -98,3 +116,10 @@ def test_sweep_bytes_are_pinned(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", "--samples", "200", "--out", str(out)]) == EXIT_OK
     assert digests(out) == SWEEP_DIGESTS
+
+
+@pytest.mark.parametrize("samples", sorted(OTHER_SWEEP_DIGESTS))
+def test_sweep_bytes_at_other_sample_counts_are_pinned(tmp_path, capsys, samples):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--samples", str(samples), "--out", str(out)]) == EXIT_OK
+    assert digests(out) == OTHER_SWEEP_DIGESTS[samples]

@@ -150,13 +150,19 @@ def test_sweep_curve_matches_frame_composition():
 
 
 def test_refit_matches_frozen_fit():
-    for mode, (a, b, cx, cy) in FROZEN_FITS.items():
-        fit = refit_oracle(mode, GEOM, 200)
+    fits = refit_oracle(tuple(FROZEN_FITS), GEOM, 200)
+    assert [fit.mode for fit in fits] == list(FROZEN_FITS)
+    for fit, (a, b, cx, cy) in zip(fits, FROZEN_FITS.values()):
         assert math.isclose(fit.a_over_l, a, rel_tol=1e-9)
         assert math.isclose(fit.b, b, rel_tol=1e-9)
         assert math.isclose(fit.cx_over_l, cx, rel_tol=1e-6)
         assert math.isclose(fit.cy_over_l, cy, rel_tol=1e-6)
         assert fit.rms_residual < 5e-4
+
+
+def solve_one(mode, pts, centre0):
+    """The centre solve of one sweep, as a stack of one."""
+    return _solve_centre([mode], pts[None], [centre0])[0]
 
 
 def test_refit_independent_of_start_centre():
@@ -171,32 +177,64 @@ def test_refit_independent_of_start_centre():
         span = pts.max(axis=0) - pts.min(axis=0)
         for centre0 in (mean, mean + 0.25 * span, mean - 0.25 * span,
                         pts[0] * 0.5):
-            fit_a, fit_b, _, _, _ = _solve_centre(pts, centre0)
+            fit_a, fit_b, _, _, _ = solve_one(mode, pts, centre0)
             assert math.isclose(fit_a / L, a, rel_tol=1e-9)
             assert math.isclose(-abs(fit_b), b, rel_tol=1e-9)
 
 
-def test_refit_solves_each_centre_once(monkeypatch):
+def test_refit_solves_each_centre_once(monkeypatch, tmp_path, capsys):
     original = spiral._solve_centre
-    starts = []
+    solves = []
 
-    def counted(pts, centre0):
-        starts.append(centre0)
-        return original(pts, centre0)
+    def counted(modes, pts, centre0):
+        assert len(pts) == len(centre0) == len(modes)
+        solves.append(list(modes))
+        return original(modes, pts, centre0)
 
     # every module binding of the function, so a second solving site counts
     for module in (softrig, spiral, outputs, cli):
         if getattr(module, "_solve_centre", None) is original:
             monkeypatch.setattr(module, "_solve_centre", counted)
+    # a sweep solves every mode's centre in one stack, each mode once
+    assert cli.main(["sweep", "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(solves) == 1
+    assert sorted(solves[0]) == [1, 2, 3]
+    # a one-mode refit runs one solve of one member
     for mode in (1, 2, 3):
-        starts.clear()
-        refit_oracle(mode, GEOM, 200)
-        assert len(starts) == 1, f"mode {mode}"
+        solves.clear()
+        refit_oracle([mode], GEOM, 200)
+        assert solves == [[mode]]
+
+
+def mode_sweep(mode, geom, n_samples):
+    bound = spiral_model(mode).kappa_bound / geom.seg_len
+    return sweep_curve(mode, geom, np.linspace(0.0, bound, n_samples))
+
+
+def mode_stack(geom, n_samples):
+    """Sweeps of modes 1-3 stacked as the refit stacks them, and their
+    mean-point starts."""
+    pts = np.array([mode_sweep(mode, geom, n_samples) for mode in (1, 2, 3)])
+    return pts, pts.mean(axis=1)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.75, 3.0])
+@pytest.mark.parametrize("n_samples", [10, 200, 1000])
+def test_stacked_solve_is_bit_identical_to_one_mode_solves(n_samples, ratio):
+    # solving three sweeps as one stack changes no float of any of them
+    pts, starts = mode_stack(GeometryParams(mid_link=ratio * L), n_samples)
+    stacked = _solve_centre([1, 2, 3], pts, starts)
+    for i, mode in enumerate((1, 2, 3)):
+        a, b, centre, theta, rms = stacked[i]
+        a1, b1, centre1, theta1, rms1 = solve_one(mode, pts[i], starts[i])
+        assert (a, b, rms) == (a1, b1, rms1), mode
+        assert np.array_equal(centre, centre1), mode
+        assert np.array_equal(theta, theta1), mode
 
 
 def test_refit_tracks_reference_table():
-    for sp in SPIRALS:
-        fit = refit_oracle(sp.mode, GEOM, 200)
+    for sp, fit in zip(SPIRALS, refit_oracle([sp.mode for sp in SPIRALS], GEOM, 200)):
         assert abs(fit.a_over_l - sp.a_over_l) / sp.a_over_l < 0.05
         assert abs(abs(fit.b) - sp.b_mag) / sp.b_mag < 0.05
         # centre magnitudes land near the table as well
@@ -205,56 +243,70 @@ def test_refit_tracks_reference_table():
 
 
 def test_refit_scale_free():
-    ref = refit_oracle(2, GEOM, 100)
-    big = refit_oracle(2, GEOM.scaled(0.5), 100)
+    ref, = refit_oracle([2], GEOM, 100)
+    big, = refit_oracle([2], GEOM.scaled(0.5), 100)
     assert math.isclose(big.a_over_l, ref.a_over_l, rel_tol=1e-6)
     assert math.isclose(big.b, ref.b, rel_tol=1e-6)
 
 
 def test_refit_input_checks():
     with pytest.raises(ContractError):
-        refit_oracle(1, GEOM, 5)
+        refit_oracle([1], GEOM, 5)
+    with pytest.raises(ContractError):
+        refit_oracle([1, 4], GEOM, 100)
 
 
 def test_refit_residual_gate(monkeypatch):
     monkeypatch.setattr(spiral, "_MAX_REL_RESIDUAL", 1e-9)
-    with pytest.raises(FitError):
-        refit_oracle(1, GEOM, 100)
+    with pytest.raises(FitError, match="^mode 1 "):
+        refit_oracle([1], GEOM, 100)
     try:
-        refit_oracle(1, GEOM, 100)
+        refit_oracle([1], GEOM, 100)
     except FitError as exc:
         assert exc.residual is not None and exc.residual > 0.0
-
-
-def mode_sweep(mode, geom, n_samples):
-    bound = spiral_model(mode).kappa_bound / geom.seg_len
-    return sweep_curve(mode, geom, np.linspace(0.0, bound, n_samples))
 
 
 def test_solve_centre_fails_on_a_sample():
     # a centre on a sample leaves rho = 0 there and the spiral undefined
     pts = mode_sweep(2, GEOM, 50)
-    with pytest.raises(FitError):
-        _solve_centre(pts, pts[7])
+    with pytest.raises(FitError, match="^mode 2: .*not defined"):
+        solve_one(2, pts, pts[7])
 
 
 def test_solve_centre_restores_numpy_error_state():
-    # the solve ignores floating-point errors inside and only there
+    # the solve ignores floating-point errors inside and only there, and a
+    # failed member of a stack is named by its mode
     pts = mode_sweep(2, GEOM, 50)
+    stack, starts = mode_stack(GEOM, 50)
+    starts[1] = stack[1, 7]
     with np.errstate(all="warn", under="raise"):
         before = np.geterr()
-        _solve_centre(pts, pts.mean(axis=0))
+        solve_one(2, pts, pts.mean(axis=0))
         assert np.geterr() == before
         with pytest.raises(FitError):
-            _solve_centre(pts, pts[7])
+            solve_one(2, pts, pts[7])
         assert np.geterr() == before
+        with pytest.raises(FitError, match="^mode 2: "):
+            _solve_centre([1, 2, 3], stack, starts)
+        assert np.geterr() == before
+
+
+def test_solve_centre_names_the_lowest_failing_mode():
+    # members 2 and 3 both start on a sample and fail in the first iteration
+    stack, starts = mode_stack(GEOM, 50)
+    starts[1:] = stack[1:, 7]
+    with pytest.raises(FitError, match="^mode 2: "):
+        _solve_centre([1, 2, 3], stack, starts)
 
 
 def test_solve_centre_fails_without_converging(monkeypatch):
     monkeypatch.setattr(spiral, "_MAX_ITER", 1)
     pts = mode_sweep(1, GEOM, 200)
     with pytest.raises(FitError, match="did not converge"):
-        _solve_centre(pts, pts.mean(axis=0))
+        solve_one(1, pts, pts.mean(axis=0))
+    stack, starts = mode_stack(GEOM, 200)
+    with pytest.raises(FitError, match="^mode 1: .*did not converge"):
+        _solve_centre([1, 2, 3], stack, starts)
 
 
 @pytest.mark.parametrize("ratio", [0.1, 0.75, 3.0])
@@ -267,8 +319,8 @@ def test_refit_independent_of_start_across_link_ratios(ratio):
             pts = mode_sweep(mode, geom, n_samples)
             mean = pts.mean(axis=0)
             span = pts.max(axis=0) - pts.min(axis=0)
-            a, b, _, _, _ = _solve_centre(pts, mean)
+            a, b, _, _, _ = solve_one(mode, pts, mean)
             for centre0 in (mean + 0.25 * span, mean - 0.25 * span):
-                fit_a, fit_b, _, _, _ = _solve_centre(pts, centre0)
+                fit_a, fit_b, _, _, _ = solve_one(mode, pts, centre0)
                 assert math.isclose(fit_a, a, rel_tol=1e-9), (mode, n_samples)
                 assert math.isclose(fit_b, b, rel_tol=1e-9), (mode, n_samples)
