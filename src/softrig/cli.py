@@ -88,7 +88,6 @@ def _run_one(scn: Scenario, out_dir: str, args) -> tuple[int, str, str]:
     Returns the exit code and the text the run prints on stdout and on
     stderr, so that a batch can print its runs in scenario order.
     """
-    os.makedirs(out_dir, exist_ok=True)
     try:
         plan = plan_motion(scn.q0, scn.target, scn.geometry, scn.planner)
     except StallError as exc:
@@ -99,6 +98,8 @@ def _run_one(scn: Scenario, out_dir: str, args) -> tuple[int, str, str]:
                        thermal_gating=gating, max_wait=args.max_wait)
     except ThermalTimeoutError as exc:
         return EXIT_THERMAL, "", f"{scn.label}: thermal timeout: {exc}\n"
+    # a run that stalls or times out leaves no output directory
+    os.makedirs(out_dir, exist_ok=True)
     outputs.write_run_csvs(out_dir, plan, traj, scn.thermal)
     summary = plan.summary()
     summary["label"] = scn.label

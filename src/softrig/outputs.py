@@ -1,7 +1,9 @@
 """Deterministic file outputs: CSV tables, JSON summaries, SVG keyframes.
 
 All writers format floats with repr, which round-trips exactly, so a rerun
-with the same seed produces byte-identical files.  SVG frames draw the two
+with the same seed produces byte-identical files.  The CSV writers unpack
+their records into columns and format each float column in one pass;
+``_fmt`` is the one place a float becomes a cell.  SVG frames draw the two
 segments as sampled arcs coloured by stiffness (blue soft, red rigid) with
 the wheel units as oriented blocks.
 """
@@ -10,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from . import __version__
 from .geometry import (AgentConfig, GeometryParams, StiffnessState,
@@ -25,8 +29,27 @@ FRAME_SIZE = 640              # SVG frame side, pixels
 FRAME_WORLD = 0.35            # half side of the drawn world box, metres
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(values) -> list[str]:
+    """The float cells of ``values``, each repr(float(v)), in one pass."""
+    return list(map(repr, map(float, values)))
+
+
+def _flags(values) -> list[str]:
+    return list(map(str, map(int, values)))
+
+
+def _by_id(objs, getters, fmt=_fmt) -> list[str]:
+    """The joined cells of each of ``objs``, one cell per getter.
+
+    Each distinct object is formatted once, column by column, and told
+    apart by identity, never by value: 0.0 == -0.0 and both hash alike.
+    ``objs`` holds every object for the call, so no two share an id.
+    """
+    ids = list(map(id, objs))
+    distinct = dict(zip(ids, objs))
+    columns = [fmt(map(get, distinct.values())) for get in getters]
+    text = dict(zip(distinct, map(",".join, zip(*columns))))
+    return list(map(text.__getitem__, ids))
 
 
 def _header(columns) -> list[str]:
@@ -38,92 +61,75 @@ def _write_lines(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _config_cells(q: AgentConfig) -> str:
-    return ",".join(map(_fmt, (q.x, q.y, q.phi, q.kappa1, q.kappa2)))
-
-
-def _speed_cells(speeds) -> str:
-    return ",".join(map(_fmt, speeds))
-
-
-def _once(fmt):
-    """``fmt`` memoised by object identity, for one writer call.
-
-    The objects come from the plan and trajectory being written, which
-    hold them for the whole call, so no two of them share an id.
-    """
-    done: dict[int, str] = {}
-
-    def cells(obj) -> str:
-        text = done.get(id(obj))
-        if text is None:
-            text = done[id(obj)] = fmt(obj)
-        return text
-
-    return cells
-
-
 def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory,
                    params: ThermalParams) -> None:
     """Write plan.csv, trajectory.csv and thermal.csv of one run.
 
     plan.csv has one row per planner step plus the terminal configuration;
     trajectory.csv one per playback row, with thermal readings and flags;
-    thermal.csv two per playback row, one for each segment's plant.  Each
-    value is formatted once: a plan step's configuration and speed cells
+    thermal.csv two per playback row, one for each segment's plant.  The
+    steps and rows are unpacked into columns, and each float column is
+    formatted in one pass.  A plan step's configuration and speed cells
     serve its plan.csv row and every playback row that replays it (paused
-    rows included), and a playback row's t, T and duty cells serve both
-    trajectory.csv and thermal.csv.
+    rows included), keyed by object identity; a playback row's t, T and
+    duty cells serve both trajectory.csv and thermal.csv.
     """
-    config_cells = _once(_config_cells)
-    speed_cells = _once(_speed_cells)
+    steps = plan.steps
+    t, configs, stiffs, speeds, _ = zip(*steps) if steps else ((),) * 5
+    last_s = stiffs[-1] if steps else StiffnessState(False, False)
+    (row_t, row_configs, row_stiffs, row_speeds, temp1, duty1, phase1,
+     temp2, duty2, phase2, paused, saturated) = zip(*traj.rows)
+    soft1, soft2 = attrgetter("soft1"), attrgetter("soft2")
+    # the plan.csv rows (the steps, then the terminal row) come first, then
+    # the playback rows
+    n = len(steps) + 1
+    configs = (*configs, plan.final_config, *row_configs)
+    config_cells = _by_id(configs, map(attrgetter, ("x", "y", "phi",
+                                                    "kappa1", "kappa2")))
+    speeds = (*speeds, (0.0,) * 5, *row_speeds)
+    speed_cells = _by_id(speeds, map(itemgetter, range(5)))
+    stiffs = (*stiffs, last_s, *row_stiffs)
+    flag_cells = _by_id(stiffs, (soft1, soft2), _flags)
+
     lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1", "s2",
                      "v1", "v2", "u0", "v0", "r0"])
-    for step in plan.steps:
-        s = step.stiffness
-        lines.append(f"{_fmt(step.t)},{config_cells(step.config)},"
-                     f"{int(s.soft1)},{int(s.soft2)},{speed_cells(step.speeds)}")
-    last_s = plan.steps[-1].stiffness if plan.steps else StiffnessState(False, False)
-    t_end = len(plan.steps) * plan.params.dt
-    lines.append(f"{_fmt(t_end)},{config_cells(plan.final_config)},"
-                 f"{int(last_s.soft1)},{int(last_s.soft2)},"
-                 f"{_speed_cells((0.0,) * 5)}")
+    lines += map(",".join, zip(_fmt((*t, len(steps) * plan.params.dt)),
+                               config_cells[:n], flag_cells[:n],
+                               speed_cells[:n]))
     _write_lines(os.path.join(out_dir, "plan.csv"), lines)
 
-    traj_lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1_cmd",
-                          "s2_cmd", "v1", "v2", "u0", "v0", "r0", "T1",
-                          "u1_duty", "phase1", "T2", "u2_duty", "phase2",
-                          "paused", "saturated"])
-    therm_lines = _header(["t", "segment", "T", "u", "phase", "setpoint"])
-    setpoint = {soft: _fmt(setpoint_for(soft, params))
-                for soft in (False, True)}
-    for row in traj.rows:
-        t, temp1, duty1, temp2, duty2 = map(
-            _fmt, (row.t, row.temp1, row.duty1, row.temp2, row.duty2))
-        s = row.stiffness
-        traj_lines.append(
-            f"{t},{config_cells(row.config)},{int(s.soft1)},{int(s.soft2)},"
-            f"{speed_cells(row.speeds)},{temp1},{duty1},{row.phase1},"
-            f"{temp2},{duty2},{row.phase2},{int(row.paused)},"
-            f"{int(row.saturated)}")
-        therm_lines.append(f"{t},1,{temp1},{duty1},{row.phase1},"
-                           f"{setpoint[s.soft1]}")
-        therm_lines.append(f"{t},2,{temp2},{duty2},{row.phase2},"
-                           f"{setpoint[s.soft2]}")
-    _write_lines(os.path.join(out_dir, "trajectory.csv"), traj_lines)
-    _write_lines(os.path.join(out_dir, "thermal.csv"), therm_lines)
+    row_t, temp1, duty1, temp2, duty2 = map(
+        _fmt, (row_t, temp1, duty1, temp2, duty2))
+    lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1_cmd",
+                     "s2_cmd", "v1", "v2", "u0", "v0", "r0", "T1", "u1_duty",
+                     "phase1", "T2", "u2_duty", "phase2", "paused",
+                     "saturated"])
+    lines += map(",".join, zip(row_t, config_cells[n:], flag_cells[n:],
+                               speed_cells[n:], temp1, duty1, phase1, temp2,
+                               duty2, phase2, _flags(paused),
+                               _flags(saturated)))
+    _write_lines(os.path.join(out_dir, "trajectory.csv"), lines)
+
+    rigid, soft_setpoint = _fmt((setpoint_for(False, params),
+                                 setpoint_for(True, params)))
+    setpoint = {False: rigid, True: soft_setpoint}.__getitem__
+    seg1 = map(",".join, zip(row_t, repeat("1"), temp1, duty1, phase1,
+                             map(setpoint, map(soft1, row_stiffs))))
+    seg2 = map(",".join, zip(row_t, repeat("2"), temp2, duty2, phase2,
+                             map(setpoint, map(soft2, row_stiffs))))
+    lines = _header(["t", "segment", "T", "u", "phase", "setpoint"])
+    lines += chain.from_iterable(zip(seg1, seg2))
+    _write_lines(os.path.join(out_dir, "thermal.csv"), lines)
 
 
 def write_sweep_csv(path: str, fits, seg_len: float) -> None:
     """Arc-geometry joint curves the spiral fits were made to, one mode each."""
-    cols = ["mode", "theta", "kappa", "x", "y"]
-    lines = _header(cols)
+    lines = _header(["mode", "theta", "kappa", "x", "y"])
     for fit in fits:
-        thetas = theta_from_kappa(fit.mode, fit.kappas, seg_len).tolist()
-        for theta, kap, (px, py) in zip(thetas, fit.kappas.tolist(),
-                                        fit.points.tolist()):
-            lines.append(f"{fit.mode},{_fmt(theta)},{_fmt(kap)},{_fmt(px)},"
-                         f"{_fmt(py)}")
+        thetas = theta_from_kappa(fit.mode, fit.kappas, seg_len)
+        columns = (thetas, fit.kappas, *fit.points.T)
+        lines += map(",".join, zip(repeat(f"{fit.mode}"), *(
+            _fmt(column.tolist()) for column in columns)))
     _write_lines(path, lines)
 
 

@@ -113,6 +113,8 @@ def test_thermal_timeout_exits_4(tmp_path, capsys):
     code = main(["run", scn, "--out", str(tmp_path / "o"),
                  "--max-wait", "0.5"])
     assert code == EXIT_THERMAL
+    # a run that fails before writing leaves no output directory
+    assert not (tmp_path / "o").exists()
     capsys.readouterr()
 
 
@@ -142,6 +144,9 @@ def test_batch_exit_0_records_each_run_exit(tmp_path, capsys):
     assert [run["exit"] for run in study["runs"]] == [EXIT_THERMAL,
                                                       EXIT_THERMAL, EXIT_OK]
     assert study["n_converged"] == 1
+    # the timed-out runs leave no run directory
+    assert [os.path.isdir(os.path.join(out, f"run_{i:03d}"))
+            for i in range(3)] == [False, False, True]
     capsys.readouterr()
 
 

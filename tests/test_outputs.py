@@ -18,10 +18,11 @@ from softrig.thermal import ThermalParams
 GEOM = GeometryParams()
 
 
-def make_plan():
-    q0 = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
-    target = AgentConfig(0.05, 0.02, 0.2, 40.0, 0.0)
-    return plan_motion(q0, target, GEOM, PlannerParams())
+TARGET = AgentConfig(0.05, 0.02, 0.2, 40.0, 0.0)
+
+
+def make_plan(q0=AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)):
+    return plan_motion(q0, TARGET, GEOM, PlannerParams())
 
 
 def read_rows(path):
@@ -122,7 +123,8 @@ def integer_scenario():
     return scenario_from_dict(json.loads(json.dumps(data)))
 
 
-@pytest.mark.parametrize("case", ["gated", "ungated", "integers"])
+@pytest.mark.parametrize("case", ["gated", "ungated", "integers",
+                                  "no_steps", "signed_zero"])
 def test_run_csvs_match_reference_formatter(tmp_path, case):
     if case == "integers":
         scn = integer_scenario()
@@ -135,10 +137,17 @@ def test_run_csvs_match_reference_formatter(tmp_path, case):
         # the duty clamps at the integer limit, so an int reaches the writer
         assert any(type(row.duty1) is int for row in traj.rows)
     else:
-        plan, params = make_plan(), ThermalParams()
+        # q0 at the target plans no step; -0.0 and 0.0 are equal and hash
+        # alike, so only a cell told apart by identity keeps both
+        q0 = {"no_steps": TARGET,
+              "signed_zero": AgentConfig(-0.0, 0.0, 0.0, -0.0, 0.0)}.get(case)
+        plan = make_plan() if q0 is None else make_plan(q0)
+        params = ThermalParams()
         traj = rollout(plan, thermal_params=params,
-                       thermal_gating=case == "gated")
-    assert any(row.paused for row in traj.rows) == (case != "ungated")
+                       thermal_gating=case != "ungated")
+    assert (plan.steps == []) == (case == "no_steps")
+    assert any(row.paused for row in traj.rows) == (
+        case in ("gated", "integers", "signed_zero"))
     outputs.write_run_csvs(str(tmp_path), plan, traj, params)
     expected = reference_csvs(plan, traj, params)
     for name, data in expected.items():
@@ -146,6 +155,8 @@ def test_run_csvs_match_reference_formatter(tmp_path, case):
     if case == "integers":
         assert b"\n1.0," in expected["plan.csv"]
         assert b",65.0\n" in expected["thermal.csv"]
+    if case == "signed_zero":
+        assert b"\n0.0,-0.0,0.0,0.0,-0.0,0.0," in expected["plan.csv"]
 
 
 def test_write_json_stable_bytes(tmp_path):
