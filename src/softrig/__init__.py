@@ -19,8 +19,7 @@ from .geometry import (BETA, STIFFNESS_STATES, AgentConfig, GeometryParams,
                        StiffnessState, apply_pose, cc_transform, wrap_angle)
 from .jacobian import active_columns, delta_coeff, shared_terms
 from .planner import (PlannerParams, PlanResult, PlanStep, config_error,
-                      damped_speeds, fk_reference, plan_motion,
-                      weighted_distance)
+                      damped_speeds, plan_motion, weighted_distance)
 from .scenario import (Scenario, example_scenario_dict, load_scenario,
                        sample_scenario, scenario_from_dict)
 from .simulator import SimRow, Trajectory, fk_step_detailed, rollout

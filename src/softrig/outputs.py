@@ -5,7 +5,7 @@ with the same seed produces byte-identical files.  The CSV writers unpack
 their records into columns and format each float column in one pass;
 ``_fmt`` is the one place a float becomes a cell.  SVG frames draw the two
 segments as sampled arcs coloured by stiffness (blue soft, red rigid) with
-the wheel units as oriented blocks.
+the wheel units as oriented blocks; a call draws each distinct frame once.
 """
 from __future__ import annotations
 
@@ -182,13 +182,16 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
     c, sn = math.cos(q.phi), math.sin(q.phi)
 
     def pixels(pts):
-        # body frame -> world -> pixels, in one pass per point
-        return [((qx + c * x - sn * y + world) * scale,
-                 (world - (qy + sn * x + c * y)) * scale) for x, y in pts]
+        # body frame -> world -> pixels, flat as (px0, py0, px1, py1, ...)
+        flat = []
+        for x, y in pts:
+            flat += ((qx + c * x - sn * y + world) * scale,
+                     (world - (qy + sn * x + c * y)) * scale)
+        return tuple(flat)
 
     def path_of(pts):
-        return " ".join(f"{'M' if i == 0 else 'L'}{px:.2f},{py:.2f}"
-                        for i, (px, py) in enumerate(pixels(pts)))
+        # one %-format per path; "%.2f" % v is f"{v:.2f}"
+        return ("M%.2f,%.2f" + " L%.2f,%.2f" * (len(pts) - 1)) % pixels(pts)
 
     half_mid = geom.mid_link / 2
     ends = (cc_transform(q.kappa1, 1, geom), cc_transform(q.kappa2, 2, geom))
@@ -216,7 +219,7 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
                      f'stroke="#222222" stroke-width="2" fill="none"/>')
     positions, headings = wheel_layout(*ends, geom)
     for (px, py), psi in zip(positions, headings):
-        (wx, wy), (hx, hy) = pixels(
+        wx, wy, hx, hy = pixels(
             [(px, py), (px + geom.wheel_radius * math.cos(psi),
                         py + geom.wheel_radius * math.sin(psi))])
         parts.append(f'<circle cx="{wx:.2f}" cy="{wy:.2f}" r="3.5" '
@@ -229,15 +232,28 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
 
 def save_keyframes(traj: Trajectory, out_dir: str, geom: GeometryParams,
                    every: int = 50) -> list[str]:
-    """Write every N-th trajectory row (plus the last) as an SVG file."""
+    """Write every N-th trajectory row (plus the last) as an SVG file.
+
+    Paused rows share their plan step's configuration object, so a frame
+    is drawn and encoded once per distinct (configuration object,
+    stiffness) of the call and written for every pick that shows it.
+    """
     os.makedirs(out_dir, exist_ok=True)
     picks = list(range(0, len(traj.rows) - 1, max(1, every)))
     picks.append(len(traj.rows) - 1)
+    frames = {}
     paths = []
     for idx in picks:
         row = traj.rows[idx]
+        # by identity, which a paused row shares with its step; the key
+        # never compares curvatures, so 0.0 and -0.0 are never merged
+        key = (id(row.config), row.stiffness)
+        svg = frames.get(key)
+        if svg is None:
+            svg = frames[key] = render_frame(row.config, row.stiffness,
+                                             geom).encode("ascii")
         path = os.path.join(out_dir, f"frame_{idx:05d}.svg")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(render_frame(row.config, row.stiffness, geom))
+        with open(path, "wb") as fh:
+            fh.write(svg)
         paths.append(path)
     return paths

@@ -10,7 +10,10 @@ near-equal descent.  The held pattern is therefore tried first.  When it
 holds, it is the step, and the other patterns are tried in the canonical
 order only until one gains more than ``eps_progress``, which is all the
 stall test needs; none is tried when the held pattern gains that much
-itself.  Otherwise every reachable pattern is tried and the closest wins.
+itself.  The pattern that last passed the stall test is tried first, if it
+is reachable and is not the held pattern, since it usually passes again;
+the test is a yes or no over trials cached per step, so the order changes
+no plan.  Otherwise every reachable pattern is tried and the closest wins.
 The all-rigid pattern is listed first and wins ties, so plans finish in
 the rigid regime whenever it is as good as bending.
 
@@ -192,6 +195,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     steps: list[PlanStep] = []
     distances = [dist]
     prev_idx: int | None = None
+    witness: int | None = None    # last pattern to pass the stall test
     bounds = [s.kappa_bound(geom) for s in STIFFNESS_STATES]
 
     def trial(idx: int) -> tuple:
@@ -231,15 +235,22 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
             # mode is released; one that keeps moving without gaining (it
             # may be pinned at a curvature bound) is let go.  A held pattern
             # is the step whatever the others reach: they only decide
-            # whether the step stalls.
+            # whether the step stalls, and the last witness goes first.
             if (gain > 0.0
                     and weighted_distance(config_error(held[3], q), weights)
-                    > eps_progress
-                    and (gain > eps_progress
-                         or any(dist - trial(idx)[0] > eps_progress
-                                for idx in reachable(bend)
-                                if idx != prev_idx))):
-                chosen = prev_idx
+                    > eps_progress):
+                if gain > eps_progress:
+                    chosen = prev_idx
+                else:
+                    others = reachable(bend)
+                    if witness in others:
+                        # tried first; its repeat reads the cached trial
+                        others.insert(0, witness)
+                    passed = next((idx for idx in others if idx != prev_idx
+                                   and dist - trial(idx)[0] > eps_progress),
+                                  None)
+                    if passed is not None:
+                        chosen, witness = prev_idx, passed
         if chosen is None:
             candidates = {idx: trial(idx) for idx in reachable(bend)}
             chosen = min(candidates, key=lambda i: candidates[i][0])
@@ -257,30 +268,3 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
         q = q_next
         distances.append(dist)
     return PlanResult(q0, target, params, steps, q, distances, False)
-
-
-def fk_reference(q0: AgentConfig, target: AgentConfig, n_steps: int,
-                 weights=None) -> tuple[list[AgentConfig], list[float]]:
-    """Straight-line configuration sweep used as a comparison baseline.
-
-    Interpolates each coordinate linearly (heading along the short way)
-    over n_steps and reports the weighted distance to the target at every
-    point, by default with the standard planner weights.
-    """
-    if n_steps < 1:
-        raise ContractError(f"need at least one step, got {n_steps}")
-    if weights is None:
-        weights = PlannerParams().weights
-    start = (q0.x, q0.y, q0.kappa1, q0.kappa2)
-    end = (target.x, target.y, target.kappa1, target.kappa2)
-    dphi = wrap_angle(target.phi - q0.phi)
-    configs = []
-    distances = []
-    for i in range(n_steps + 1):
-        frac = i / n_steps
-        x, y, kappa1, kappa2 = (a + frac * (b - a)
-                                for a, b in zip(start, end))
-        qi = AgentConfig(x, y, q0.phi + frac * dphi, kappa1, kappa2)
-        configs.append(qi)
-        distances.append(weighted_distance(config_error(target, qi), weights))
-    return configs, distances

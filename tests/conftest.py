@@ -1,5 +1,5 @@
-"""Reference forms for the tests: planar frames, the array Jacobian and the
-rk4 flow.
+"""Reference forms for the tests: planar frames, the array Jacobian, the
+rk4 flow and the straight-line configuration sweep.
 
 The package maps points through (x, y, theta) poses and steps the
 configuration with one explicit Euler step, all in float arithmetic; the
@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 
-from softrig.geometry import AgentConfig
+from softrig.errors import ContractError
+from softrig.geometry import AgentConfig, wrap_angle
 from softrig.jacobian import active_columns
+from softrig.planner import PlannerParams, config_error, weighted_distance
 
 
 def frame(x, y, theta):
@@ -73,3 +75,29 @@ def rk4_step(q, s, speeds, dt, geom):
     k4 = rate(start + dt * k3)
     end = start + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
     return _clamped_config(end, bound), bool(np.abs(end[3:]).max() > bound)
+
+
+def fk_reference(q0, target, n_steps, weights=None):
+    """Straight-line configuration sweep used as a comparison baseline.
+
+    Interpolates each coordinate linearly (heading along the short way)
+    over n_steps and reports the weighted distance to the target at every
+    point, by default with the standard planner weights.
+    """
+    if n_steps < 1:
+        raise ContractError(f"need at least one step, got {n_steps}")
+    if weights is None:
+        weights = PlannerParams().weights
+    start = (q0.x, q0.y, q0.kappa1, q0.kappa2)
+    end = (target.x, target.y, target.kappa1, target.kappa2)
+    dphi = wrap_angle(target.phi - q0.phi)
+    configs = []
+    distances = []
+    for i in range(n_steps + 1):
+        frac = i / n_steps
+        x, y, kappa1, kappa2 = (a + frac * (b - a)
+                                for a, b in zip(start, end))
+        qi = AgentConfig(x, y, q0.phi + frac * dphi, kappa1, kappa2)
+        configs.append(qi)
+        distances.append(weighted_distance(config_error(target, qi), weights))
+    return configs, distances

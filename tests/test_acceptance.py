@@ -12,8 +12,8 @@ import pytest
 
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState, wrap_angle)
-from softrig.planner import (PlannerParams, config_error, fk_reference,
-                             plan_motion, weighted_distance)
+from softrig.planner import (PlannerParams, config_error, plan_motion,
+                             weighted_distance)
 from softrig.scenario import example_scenario_dict, sample_scenario
 from softrig.simulator import rollout
 from softrig.spiral import SPIRALS, refit_oracle
@@ -21,7 +21,7 @@ from softrig.thermal import (ThermalParams, initial_state, loop_step,
                              setpoint_for, transition_time)
 from softrig.wheelmodel import body_twist_from_wheels, config_matrix
 
-from conftest import as_array, hybrid_jacobian, rk4_step
+from conftest import as_array, fk_reference, hybrid_jacobian, rk4_step
 
 GEOM = GeometryParams()
 ONES = (1.0,) * 5

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -248,3 +249,40 @@ def test_save_keyframes(tmp_path):
     assert paths[-1].endswith(f"frame_{len(traj.rows) - 1:05d}.svg")
     head = open(paths[0]).read(100)
     assert head.startswith("<svg")
+
+
+def test_save_keyframes_draws_each_distinct_frame_once(tmp_path,
+                                                        monkeypatch):
+    # a gated run that starts on the curvature bound with kappa2 = -0.0:
+    # segment 1 bends back under 10 while segment 2 keeps -0.0, then 00
+    # holds both.  Paused rows share their step's configuration object, so
+    # several picks show the same frame; each is drawn once and written
+    # for every pick that shows it
+    q0 = AgentConfig(0.0, 0.0, 0.0, KMAX, -0.0)
+    traj = rollout(make_plan(q0))
+    rows = traj.rows
+    out = str(tmp_path / "frames")
+    draws = []
+    render = outputs.render_frame
+
+    def counted(q, s, geom):
+        draws.append((id(q), s))
+        return render(q, s, geom)
+
+    monkeypatch.setattr(outputs, "render_frame", counted)
+    paths = outputs.save_keyframes(traj, out, GEOM, every=3)
+    picks = [*range(0, len(rows) - 1, 3), len(rows) - 1]
+    shown = [rows[idx] for idx in picks]
+    kappas = [k for row in shown for k in (row.config.kappa1,
+                                            row.config.kappa2)]
+    assert KMAX in kappas
+    assert {math.copysign(1.0, k) for k in kappas if k == 0.0} == {1.0, -1.0}
+    keys = [(id(row.config), row.stiffness) for row in shown]
+    assert draws == list(dict.fromkeys(keys))
+    assert len(draws) < len(picks)
+    assert len(paths) == len(picks)
+    for path, idx, row in zip(paths, picks, shown):
+        assert path.endswith(f"frame_{idx:05d}.svg")
+        with open(path, "rb") as fh:
+            assert fh.read() == render(row.config, row.stiffness,
+                                       GEOM).encode()

@@ -12,10 +12,10 @@ from softrig.errors import ContractError, DomainError, StallError
 from softrig.geometry import STIFFNESS_STATES, AgentConfig, GeometryParams
 from softrig.jacobian import active_columns
 from softrig.planner import (PlannerParams, config_error, damped_speeds,
-                             fk_reference, plan_motion, weighted_distance)
+                             plan_motion, weighted_distance)
 from softrig.scenario import sample_scenario
 
-from conftest import as_array, hybrid_jacobian
+from conftest import as_array, fk_reference, hybrid_jacobian
 
 GEOM = GeometryParams()
 ORIGIN = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -263,7 +263,8 @@ def test_held_pattern_that_gains_is_tried_alone(monkeypatch):
 
 def test_creep_then_stall_tries_every_pattern(monkeypatch):
     # steps 9-17 creep: the held 00 gains at most eps_progress and is kept,
-    # so the others are tried only until 10 gains more.  At step 27 the
+    # so the others are tried only until 10 gains more; from step 10 that
+    # witness of step 9 is tried first and passes again.  At step 27 the
     # held 10 still holds but nothing gains more than eps_progress, so
     # every pattern is tried once, the held one first, and the stall reads
     # as it did when every step tried every pattern (message and
@@ -277,8 +278,38 @@ def test_creep_then_stall_tries_every_pattern(monkeypatch):
     assert info.value.diagnostics == {
         "00": 0.0006048651997018831, "01": 1.7196660762053284e-13,
         "10": 0.0009803716714505938, "11": 0.0005907627265757526}
-    assert per_step() == (["00011011"] + ["00"] * 8 + ["000110"] * 9
-                          + ["00011011"] + ["10"] * 8 + ["10000111"])
+    assert per_step() == (["00011011"] + ["00"] * 8 + ["000110"]
+                          + ["0010"] * 8 + ["00011011"] + ["10"] * 8
+                          + ["10000111"])
+
+
+def test_unreachable_witness_is_not_tried(monkeypatch):
+    # a scripted plant: each (configuration, pattern) listed moves to the
+    # configuration given, any other trial leaves q where it is.  Step 1
+    # creeps under the held 00 and 11 is the stall test's witness; step 2
+    # bends kappa1 past pi/l under 10; step 3 creeps under the held 10, and
+    # the witness 11, now past its bound, is not tried
+    q0 = AgentConfig(1.0, 0.0, 0.0, 70.0, 0.0)
+    q1 = AgentConfig(0.5, 0.0, 0.0, 70.0, 0.0)
+    q2 = AgentConfig(0.49, 0.0, 0.0, 70.0, 0.0)
+    q3 = AgentConfig(0.49, 0.0, 0.0, 99.0, 0.0)
+    script = {(q0, "00"): q1, (q1, "00"): q2,
+              (q1, "11"): AgentConfig(0.5, 0.0, 0.0, 72.0, 0.0),
+              (q2, "10"): q3,
+              (q3, "10"): AgentConfig(0.488, 0.0, 0.04, 99.0, 0.0),
+              (q3, "00"): AgentConfig(0.0, 0.0, 0.0, 99.0, 0.0)}
+    monkeypatch.setattr(
+        planner, "fk_step_detailed",
+        lambda q, s, ups, dt, geom, cols: (script.get((q, s.label()), q),
+                                           False))
+    per_step = tried_patterns(monkeypatch)
+    target = AgentConfig(0.0, 0.0, 0.0, 100.0, 0.0)
+    plan = plan_motion(q0, target, GEOM, PlannerParams(
+        weights=(1.0,) * 5, eps_progress=1e-3, max_steps=4))
+    assert [st.stiffness.label() for st in plan.steps] == ["00", "00", "10",
+                                                           "10"]
+    assert plan.steps[3].config == q3 and q3.kappa1 > GEOM.kappa_max_uniform
+    assert per_step() == ["00011011", "00011011", "00011011", "1000"]
 
 
 def test_curvature_beyond_bound_is_rejected():

@@ -90,7 +90,6 @@ def test_no_unused_private_names():
 
 # public functions the package never calls itself, each with what calls it
 REFERENCE_HELPERS = {
-    "fk_reference": "acceptance gate 8",
     "transition_time": "acceptance gate 9",
     "config_matrix": "acceptance gates 5 and 6",
     "body_twist_from_wheels": "acceptance gate 6",
