@@ -33,6 +33,9 @@ BETA = (math.pi / 2, 0.0, -math.pi / 2, math.pi)
 # on the bound still passes
 _BOUND_TOL = 1e-9
 
+# |kappa * length| below which the arc chord takes its series form
+ARC_SERIES_ALPHA = 1e-6
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -200,11 +203,12 @@ def arc_chord(kappa: float, length: float) -> tuple[float, float]:
     The arc has the given length and signed curvature and bends toward +y
     for positive kappa: (sin(a) / kappa, 2 sin^2(a / 2) / kappa) with
     a = kappa * length.  The rise is written with the half-angle sine,
-    since 1 - cos(a) cancels for small a; below |a| = 1e-6 both entries
-    use their series, so the map is smooth through the straight arc.
+    since 1 - cos(a) cancels for small a; below |a| = ``ARC_SERIES_ALPHA``
+    both entries use their series, so the map is smooth through the
+    straight arc.
     """
     alpha = kappa * length
-    if abs(alpha) < 1e-6:
+    if abs(alpha) < ARC_SERIES_ALPHA:
         # sin(a)/kappa = l*(1 - a^2/6), 2 sin^2(a/2)/kappa = l*a/2 to O(a^3)
         return length * (1.0 - alpha * alpha / 6.0), length * alpha / 2.0
     half = math.sin(alpha / 2.0)

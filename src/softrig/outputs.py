@@ -125,11 +125,18 @@ def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory,
 def write_sweep_csv(path: str, fits, seg_len: float) -> None:
     """Arc-geometry joint curves the spiral fits were made to, one mode each."""
     lines = _header(["mode", "theta", "kappa", "x", "y"])
+    # modes repeat columns (1 and 2 sweep the same kappas), so each distinct
+    # one is formatted once, keyed by its bytes: 0.0 == -0.0 as values
+    cells = {}
     for fit in fits:
         thetas = theta_from_kappa(fit.mode, fit.kappas, seg_len)
-        columns = (thetas, fit.kappas, *fit.points.T)
-        lines += map(",".join, zip(repeat(f"{fit.mode}"), *(
-            _fmt(column.tolist()) for column in columns)))
+        keyed = [(column.tobytes(), column)
+                 for column in (thetas, fit.kappas, *fit.points.T)]
+        for key, column in keyed:
+            if key not in cells:
+                cells[key] = _fmt(column.tolist())
+        lines += map(",".join, zip(repeat(f"{fit.mode}"),
+                                   *(cells[key] for key, _ in keyed)))
     _write_lines(path, lines)
 
 

@@ -51,6 +51,9 @@ class PlannerParams:
     def __post_init__(self):
         if self.dt <= 0 or self.lam <= 0:
             raise ContractError("planner dt and lam must be positive")
+        if not self.eps_goal > 0:       # NaN too: no plan could arrive
+            raise ContractError(
+                f"planner.eps_goal must be positive, got {self.eps_goal}")
         if len(self.weights) != 5 or any(w < 0 for w in self.weights):
             raise ContractError("weights must be five non-negative numbers")
         if self.max_steps < 1:
@@ -167,6 +170,12 @@ def damped_speeds(cols: Columns, s: StiffnessState, err, lam: float,
     g22 = _dot(b, b) + damp
     r1, r2 = _dot(a, le), _dot(b, le)
     det = g11 * g22 - g12 * g12
+    if not det > 0.0:
+        # positive in exact arithmetic; lost to rounding when the soft gains
+        # dwarf the damping (a fibre of nanometre segments)
+        raise DomainError(
+            f"soft pattern {s.label()}: the damped 2 x 2 system has "
+            f"determinant {det:.6g}, its gains are too large for mu {mu:.6g}")
     return ((g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det,
             0.0, 0.0, 0.0)
 

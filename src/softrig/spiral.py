@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ContractError, DomainError, FitError
-from .geometry import GeometryParams, arc_chord, past_bound
+from .geometry import ARC_SERIES_ALPHA, GeometryParams, past_bound
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,6 +124,24 @@ def rate_coeffs(mode: int, kappa: float, seg_len: float) -> float:
 # geometric sweep and refit
 # ---------------------------------------------------------------------------
 
+def _arc_chords(kappas: np.ndarray, length: float):
+    """``geometry.arc_chord`` over an array of curvatures, as (cx, cy).
+
+    The same operations in the same order, series form included, so each
+    entry is the scalar chord's float wherever numpy's float64 ``sin``
+    gives ``math.sin``'s, as numpy 2.4's does on each x86-64 dispatch path.
+    """
+    import numpy as np
+    alpha = kappas * length
+    series = np.abs(alpha) < ARC_SERIES_ALPHA
+    with np.errstate(invalid="ignore"):     # 0 / 0 at kappa 0, not picked
+        half = np.sin(alpha / 2.0)
+        return (np.where(series, length * (1.0 - alpha * alpha / 6.0),
+                         np.sin(alpha) / kappas),
+                np.where(series, length * alpha / 2.0,
+                         2.0 * half * half / kappas))
+
+
 def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
     """Moving-joint trajectory from arc geometry, in the mode's fit frame.
 
@@ -133,6 +151,7 @@ def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
     its middle-link joint, (-cx, cy); mode 2, the straight segment 1's far
     end in the bent segment's end frame, R(-alpha) (-(2h + l + cx), -cy);
     mode 3, segment 2's end in segment 1's, 2 (h + cx) (cos alpha, sin alpha).
+    Each sample is the float the scalar forms give.
     """
     import numpy as np
     spiral_model(mode)        # ContractError for a mode other than 1, 2, 3
@@ -142,23 +161,16 @@ def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
         raise DomainError("sweep kappas are bend magnitudes and must lie in "
                           f"[0, {geom.kappa_max:.6g}]")
     l, half_mid = geom.seg_len, geom.mid_link / 2
-    pts = []
+    cx, cy = _arc_chords(kappas, l)
     if mode == 1:
-        for kap in kappas.tolist():
-            cx, cy = arc_chord(kap, l)
-            pts.append((-cx, cy))
-    elif mode == 2:
-        reach = 2 * half_mid + l
-        for kap in kappas.tolist():
-            cx, cy = arc_chord(kap, l)
-            c, s = math.cos(kap * l), math.sin(kap * l)
-            px, py = -(reach + cx), -cy
-            pts.append((c * px + s * py, c * py - s * px))
-    else:
-        for kap in kappas.tolist():
-            r = 2 * (half_mid + arc_chord(kap, l)[0])
-            pts.append((r * math.cos(kap * l), r * math.sin(kap * l)))
-    return np.array(pts, dtype=float).reshape(len(pts), 2)
+        return np.stack((-cx, cy), axis=1)
+    alpha = kappas * l
+    c, s = np.cos(alpha), np.sin(alpha)
+    if mode == 2:
+        px, py = -(2 * half_mid + l + cx), -cy
+        return np.stack((c * px + s * py, c * py - s * px), axis=1)
+    r = 2 * (half_mid + cx)
+    return np.stack((r * c, r * s), axis=1)
 
 
 @dataclass(frozen=True)
@@ -226,6 +238,11 @@ def _spiral_residual(d: np.ndarray):
     def mean(x):    # ndarray.mean's sum and divide, without its call overhead
         return np.add.reduce(x, axis=1, keepdims=True) / n
 
+    def pair_mean(x):   # of a (k, n, 2) array, whose axis-1 sum numpy adds
+        # in sample order as cumsum does, and cumsum is faster; the sum of a
+        # (k, n, 1) array is pairwise, which cumsum's is not
+        return np.cumsum(x, axis=1)[:, -1:] / n
+
     dx, dy = d[..., :1], d[..., 1:]
     rho2 = dx ** 2 + dy ** 2
     rho = np.sqrt(rho2)
@@ -243,7 +260,7 @@ def _spiral_residual(d: np.ndarray):
     d_theta = np.concatenate((dy, -dx), axis=2) / rho2
     d_log_rho = d_rho / rho
     d_b = (_dot(v, d_theta) + _dot(u, d_log_rho) - 2.0 * b * _dot(u, d_theta)) / s_tt
-    d_log_a = mean(d_log_rho) - theta_mean * d_b - b * mean(d_theta)
+    d_log_a = pair_mean(d_log_rho) - theta_mean * d_b - b * pair_mean(d_theta)
     # theta * d_b as a (k, 2, n) outer product: an innermost axis of n, not 2
     theta_d_b = (d_b.reshape(k, 2, 1) * theta.reshape(k, 1, n)).swapaxes(1, 2)
     jac = d_rho - model * (d_log_a + theta_d_b + b * d_theta)

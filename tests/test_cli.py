@@ -111,6 +111,20 @@ def test_soft_setpoint_above_sensor_ceiling_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, values, message", [
+    ("planner", {"eps_goal": 0.0}, "scenario error: planner: planner.eps_goal"),
+    ("planner", {"eps_goal": -1e-3}, "scenario error: planner: planner.eps_goal"),
+    # nanometre segments: the soft gains round the damped system singular
+    ("geometry", {"seg_len": 1e-9}, "error: soft pattern"),
+], ids=["zero-eps_goal", "negative-eps_goal", "tiny-seg_len"])
+def test_contract_edges_exit_2(tmp_path, capsys, section, values, message):
+    scn = write_scenario(tmp_path, **{section: values})
+    out = tmp_path / "never"
+    assert main(["run", scn, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_unconverged_plan_exits_3(tmp_path, capsys):
     scn = write_scenario(tmp_path, planner={"max_steps": 3})
     assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NO_CONVERGE

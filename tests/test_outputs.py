@@ -13,7 +13,7 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
 from softrig.planner import PlannerParams, plan_motion
 from softrig.scenario import example_scenario_dict, scenario_from_dict
 from softrig.simulator import rollout
-from softrig.spiral import refit_oracle
+from softrig.spiral import refit_oracle, theta_from_kappa
 from softrig.thermal import ThermalParams
 
 GEOM = GeometryParams()
@@ -182,6 +182,38 @@ def test_sweep_csv_covers_all_modes(tmp_path):
     kappas = [float(r[2]) for r in rows if r[0] == "3"]
     assert min(kappas) == 0.0
     assert abs(max(kappas) - GEOM.kappa_max_uniform) < 1e-9
+
+
+def reference_sweep_csv(fits, seg_len) -> bytes:
+    """sweep.csv rebuilt row by row, each column of each fit formatted on
+    its own, each float as repr(float(v))."""
+    lines = [f"# softrig {__version__}", "mode,theta,kappa,x,y"]
+    for fit in fits:
+        thetas = theta_from_kappa(fit.mode, fit.kappas, seg_len)
+        lines += [",".join([str(fit.mode)] + [repr(float(v)) for v in row])
+                  for row in zip(thetas, fit.kappas, *fit.points.T)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", ["repeated", "distinct", "signed_zero"])
+def test_sweep_csv_matches_reference_formatter(tmp_path, case):
+    # modes 1 and 2 sweep the same kappas and modes 1 and 3 the same thetas;
+    # modes 2 and 3 share no column; a column equal to another but for the
+    # sign of a zero is a column of its own
+    fits = refit_oracle((1, 2, 3) if case == "repeated" else (2, 3), GEOM, 40)
+    if case == "signed_zero":
+        points = fits[0].points.copy()
+        assert points[0, 1] == 0.0
+        points[0, 1] = -points[0, 1]
+        fits = [fits[0], dataclasses.replace(fits[0], points=points)]
+    columns = [column.tobytes() for fit in fits
+               for column in (fit.kappas, *fit.points.T)]
+    assert (len(set(columns)) < len(columns)) == (case != "distinct")
+    path = tmp_path / "sweep.csv"
+    outputs.write_sweep_csv(str(path), fits, GEOM.seg_len)
+    assert path.read_bytes() == reference_sweep_csv(fits, GEOM.seg_len)
+    if case == "signed_zero":
+        assert path.read_bytes().count(b",-0.0\n") == 1
 
 
 def test_sweep_csv_rejects_kappas_outside_the_theta_span(tmp_path):

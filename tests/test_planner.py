@@ -28,6 +28,9 @@ def test_params_validation():
         PlannerParams(weights=(1.0, 1.0))
     with pytest.raises(ContractError):
         PlannerParams(max_steps=0)
+    for eps_goal in (0.0, -0.02, math.nan):     # no plan could arrive
+        with pytest.raises(ContractError, match="eps_goal"):
+            PlannerParams(eps_goal=eps_goal)
     assert PlannerParams.unweighted().weights == (1.0,) * 5
 
 
@@ -38,6 +41,15 @@ def test_config_error_wraps_heading():
     assert abs(err[2]) < 1.0  # the short way round, not 6 rad
     assert math.isclose(weighted_distance(err, (0, 0, 1, 0, 0)),
                         abs(err[2]))
+
+
+def test_damped_speeds_rejects_a_system_without_positive_determinant():
+    # parallel unit-speed columns and no damping: the determinant is 0;
+    # gains that dwarf the damping round it to 0 or below the same way
+    s = STIFFNESS_STATES[1]
+    col = (1.0, 0.5, 0.0, 2.0, 0.0)
+    with pytest.raises(DomainError, match="determinant"):
+        damped_speeds((col, col), s, (1.0,) * 5, 1.0, 0.0)
 
 
 def test_damped_speeds_zero_for_inactive_columns():

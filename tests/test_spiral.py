@@ -11,7 +11,8 @@ import pytest
 import softrig
 from softrig import cli, outputs, spiral
 from softrig.errors import ContractError, DomainError, FitError
-from softrig.geometry import GeometryParams, cc_transform
+from softrig.geometry import (ARC_SERIES_ALPHA, GeometryParams, arc_chord,
+                              cc_transform)
 from softrig.spiral import (SPIRALS, _solve_centre, rate_coeffs, refit_oracle,
                             spiral_model, sweep_curve, theta_from_kappa)
 
@@ -100,6 +101,28 @@ def test_straight_radius_and_gains():
         sp = spiral_model(mode)
         expect = sp.a_over_l * L * math.exp(-sp.b_mag * math.pi)
         assert math.isclose(sp.radius(0.0, L), expect, rel_tol=1e-12)
+
+
+def chord_bytes(kappas, length):
+    """The scalar ``arc_chord`` of each curvature, as (n, 2) float bytes."""
+    return np.array([arc_chord(k, length) for k in kappas]).tobytes()
+
+
+@pytest.mark.parametrize("length", [1.0, L])
+def test_arc_chords_equal_the_scalar_chord_bit_for_bit(length):
+    # zero, a tiny curvature, the series threshold and one ulp either side
+    # of it, and the full-circle bound, each in both signs
+    edge = ARC_SERIES_ALPHA / length
+    kappas = [0.0, 1e-300, edge, math.nextafter(edge, 0.0),
+              math.nextafter(edge, math.inf), 2 * math.pi / length]
+    kappas += [-k for k in kappas]
+    alphas = [abs(k * length) for k in kappas]
+    assert min(a for a in alphas if a >= ARC_SERIES_ALPHA) == ARC_SERIES_ALPHA
+    assert max(a for a in alphas if a < ARC_SERIES_ALPHA) == math.nextafter(
+        ARC_SERIES_ALPHA, 0.0)
+    cx, cy = spiral._arc_chords(np.array(kappas), length)
+    assert np.stack((cx, cy), axis=1).tobytes() == chord_bytes(kappas, length)
+    assert math.copysign(1.0, cy[len(kappas) // 2]) == -1.0     # at -0.0
 
 
 def test_sweep_curve_frames():
@@ -417,6 +440,8 @@ def test_unwrap_matches_numpy_on_arbitrary_angles():
 
 
 AVX512_TARGETS = ("AVX512_ICL", "AVX512_SPR", "X86_V4")
+# what numpy falls back to on x86-64: its AVX2 loops, then its baseline ones
+FALLBACKS = (AVX512_TARGETS, AVX512_TARGETS + ("X86_V3",))
 
 
 def dispatched_targets():
@@ -428,21 +453,25 @@ def dispatched_targets():
     return {t for t in __cpu_dispatch__ if __cpu_features__.get(t)}
 
 
-@pytest.mark.skipif(not set(AVX512_TARGETS) <= dispatched_targets(),
-                    reason="numpy does not dispatch AVX-512 targets here")
+@pytest.mark.skipif(not set(FALLBACKS[-1]) <= dispatched_targets(),
+                    reason="numpy does not dispatch AVX-512 and X86_V3 targets here")
 def test_sweep_csv_holds_without_avx512_dispatch(tmp_path):
-    # sweep.csv comes from Python float arithmetic in sweep_curve, so it
-    # keeps its pinned bytes when numpy falls back to its AVX2 loops
-    # (refit.json does not: its last digits follow the dispatch)
-    code = ("import sys\n"
-            "from numpy._core._multiarray_umath import __cpu_features__\n"
-            "from softrig.cli import main\n"
-            f"assert not any(__cpu_features__[t] for t in {AVX512_TARGETS})\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS),
-               PYTHONPATH=str(Path(spiral.__file__).resolve().parents[1]))
-    subprocess.run([sys.executable, "-c", code, "sweep", "--samples", "60",
-                    "--out", str(tmp_path)], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
-    digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
-    assert digest == OTHER_SWEEP_DIGESTS[60]["sweep.csv"]
+    # sweep.csv's floats come from numpy's float64 sin and cos in
+    # sweep_curve, which give math.sin's and math.cos's floats on each
+    # path, so it keeps its pinned bytes when numpy falls back to its AVX2
+    # or its baseline loops (refit.json does not: its last digits follow
+    # the dispatch)
+    for disabled in FALLBACKS:
+        code = ("import sys\n"
+                "from numpy._core._multiarray_umath import __cpu_features__\n"
+                "from softrig.cli import main\n"
+                f"assert not any(__cpu_features__[t] for t in {disabled})\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+                   PYTHONPATH=str(Path(spiral.__file__).resolve().parents[1]))
+        out = tmp_path / disabled[-1]
+        subprocess.run([sys.executable, "-c", code, "sweep", "--samples", "60",
+                        "--out", str(out)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == OTHER_SWEEP_DIGESTS[60]["sweep.csv"], disabled
