@@ -3,7 +3,7 @@
 softrig run [scenario.json] [--batch N] [--seed S] [--out DIR] ...
     plan a scenario (or a seeded batch of random ones), replay it through
     the thermal simulator and write plan/trajectory/thermal CSVs, a JSON
-    summary and optional SVG keyframes.
+    summary and an optional SVG film strip of keyframes.
 
 softrig sweep [--out DIR] [--samples N]
     regenerate the deformation-mode joint curves from arc geometry, refit
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="default",
                      help="distance metric preset for the planner")
     run.add_argument("--keyframes", type=int, default=0, metavar="N",
-                     help="write an SVG frame every N rows (0 = off)")
+                     help="draw every N-th row in keyframes.svg (0 = off)")
     run.add_argument("--max-wait", type=float, default=60.0,
                      help="thermal transition budget per switch, seconds")
 
@@ -108,7 +108,7 @@ def _run_one(scn: Scenario, out_dir: str, args) -> tuple[int, str, str]:
     summary["sim_rows"] = len(traj.rows)
     outputs.write_json(os.path.join(out_dir, "summary.json"), summary)
     if args.keyframes > 0:
-        outputs.save_keyframes(traj, os.path.join(out_dir, "frames"),
+        outputs.save_keyframes(traj, os.path.join(out_dir, "keyframes.svg"),
                                scn.geometry, every=args.keyframes)
     state = "converged" if plan.converged else "did not converge"
     line = (f"{scn.label}: {state} in {len(plan.steps)} steps, "

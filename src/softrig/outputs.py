@@ -5,7 +5,9 @@ with the same seed produces byte-identical files.  The CSV writers unpack
 their records into columns and format each float column in one pass;
 ``_fmt`` is the one place a float becomes a cell.  SVG frames draw the two
 segments as sampled arcs coloured by stiffness (blue soft, red rigid) with
-the wheel units as oriented blocks; a call draws each distinct frame once.
+the wheel units as oriented blocks.  A run's keyframes are one SVG film
+strip that draws each distinct frame once, as a symbol, and shows it with
+one ``<use>`` per pick.
 """
 from __future__ import annotations
 
@@ -27,6 +29,9 @@ SOFT_COLOR = "#1f77b4"
 RIGID_COLOR = "#d62728"
 FRAME_SIZE = 640              # SVG frame side, pixels
 FRAME_WORLD = 0.35            # half side of the drawn world box, metres
+STRIP_LABEL = 24              # label band above each film-strip frame, pixels
+SVG_NS = "http://www.w3.org/2000/svg"
+XLINK_NS = "http://www.w3.org/1999/xlink"
 
 
 def _fmt(values) -> list[str]:
@@ -181,8 +186,9 @@ def _arc_points(kappa: float, j: int, geom: GeometryParams, n: int = 24):
     return pts
 
 
-def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str:
-    """One SVG snapshot of the agent pose, world box +-FRAME_WORLD metres."""
+def _frame_body(q: AgentConfig, s: StiffnessState,
+                geom: GeometryParams) -> list[str]:
+    """The drawing of one frame: the lines inside ``render_frame``'s <svg>."""
     size, world = FRAME_SIZE, FRAME_WORLD
     scale = size / (2 * world)
     qx, qy = q.x, q.y
@@ -202,9 +208,7 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
 
     half_mid = geom.mid_link / 2
     ends = (cc_transform(q.kappa1, 1, geom), cc_transform(q.kappa2, 2, geom))
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
+    parts = [f'<rect width="{size}" height="{size}" fill="white"/>']
     parts.append(f'<path d="{path_of([(-half_mid, 0), (half_mid, 0)])}" '
                  f'stroke="#444444" stroke-width="4" fill="none"/>')
     for j, end in zip((1, 2), ends):
@@ -233,34 +237,55 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
                      f'fill="#222222"/>')
         parts.append(f'<path d="M{wx:.2f},{wy:.2f} L{hx:.2f},{hy:.2f}" '
                      f'stroke="#222222" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return parts
 
 
-def save_keyframes(traj: Trajectory, out_dir: str, geom: GeometryParams,
-                   every: int = 50) -> list[str]:
-    """Write every N-th trajectory row (plus the last) as an SVG file.
+def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str:
+    """One SVG snapshot of the agent pose, world box +-FRAME_WORLD metres."""
+    size = FRAME_SIZE
+    return "\n".join([f'<svg xmlns="{SVG_NS}" width="{size}" height="{size}" '
+                      f'viewBox="0 0 {size} {size}">',
+                      *_frame_body(q, s, geom), "</svg>"])
 
-    Paused rows share their plan step's configuration object, so a frame
-    is drawn and encoded once per distinct (configuration object,
-    stiffness) of the call and written for every pick that shows it.
+
+def save_keyframes(traj: Trajectory, path: str, geom: GeometryParams,
+                   every: int = 50) -> list[int]:
+    """Write every N-th trajectory row (plus the last) as one SVG film strip.
+
+    Each distinct (configuration object, stiffness) of the picks is drawn
+    once, as a ``<symbol>`` in ``<defs>``, in first-pick order; paused rows
+    share their plan step's configuration object, so a repeated frame costs
+    one ``<use>``.  The strip stacks one ``<use>`` per pick, top to bottom,
+    each under a label with its row index and time.  Returns the picked
+    row indices.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    picks = list(range(0, len(traj.rows) - 1, max(1, every)))
-    picks.append(len(traj.rows) - 1)
-    frames = {}
-    paths = []
-    for idx in picks:
-        row = traj.rows[idx]
+    rows = traj.rows
+    picks = [*range(0, len(rows) - 1, max(1, every)), len(rows) - 1]
+    size, cell = FRAME_SIZE, FRAME_SIZE + STRIP_LABEL
+    height = len(picks) * cell
+    symbols = {}
+    defs, strip = [], []
+    for n, (idx, t) in enumerate(zip(picks, _fmt(rows[i].t for i in picks))):
+        row = rows[idx]
         # by identity, which a paused row shares with its step; the key
         # never compares curvatures, so 0.0 and -0.0 are never merged
         key = (id(row.config), row.stiffness)
-        svg = frames.get(key)
-        if svg is None:
-            svg = frames[key] = render_frame(row.config, row.stiffness,
-                                             geom).encode("ascii")
-        path = os.path.join(out_dir, f"frame_{idx:05d}.svg")
-        with open(path, "wb") as fh:
-            fh.write(svg)
-        paths.append(path)
-    return paths
+        name = symbols.get(key)
+        if name is None:
+            name = symbols[key] = f"f{len(symbols)}"
+            defs += (f'<symbol id="{name}" viewBox="0 0 {size} {size}">',
+                     *_frame_body(row.config, row.stiffness, geom),
+                     "</symbol>")
+        y = n * cell
+        strip += (f'<text x="8" y="{y + STRIP_LABEL - 7}" '
+                  f'font-family="monospace" font-size="14">'
+                  f'row {idx}, t = {t} s</text>',
+                  f'<use xlink:href="#{name}" x="0" y="{y + STRIP_LABEL}" '
+                  f'width="{size}" height="{size}"/>')
+    lines = [f'<svg xmlns="{SVG_NS}" xmlns:xlink="{XLINK_NS}" '
+             f'width="{size}" height="{height}" '
+             f'viewBox="0 0 {size} {height}">',
+             f'<rect width="{size}" height="{height}" fill="white"/>',
+             "<defs>", *defs, "</defs>", *strip, "</svg>"]
+    _write_lines(path, lines)
+    return picks

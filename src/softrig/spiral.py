@@ -145,7 +145,8 @@ def _arc_chords(kappas: np.ndarray, length: float):
 def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
     """Moving-joint trajectory from arc geometry, in the mode's fit frame.
 
-    kappas are bend magnitudes, 0 to ``geom.kappa_max``.  With (cx, cy) =
+    kappas are a 1-d sequence of bend magnitudes, 0 to ``geom.kappa_max``;
+    any other shape is a ``ContractError``.  With (cx, cy) =
     ``arc_chord(kappa, l)``, alpha = kappa l and h = mid_link / 2, the frame
     compositions reduce to closed forms: mode 1, segment 2's outer end about
     its middle-link joint, (-cx, cy); mode 2, the straight segment 1's far
@@ -156,6 +157,9 @@ def sweep_curve(mode: int, geom: GeometryParams, kappas) -> np.ndarray:
     import numpy as np
     spiral_model(mode)        # ContractError for a mode other than 1, 2, 3
     kappas = np.asarray(kappas, dtype=float)
+    if kappas.ndim != 1:
+        raise ContractError("sweep kappas must be a 1-d sequence, got "
+                            f"{kappas.ndim} dimensions")
     lo, hi = kappas.min(initial=0.0), kappas.max(initial=0.0)   # NaN if any is
     if not (lo >= 0.0 and not past_bound(hi, geom.kappa_max)):
         raise DomainError("sweep kappas are bend magnitudes and must lie in "

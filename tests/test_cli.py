@@ -31,7 +31,10 @@ def test_run_scenario_writes_outputs(tmp_path, capsys):
     assert main(["run", scn, "--out", out, "--keyframes", "100"]) == EXIT_OK
     for name in ("plan.csv", "trajectory.csv", "thermal.csv", "summary.json"):
         assert os.path.exists(os.path.join(out, name))
-    assert os.path.isdir(os.path.join(out, "frames"))
+    # the keyframes are one film strip; no frames/ directory is made
+    assert sorted(os.listdir(out)) == ["keyframes.svg", "plan.csv",
+                                       "summary.json", "thermal.csv",
+                                       "trajectory.csv"]
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["converged"] is True
     assert summary["label"] == "sidestep-and-bend"
@@ -129,6 +132,18 @@ def test_unconverged_plan_exits_3(tmp_path, capsys):
     scn = write_scenario(tmp_path, planner={"max_steps": 3})
     assert main(["run", scn, "--out", str(tmp_path / "o")]) == EXIT_NO_CONVERGE
     capsys.readouterr()
+
+
+def test_stalled_run_exits_3_and_writes_no_keyframes(tmp_path, capsys):
+    # no pattern gains a whole unit of distance: the planner stalls at
+    # step 0, before anything is played back or drawn
+    scn = write_scenario(tmp_path, planner={"eps_progress": 1.0})
+    out = tmp_path / "o"
+    assert main(["run", scn, "--keyframes", "50",
+                 "--out", str(out)]) == EXIT_NO_CONVERGE
+    assert "stalled" in capsys.readouterr().err
+    assert not (out / "keyframes.svg").exists()
+    assert not out.exists()
 
 
 def test_thermal_timeout_exits_4(tmp_path, capsys):
@@ -235,7 +250,8 @@ def test_batch_writer_children_match_in_process_writing(tmp_path, monkeypatch,
     assert writer_log["forked"] == 0 + 1 + 2 + 2
     assert writer_log["unreaped"] == 0
     files, printed = runs[0]
-    assert "study.json" in files and "run_002/frames/frame_00000.svg" in files
+    assert "study.json" in files and "run_002/keyframes.svg" in files
+    assert not any("frames/" in name for name in files)
     assert printed.out.count("converged in") == 3
     for other in runs[1:]:
         assert other == runs[0]
@@ -401,9 +417,9 @@ def test_calls_in_one_process_keep_no_options(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     assert main(["run", scn, "--keyframes", "5",
                  "--out", str(tmp_path / "a")]) == EXIT_OK
-    assert (tmp_path / "a" / "frames").is_dir()
+    assert (tmp_path / "a" / "keyframes.svg").is_file()
     assert main(["run", scn, "--out", str(tmp_path / "b")]) == EXIT_OK
-    assert not (tmp_path / "b" / "frames").exists()
+    assert not (tmp_path / "b" / "keyframes.svg").exists()
     assert main(["sweep", "--samples", "60",
                  "--out", str(tmp_path / "c")]) == EXIT_OK
     assert main(["sweep", "--out", str(tmp_path / "d")]) == EXIT_OK

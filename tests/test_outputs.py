@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -12,7 +13,7 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState)
 from softrig.planner import PlannerParams, plan_motion
 from softrig.scenario import example_scenario_dict, scenario_from_dict
-from softrig.simulator import rollout
+from softrig.simulator import Trajectory, rollout
 from softrig.spiral import refit_oracle, theta_from_kappa
 from softrig.thermal import ThermalParams
 
@@ -270,17 +271,51 @@ def test_render_frame_bytes_pinned(label, q, digest):
     svg = outputs.render_frame(q, STIFFNESS_STATES[int(label, 2)], GEOM)
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
+SVG = "{http://www.w3.org/2000/svg}"
+XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
+
+
+def read_strip(path):
+    """The symbols (id -> drawn body text) and uses (label, href) of a strip.
+
+    The symbol bodies are cut from the file text, so they compare byte for
+    byte; the structure comes from parsing it.
+    """
+    text = open(path, encoding="ascii").read()
+    root = ET.fromstring(text)
+    assert root.tag == f"{SVG}svg"
+    (defs,) = root.findall(f"{SVG}defs")
+    symbols = {}
+    for sym in defs:
+        assert sym.tag == f"{SVG}symbol"
+        assert sym.get("viewBox") == "0 0 640 640"
+        opening = f'<symbol id="{sym.get("id")}" viewBox="0 0 640 640">\n'
+        body = text.split(opening, 1)[1].split("\n</symbol>", 1)[0]
+        symbols[sym.get("id")] = body
+    labels = [el.text for el in root.findall(f"{SVG}text")]
+    hrefs = [el.get(XLINK_HREF) for el in root.findall(f"{SVG}use")]
+    return symbols, list(zip(labels, hrefs))
+
+
+def frame_body(q, s):
+    """render_frame's drawing without its <svg> and </svg> lines."""
+    return outputs.render_frame(q, s, GEOM).split("\n", 1)[1].rsplit("\n", 1)[0]
+
+
 def test_save_keyframes(tmp_path):
     plan = make_plan()
     traj = rollout(plan, thermal_gating=False)
-    out = str(tmp_path / "frames")
-    paths = outputs.save_keyframes(traj, out, GEOM, every=40)
-    expect = len(range(0, len(traj.rows) - 1, 40)) + 1
-    assert len(paths) == expect
-    assert all(os.path.exists(p) for p in paths)
-    assert paths[-1].endswith(f"frame_{len(traj.rows) - 1:05d}.svg")
-    head = open(paths[0]).read(100)
-    assert head.startswith("<svg")
+    path = str(tmp_path / "keyframes.svg")
+    picks = outputs.save_keyframes(traj, path, GEOM, every=40)
+    assert picks == [*range(0, len(traj.rows) - 1, 40), len(traj.rows) - 1]
+    assert os.listdir(tmp_path) == ["keyframes.svg"]
+    symbols, uses = read_strip(path)
+    assert len(uses) == len(picks)
+    for (label, href), idx in zip(uses, picks):
+        row = traj.rows[idx]
+        assert label == f"row {idx}, t = {row.t!r} s"
+        assert symbols[href.removeprefix("#")] == frame_body(row.config,
+                                                             row.stiffness)
 
 
 def test_save_keyframes_draws_each_distinct_frame_once(tmp_path,
@@ -288,33 +323,60 @@ def test_save_keyframes_draws_each_distinct_frame_once(tmp_path,
     # a gated run that starts on the curvature bound with kappa2 = -0.0:
     # segment 1 bends back under 10 while segment 2 keeps -0.0, then 00
     # holds both.  Paused rows share their step's configuration object, so
-    # several picks show the same frame; each is drawn once and written
-    # for every pick that shows it
+    # several picks show the same frame; each is drawn once, as a symbol,
+    # and every pick that shows it is a <use> of that symbol
     q0 = AgentConfig(0.0, 0.0, 0.0, KMAX, -0.0)
     traj = rollout(make_plan(q0))
     rows = traj.rows
-    out = str(tmp_path / "frames")
+    path = str(tmp_path / "keyframes.svg")
     draws = []
-    render = outputs.render_frame
+    body = outputs._frame_body
 
     def counted(q, s, geom):
         draws.append((id(q), s))
-        return render(q, s, geom)
+        return body(q, s, geom)
 
-    monkeypatch.setattr(outputs, "render_frame", counted)
-    paths = outputs.save_keyframes(traj, out, GEOM, every=3)
-    picks = [*range(0, len(rows) - 1, 3), len(rows) - 1]
+    monkeypatch.setattr(outputs, "_frame_body", counted)
+    picks = outputs.save_keyframes(traj, path, GEOM, every=3)
+    assert picks == [*range(0, len(rows) - 1, 3), len(rows) - 1]
     shown = [rows[idx] for idx in picks]
     kappas = [k for row in shown for k in (row.config.kappa1,
                                             row.config.kappa2)]
     assert KMAX in kappas
     assert {math.copysign(1.0, k) for k in kappas if k == 0.0} == {1.0, -1.0}
+    # each key drawn exactly once, in first-pick order
     keys = [(id(row.config), row.stiffness) for row in shown]
-    assert draws == list(dict.fromkeys(keys))
+    distinct = list(dict.fromkeys(keys))
+    assert draws == distinct
     assert len(draws) < len(picks)
-    assert len(paths) == len(picks)
-    for path, idx, row in zip(paths, picks, shown):
-        assert path.endswith(f"frame_{idx:05d}.svg")
-        with open(path, "rb") as fh:
-            assert fh.read() == render(row.config, row.stiffness,
-                                       GEOM).encode()
+    symbols, uses = read_strip(path)
+    assert list(symbols) == [f"f{i}" for i in range(len(distinct))]
+    # one <use> per pick, in pick order, each of its key's symbol
+    assert [href for _, href in uses] == [
+        f"#f{distinct.index(key)}" for key in keys]
+    for (label, href), idx, row in zip(uses, picks, shown):
+        assert label.startswith(f"row {idx}, ")
+        assert symbols[href[1:]] == frame_body(row.config, row.stiffness)
+    # 0.0 and -0.0 stay apart: a row with kappa2 = +0.0 never shows the
+    # symbol of a configuration with kappa2 = -0.0, nor the other way round
+    sign_of = {}
+    for (_, href), row in zip(uses, shown):
+        if row.config.kappa2 == 0.0:
+            sign = math.copysign(1.0, row.config.kappa2)
+            assert sign_of.setdefault(href, sign) == sign
+    assert set(sign_of.values()) == {1.0, -1.0}
+
+
+def test_save_keyframes_keeps_signed_zeros_apart(tmp_path):
+    # two configurations equal by value, one with kappa2 = -0.0, get a
+    # symbol each; a pick that shows the first configuration object again
+    # reuses its symbol
+    row = rollout(make_plan()).rows[0]
+    plus = row._replace(config=AgentConfig(0.0, 0.0, 0.0, 10.0, 0.0))
+    minus = row._replace(config=AgentConfig(0.0, 0.0, 0.0, 10.0, -0.0))
+    path = str(tmp_path / "keyframes.svg")
+    outputs.save_keyframes(Trajectory([plus, minus, plus]), path, GEOM,
+                           every=1)
+    symbols, uses = read_strip(path)
+    assert [href for _, href in uses] == ["#f0", "#f1", "#f0"]
+    assert len(symbols) == 2

@@ -95,6 +95,8 @@ REFERENCE_HELPERS = {
     "body_twist_from_wheels": "acceptance gate 6",
     "wheel_speeds": "perfbench/checks.py",
     "example_scenario_dict": "the tests",
+    "render_frame": "the tests: its bytes are pinned, and keyframes.svg's "
+                    "symbols are checked against it",
 }
 
 

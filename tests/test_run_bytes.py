@@ -4,12 +4,12 @@ Rerun tests compare two runs of the same code; these compare against
 digests recorded from an earlier commit, so a change that claims to leave
 behaviour alone (a speed-up, a refactor) is held to every byte of
 ``plan.csv``, ``trajectory.csv``, ``thermal.csv``, ``summary.json``, the
-SVG keyframes and the ``sweep.csv`` and ``refit.json`` of the documented
-sweep.  A change that alters behaviour on purpose (a new planner
-rule, thermal model or output column; ROADMAP items 2-5) updates these
-digests in the same change and says so in CHANGES.md.  The digests hold for
-IEEE double arithmetic with a correctly rounded libm, as on common x86-64
-and arm64 Linux builds.
+SVG film strip ``keyframes.svg`` and the ``sweep.csv`` and ``refit.json``
+of the documented sweep.  A change that alters behaviour on purpose (a new
+planner rule, thermal model or output column; ROADMAP items 2-5) updates
+these digests in the same change and says so in CHANGES.md.  The digests
+hold for IEEE double arithmetic with a correctly rounded libm, as on common
+x86-64 and arm64 Linux builds.
 """
 import hashlib
 import json
@@ -40,7 +40,6 @@ BATCH_DIGESTS = {
         "614e9f5dac8f5eb7654697e0f87e3da45a7c225395c4c557c433be3c005ee4bd",
 }
 
-STILL_FRAME = "ae7d4cf49b57b94756d5bad0443d1b9d575027bfc394f44c272362d087e1feeb"
 SINGLE_DIGESTS = {
     "plan.csv":
         "a4981f2a80c303b9fbc61b9a9a7ef88b837e1043ab43f0835eedc24d446b4157",
@@ -50,20 +49,10 @@ SINGLE_DIGESTS = {
         "65a600106fe5fd990111d0b63b94b6e45c9804ea54301b828a6d5ddafaf54b4e",
     "trajectory.csv":
         "fe1bd6aad5fc188621cfc593212729ae34482caa9726fe040404dd6fc6205dfd",
-    "frames/frame_00000.svg":
-        "e279d23e39f21c03ac978d709e5b50857b912d00b5e7a92cfa805caedfd05ba3",
-    "frames/frame_00050.svg":
-        "8804ef16c993ad41d893156c783aec6c4e4d4e479eba46e14ac2ca9ded8f8abe",
-    "frames/frame_00100.svg":
-        "ae9c43c8855c7aed1f1c6bcc6267c2262387f7a9e7afa0559016f67e7bd179da",
-    # paused while segment 1 melts: the same configuration, the same frame
-    "frames/frame_00150.svg": STILL_FRAME,
-    "frames/frame_00200.svg": STILL_FRAME,
-    "frames/frame_00250.svg": STILL_FRAME,
-    "frames/frame_00300.svg":
-        "e1c1571edeaf542cc4613a8d9060bcaebe32a9d086097876c0e93f250ed5ad2f",
-    "frames/frame_00301.svg":
-        "502802d88a7bf4bfa548263940e8f96a24738f2639907dc5c67dae0ef21bdf82",
+    # picks 150, 200 and 250 pause while segment 1 melts: one configuration,
+    # so one symbol drawn once and used three times
+    "keyframes.svg":
+        "517dbee8b140c28481f9cd6d6347ddcd624febab3e442ecbe9add65cc967e961",
 }
 
 SWEEP_DIGESTS = {

@@ -156,6 +156,16 @@ def test_sweep_curve_range_check_and_inputs():
         assert from_list.tobytes() == from_array.tobytes()
 
 
+@pytest.mark.parametrize("kappas", [5.0, np.float64(5.0), [[0.0, 1.0]],
+                                    np.zeros((3, 2))])
+def test_sweep_curve_rejects_a_sweep_that_is_not_1d(kappas):
+    # a scalar or a stack is a contract error, never numpy's AxisError or
+    # a silently reshaped curve
+    for mode in (1, 2, 3):
+        with pytest.raises(ContractError, match="1-d"):
+            sweep_curve(mode, GEOM, kappas)
+
+
 def frame_composition(mode, kappa):
     """The mode's joint point composed from the segment-end frames."""
     end1 = frame(*cc_transform(0.0 if mode == 2 else kappa, 1, GEOM))
