@@ -2,15 +2,17 @@
 
 softrig run [scenario.json] [--batch N] [--seed S] [--out DIR] ...
     plan a scenario (or a seeded batch of random ones), replay it through
-    the thermal simulator and write plan/trajectory/thermal CSVs, a JSON
-    summary and an optional SVG film strip of keyframes.
+    the thermal simulator and write the plan and trajectory CSVs (the
+    trajectory carries both segments' thermal readings), a JSON summary and
+    an optional SVG film strip of keyframes.
 
 softrig sweep [--out DIR] [--samples N]
     regenerate the deformation-mode joint curves from arc geometry, refit
     the spirals and write the sweep CSV plus a fit report.
 
-Exit codes: 0 success, 2 bad input, 3 planner did not reach the goal,
-4 thermal transition timed out.
+Exit codes: 0 success, 2 bad input (an --out that names a file, or lies
+under one, included), 3 planner did not reach the goal, 4 thermal
+transition timed out.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ import os
 import sys
 
 from . import __version__, outputs
-from .errors import (FitError, ScenarioError, SoftrigError, StallError,
-                     ThermalTimeoutError)
+from .errors import (ContractError, FitError, ScenarioError, SoftrigError,
+                     StallError, ThermalTimeoutError)
 from .geometry import GeometryParams
 from .planner import PlannerParams, plan_motion
 from .scenario import Scenario, load_scenario, sample_scenario
@@ -82,6 +84,16 @@ def _apply_preset(scn: Scenario, args) -> Scenario:
     return scn
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the output directory ``path`` and its parents; a file at or
+    above it is bad input."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ContractError(f"--out {path}: cannot make a directory there "
+                            f"({exc.strerror})") from None
+
+
 def _run_one(scn: Scenario, out_dir: str, args) -> tuple[int, str, str]:
     """Plan, play back and write one scenario.
 
@@ -99,8 +111,8 @@ def _run_one(scn: Scenario, out_dir: str, args) -> tuple[int, str, str]:
     except ThermalTimeoutError as exc:
         return EXIT_THERMAL, "", f"{scn.label}: thermal timeout: {exc}\n"
     # a run that stalls or times out leaves no output directory
-    os.makedirs(out_dir, exist_ok=True)
-    outputs.write_run_csvs(out_dir, plan, traj, scn.thermal)
+    _make_out_dir(out_dir)
+    outputs.write_run_csvs(out_dir, plan, traj)
     summary = plan.summary()
     summary["label"] = scn.label
     summary["thermal_gating"] = gating
@@ -175,7 +187,7 @@ def _run_batch(args) -> int:
     rng = np.random.default_rng(seed)
     scenarios = [_apply_preset(sample_scenario(rng, index=i), args)
                  for i in range(args.batch)]
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     # one lane per usable CPU, this process being lane 0: each lane plans,
     # plays back and writes every lanes-th scenario
     lanes = min(_usable_cpus(), args.batch) if hasattr(os, "fork") else 1
@@ -250,7 +262,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     geom = GeometryParams()
     fits = refit_oracle([sp.mode for sp in SPIRALS], geom, args.samples)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     outputs.write_sweep_csv(os.path.join(args.out, "sweep.csv"), fits,
                             geom.seg_len)
     report = outputs.write_refit_json(os.path.join(args.out, "refit.json"),

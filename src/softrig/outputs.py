@@ -7,14 +7,15 @@ their records into columns and format each float column in one pass;
 segments as sampled arcs coloured by stiffness (blue soft, red rigid) with
 the wheel units as oriented blocks.  A run's keyframes are one SVG film
 strip that draws each distinct frame once, as a symbol, and shows it with
-one ``<use>`` per pick.
+one ``<use>`` per pick; each distinct body shape's geometry is built once
+per strip.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter, itemgetter
 
 from . import __version__
@@ -23,7 +24,6 @@ from .geometry import (AgentConfig, GeometryParams, StiffnessState,
 from .planner import PlanResult
 from .simulator import Trajectory
 from .spiral import spiral_model, theta_from_kappa
-from .thermal import ThermalParams, setpoint_for
 
 SOFT_COLOR = "#1f77b4"
 RIGID_COLOR = "#d62728"
@@ -39,8 +39,12 @@ def _fmt(values) -> list[str]:
     return list(map(repr, map(float, values)))
 
 
+_FLAG = {False: "0", True: "1"}.__getitem__
+
+
 def _flags(values) -> list[str]:
-    return list(map(str, map(int, values)))
+    """The 0/1 cells of boolean ``values``."""
+    return list(map(_FLAG, values))
 
 
 def _by_id(objs, getters, fmt=_fmt) -> list[str]:
@@ -66,25 +70,23 @@ def _write_lines(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory,
-                   params: ThermalParams) -> None:
-    """Write plan.csv, trajectory.csv and thermal.csv of one run.
+def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory) -> None:
+    """Write plan.csv and trajectory.csv of one run.
 
     plan.csv has one row per planner step plus the terminal configuration;
-    trajectory.csv one per playback row, with thermal readings and flags;
-    thermal.csv two per playback row, one for each segment's plant.  The
-    steps and rows are unpacked into columns, and each float column is
-    formatted in one pass.  A plan step's configuration and speed cells
-    serve its plan.csv row and every playback row that replays it (paused
-    rows included), keyed by object identity; a playback row's t, T and
-    duty cells serve both trajectory.csv and thermal.csv.
+    trajectory.csv one per playback row, with both segments' temperature,
+    duty and phase and the row's flags.  A segment's setpoint is
+    ``thermal.setpoint_for`` of its commanded stiffness (s1_cmd, s2_cmd), so
+    no file repeats it.  The steps and rows are unpacked into columns, and
+    each float column is formatted in one pass.  A plan step's configuration
+    and speed cells serve its plan.csv row and every playback row that
+    replays it (paused rows included), keyed by object identity.
     """
     steps = plan.steps
     t, configs, stiffs, speeds, _ = zip(*steps) if steps else ((),) * 5
     last_s = stiffs[-1] if steps else StiffnessState(False, False)
     (row_t, row_configs, row_stiffs, row_speeds, temp1, duty1, phase1,
      temp2, duty2, phase2, paused, saturated) = zip(*traj.rows)
-    soft1, soft2 = attrgetter("soft1"), attrgetter("soft2")
     # the plan.csv rows (the steps, then the terminal row) come first, then
     # the playback rows
     n = len(steps) + 1
@@ -94,7 +96,7 @@ def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory,
     speeds = (*speeds, (0.0,) * 5, *row_speeds)
     speed_cells = _by_id(speeds, map(itemgetter, range(5)))
     stiffs = (*stiffs, last_s, *row_stiffs)
-    flag_cells = _by_id(stiffs, (soft1, soft2), _flags)
+    flag_cells = _by_id(stiffs, map(attrgetter, ("soft1", "soft2")), _flags)
 
     lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1", "s2",
                      "v1", "v2", "u0", "v0", "r0"])
@@ -103,28 +105,15 @@ def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory,
                                speed_cells[:n]))
     _write_lines(os.path.join(out_dir, "plan.csv"), lines)
 
-    row_t, temp1, duty1, temp2, duty2 = map(
-        _fmt, (row_t, temp1, duty1, temp2, duty2))
     lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1_cmd",
                      "s2_cmd", "v1", "v2", "u0", "v0", "r0", "T1", "u1_duty",
                      "phase1", "T2", "u2_duty", "phase2", "paused",
                      "saturated"])
-    lines += map(",".join, zip(row_t, config_cells[n:], flag_cells[n:],
-                               speed_cells[n:], temp1, duty1, phase1, temp2,
-                               duty2, phase2, _flags(paused),
-                               _flags(saturated)))
+    lines += map(",".join, zip(_fmt(row_t), config_cells[n:], flag_cells[n:],
+                               speed_cells[n:], _fmt(temp1), _fmt(duty1),
+                               phase1, _fmt(temp2), _fmt(duty2), phase2,
+                               _flags(paused), _flags(saturated)))
     _write_lines(os.path.join(out_dir, "trajectory.csv"), lines)
-
-    rigid, soft_setpoint = _fmt((setpoint_for(False, params),
-                                 setpoint_for(True, params)))
-    setpoint = {False: rigid, True: soft_setpoint}.__getitem__
-    seg1 = map(",".join, zip(row_t, repeat("1"), temp1, duty1, phase1,
-                             map(setpoint, map(soft1, row_stiffs))))
-    seg2 = map(",".join, zip(row_t, repeat("2"), temp2, duty2, phase2,
-                             map(setpoint, map(soft2, row_stiffs))))
-    lines = _header(["t", "segment", "T", "u", "phase", "setpoint"])
-    lines += chain.from_iterable(zip(seg1, seg2))
-    _write_lines(os.path.join(out_dir, "thermal.csv"), lines)
 
 
 def write_sweep_csv(path: str, fits, seg_len: float) -> None:
@@ -186,9 +175,40 @@ def _arc_points(kappa: float, j: int, geom: GeometryParams, n: int = 24):
     return pts
 
 
-def _frame_body(q: AgentConfig, s: StiffnessState,
-                geom: GeometryParams) -> list[str]:
-    """The drawing of one frame: the lines inside ``render_frame``'s <svg>."""
+def _limb(kappa: float, j: int, geom: GeometryParams):
+    """Segment j bent to ``kappa``, in the body frame: its end pose, and the
+    points of its arc, its end link and its wheel block's outline."""
+    end = cc_transform(kappa, j, geom)
+    # end link and wheel unit block ride the segment-end frame
+    out = -1.0 if j == 1 else 1.0
+    link = [end[:2], apply_pose(end, out * geom.end_link, 0.0)]
+    half_a = geom.block_side / 2
+    centre = out * (geom.end_link + half_a)
+    corners = [apply_pose(end, centre + dx, dy) for dx, dy in
+               [(-half_a, -half_a), (half_a, -half_a),
+                (half_a, half_a), (-half_a, half_a), (-half_a, -half_a)]]
+    return end, (_arc_points(kappa, j, geom), link, corners)
+
+
+def _shape(kappa1: float, kappa2: float, geom: GeometryParams, limb=_limb):
+    """The body-frame geometry of one body shape, built by ``limb`` per
+    segment: the middle link's ends, each segment's arc, end link and block
+    points, and each wheel's centre and heading tip."""
+    (end1, paths1), (end2, paths2) = limb(kappa1, 1, geom), limb(kappa2, 2,
+                                                                 geom)
+    half_mid, r = geom.mid_link / 2, geom.wheel_radius
+    positions, headings = wheel_layout(end1, end2, geom)
+    wheels = [((px, py), (px + r * math.cos(psi), py + r * math.sin(psi)))
+              for (px, py), psi in zip(positions, headings)]
+    return [(-half_mid, 0), (half_mid, 0)], (paths1, paths2), wheels
+
+
+def _frame_body(q: AgentConfig, s: StiffnessState, shape) -> list[str]:
+    """The drawing of one frame: the lines inside ``render_frame``'s <svg>.
+
+    ``shape`` is ``_shape`` of the configuration's curvatures; the pose of
+    ``q`` places it and ``s`` colours its segments.
+    """
     size, world = FRAME_SIZE, FRAME_WORLD
     scale = size / (2 * world)
     qx, qy = q.x, q.y
@@ -206,33 +226,20 @@ def _frame_body(q: AgentConfig, s: StiffnessState,
         # one %-format per path; "%.2f" % v is f"{v:.2f}"
         return ("M%.2f,%.2f" + " L%.2f,%.2f" * (len(pts) - 1)) % pixels(pts)
 
-    half_mid = geom.mid_link / 2
-    ends = (cc_transform(q.kappa1, 1, geom), cc_transform(q.kappa2, 2, geom))
+    mid, limbs, wheels = shape
     parts = [f'<rect width="{size}" height="{size}" fill="white"/>']
-    parts.append(f'<path d="{path_of([(-half_mid, 0), (half_mid, 0)])}" '
+    parts.append(f'<path d="{path_of(mid)}" '
                  f'stroke="#444444" stroke-width="4" fill="none"/>')
-    for j, end in zip((1, 2), ends):
+    for j, (arc, link, corners) in zip((1, 2), limbs):
         color = SOFT_COLOR if s.soft(j) else RIGID_COLOR
-        pts = _arc_points(q.kappa(j), j, geom)
-        parts.append(f'<path d="{path_of(pts)}" stroke="{color}" '
+        parts.append(f'<path d="{path_of(arc)}" stroke="{color}" '
                      f'stroke-width="3" fill="none"/>')
-        # end link and wheel unit block ride the segment-end frame
-        out = -1.0 if j == 1 else 1.0
-        link = [end[:2], apply_pose(end, out * geom.end_link, 0.0)]
         parts.append(f'<path d="{path_of(link)}" '
                      f'stroke="#444444" stroke-width="4" fill="none"/>')
-        half_a = geom.block_side / 2
-        centre = out * (geom.end_link + half_a)
-        corners = [apply_pose(end, centre + dx, dy) for dx, dy in
-                   [(-half_a, -half_a), (half_a, -half_a),
-                    (half_a, half_a), (-half_a, half_a), (-half_a, -half_a)]]
         parts.append(f'<path d="{path_of(corners)}" '
                      f'stroke="#222222" stroke-width="2" fill="none"/>')
-    positions, headings = wheel_layout(*ends, geom)
-    for (px, py), psi in zip(positions, headings):
-        wx, wy, hx, hy = pixels(
-            [(px, py), (px + geom.wheel_radius * math.cos(psi),
-                        py + geom.wheel_radius * math.sin(psi))])
+    for wheel in wheels:
+        wx, wy, hx, hy = pixels(wheel)
         parts.append(f'<circle cx="{wx:.2f}" cy="{wy:.2f}" r="3.5" '
                      f'fill="#222222"/>')
         parts.append(f'<path d="M{wx:.2f},{wy:.2f} L{hx:.2f},{hy:.2f}" '
@@ -245,7 +252,8 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
     size = FRAME_SIZE
     return "\n".join([f'<svg xmlns="{SVG_NS}" width="{size}" height="{size}" '
                       f'viewBox="0 0 {size} {size}">',
-                      *_frame_body(q, s, geom), "</svg>"])
+                      *_frame_body(q, s, _shape(q.kappa1, q.kappa2, geom)),
+                      "</svg>"])
 
 
 def save_keyframes(traj: Trajectory, path: str, geom: GeometryParams,
@@ -255,16 +263,26 @@ def save_keyframes(traj: Trajectory, path: str, geom: GeometryParams,
     Each distinct (configuration object, stiffness) of the picks is drawn
     once, as a ``<symbol>`` in ``<defs>``, in first-pick order; paused rows
     share their plan step's configuration object, so a repeated frame costs
-    one ``<use>``.  The strip stacks one ``<use>`` per pick, top to bottom,
-    each under a label with its row index and time.  Returns the picked
-    row indices.
+    one ``<use>``.  Each distinct body shape (kappa1, kappa2) is built once,
+    and each distinct segment (kappa, j) once, whatever pose shows it.  The
+    strip stacks one ``<use>`` per pick, top to bottom, each under a label
+    with its row index and time.  Returns the picked row indices.
     """
     rows = traj.rows
     picks = [*range(0, len(rows) - 1, max(1, every)), len(rows) - 1]
     size, cell = FRAME_SIZE, FRAME_SIZE + STRIP_LABEL
     height = len(picks) * cell
-    symbols = {}
+    # geometry keys carry each curvature's sign, since 0.0 == -0.0 and both
+    # hash alike
+    limbs, shapes, symbols = {}, {}, {}
     defs, strip = [], []
+
+    def limb(kappa, j, geom):
+        key = (kappa, math.copysign(1.0, kappa), j)
+        if key not in limbs:
+            limbs[key] = _limb(kappa, j, geom)
+        return limbs[key]
+
     for n, (idx, t) in enumerate(zip(picks, _fmt(rows[i].t for i in picks))):
         row = rows[idx]
         # by identity, which a paused row shares with its step; the key
@@ -273,8 +291,12 @@ def save_keyframes(traj: Trajectory, path: str, geom: GeometryParams,
         name = symbols.get(key)
         if name is None:
             name = symbols[key] = f"f{len(symbols)}"
+            k1, k2 = row.config.kappa1, row.config.kappa2
+            form = (k1, math.copysign(1.0, k1), k2, math.copysign(1.0, k2))
+            if form not in shapes:
+                shapes[form] = _shape(k1, k2, geom, limb)
             defs += (f'<symbol id="{name}" viewBox="0 0 {size} {size}">',
-                     *_frame_body(row.config, row.stiffness, geom),
+                     *_frame_body(row.config, row.stiffness, shapes[form]),
                      "</symbol>")
         y = n * cell
         strip += (f'<text x="8" y="{y + STRIP_LABEL - 7}" '

@@ -29,12 +29,10 @@ def test_run_scenario_writes_outputs(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     out = str(tmp_path / "out")
     assert main(["run", scn, "--out", out, "--keyframes", "100"]) == EXIT_OK
-    for name in ("plan.csv", "trajectory.csv", "thermal.csv", "summary.json"):
-        assert os.path.exists(os.path.join(out, name))
-    # the keyframes are one film strip; no frames/ directory is made
+    # the keyframes are one film strip; no frames/ directory is made, and
+    # trajectory.csv carries the thermal readings, so no thermal.csv
     assert sorted(os.listdir(out)) == ["keyframes.svg", "plan.csv",
-                                       "summary.json", "thermal.csv",
-                                       "trajectory.csv"]
+                                       "summary.json", "trajectory.csv"]
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["converged"] is True
     assert summary["label"] == "sidestep-and-bend"
@@ -47,7 +45,9 @@ def test_reruns_are_byte_identical(tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["run", scn, "--out", out_a]) == EXIT_OK
     assert main(["run", scn, "--out", out_b]) == EXIT_OK
-    for name in ("plan.csv", "trajectory.csv", "thermal.csv", "summary.json"):
+    names = ["plan.csv", "summary.json", "trajectory.csv"]
+    assert sorted(os.listdir(out_a)) == sorted(os.listdir(out_b)) == names
+    for name in names:
         with open(os.path.join(out_a, name), "rb") as fa:
             with open(os.path.join(out_b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
@@ -166,7 +166,8 @@ def test_batch_study(tmp_path, capsys):
     assert len(study["runs"]) == 3
     for i in range(3):
         run_dir = os.path.join(out, f"run_{i:03d}")
-        assert os.path.exists(os.path.join(run_dir, "summary.json"))
+        assert sorted(os.listdir(run_dir)) == ["plan.csv", "summary.json",
+                                               "trajectory.csv"]
     assert 0.0 <= study["convergence_rate"] <= 1.0
     capsys.readouterr()
 
@@ -403,6 +404,24 @@ def test_sweep_input_error_exits_2_and_writes_nothing(tmp_path, capsys):
     assert main(["sweep", "--samples", "5", "--out", str(out)]) == EXIT_INPUT
     assert not out.exists()
     assert "need at least 10 sweep samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["run", "SCENARIO"],
+                                  ["run", "--batch", "2"],
+                                  ["sweep", "--samples", "10"]],
+                         ids=["run-file", "run-batch", "sweep"])
+def test_out_under_a_file_exits_2(tmp_path, capsys, argv):
+    # an --out that names a file, or a path under one, is bad input: one
+    # error line, no traceback, and the file is left as it was
+    argv = [write_scenario(tmp_path) if arg == "SCENARIO" else arg
+            for arg in argv]
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    for out in (blocker, blocker / "sub"):
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT, out
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
+    assert blocker.read_text() == "keep"
 
 
 def test_version_flag(capsys):

@@ -15,7 +15,7 @@ from softrig.planner import PlannerParams, plan_motion
 from softrig.scenario import example_scenario_dict, scenario_from_dict
 from softrig.simulator import Trajectory, rollout
 from softrig.spiral import refit_oracle, theta_from_kappa
-from softrig.thermal import ThermalParams
+from softrig.thermal import ThermalParams, setpoint_for
 
 GEOM = GeometryParams()
 
@@ -38,7 +38,7 @@ def read_rows(path):
 
 def test_plan_csv_layout(tmp_path):
     plan = make_plan()
-    outputs.write_run_csvs(str(tmp_path), plan, rollout(plan), ThermalParams())
+    outputs.write_run_csvs(str(tmp_path), plan, rollout(plan))
     header, rows = read_rows(str(tmp_path / "plan.csv"))
     assert header[:6] == ["t", "x", "y", "phi", "kappa1", "kappa2"]
     assert len(rows) == len(plan.steps) + 1
@@ -51,26 +51,28 @@ def test_plan_csv_layout(tmp_path):
 
 
 def test_trajectory_and_thermal_csv(tmp_path):
+    # the thermal readings live in trajectory.csv only; no thermal.csv
     plan = make_plan()
     traj = rollout(plan)
-    outputs.write_run_csvs(str(tmp_path), plan, traj, ThermalParams())
+    outputs.write_run_csvs(str(tmp_path), plan, traj)
+    assert sorted(os.listdir(tmp_path)) == ["plan.csv", "trajectory.csv"]
     header, rows = read_rows(str(tmp_path / "trajectory.csv"))
-    assert header[-2:] == ["paused", "saturated"]
+    assert header[-8:] == ["T1", "u1_duty", "phase1", "T2", "u2_duty",
+                           "phase2", "paused", "saturated"]
     assert len(rows) == len(traj.rows)
     assert sum(int(r[-2]) for r in rows) == sum(r.paused for r in traj.rows)
-    header, rows = read_rows(str(tmp_path / "thermal.csv"))
-    assert header == ["t", "segment", "T", "u", "phase", "setpoint"]
-    assert len(rows) == 2 * len(traj.rows)
-    assert {r[1] for r in rows} == {"1", "2"}
-    setpoints = {float(r[5]) for r in rows}
-    assert setpoints <= {25.0, 65.0}
+    # the setpoints follow from the commanded stiffness
+    setpoints = {setpoint_for(r[header.index(f"s{j}_cmd")] == "1",
+                              ThermalParams()) for r in rows for j in (1, 2)}
+    assert setpoints == {25.0, 65.0}
 
 
-def reference_csvs(plan, traj, params) -> dict:
-    """The three run CSVs rebuilt cell by cell, each float as repr(float(v))."""
-    def cells(*values):
-        return [repr(float(v)) for v in values]
+def cells(*values):
+    return [repr(float(v)) for v in values]
 
+
+def reference_csvs(plan, traj) -> dict:
+    """The two run CSVs rebuilt cell by cell, each float as repr(float(v))."""
     def flags(*values):
         return [str(int(v)) for v in values]
 
@@ -90,7 +92,7 @@ def reference_csvs(plan, traj, params) -> dict:
     plan_rows.append(cells(len(plan.steps) * plan.params.dt, q.x, q.y, q.phi,
                            q.kappa1, q.kappa2)
                      + flags(last.soft1, last.soft2) + cells(*[0.0] * 5))
-    traj_rows, thermal_rows = [], []
+    traj_rows = []
     for row in traj.rows:
         q, s = row.config, row.stiffness
         traj_rows.append(
@@ -99,12 +101,6 @@ def reference_csvs(plan, traj, params) -> dict:
             + cells(row.temp1, row.duty1) + [row.phase1]
             + cells(row.temp2, row.duty2) + [row.phase2]
             + flags(row.paused, row.saturated))
-        for seg, temp, duty, phase, soft in (
-                ("1", row.temp1, row.duty1, row.phase1, s.soft1),
-                ("2", row.temp2, row.duty2, row.phase2, s.soft2)):
-            setpoint = params.setpoint_soft if soft else params.setpoint_rigid
-            thermal_rows.append(cells(row.t)[:1] + [seg] + cells(temp, duty)
-                                + [phase] + cells(setpoint))
     return {
         "plan.csv": table(["t", "x", "y", "phi", "kappa1", "kappa2", "s1",
                            "s2", "v1", "v2", "u0", "v0", "r0"], plan_rows),
@@ -112,9 +108,33 @@ def reference_csvs(plan, traj, params) -> dict:
             ["t", "x", "y", "phi", "kappa1", "kappa2", "s1_cmd", "s2_cmd",
              "v1", "v2", "u0", "v0", "r0", "T1", "u1_duty", "phase1", "T2",
              "u2_duty", "phase2", "paused", "saturated"], traj_rows),
-        "thermal.csv": table(["t", "segment", "T", "u", "phase", "setpoint"],
-                             thermal_rows),
     }
+
+
+def reference_thermal_rows(traj, params) -> list[list[str]]:
+    """The per-segment thermal table (t, segment, T, u, phase, setpoint),
+    two rows per playback row, built from the trajectory's records."""
+    rows = []
+    for row in traj.rows:
+        s = row.stiffness
+        for seg, temp, duty, phase, soft in (
+                ("1", row.temp1, row.duty1, row.phase1, s.soft1),
+                ("2", row.temp2, row.duty2, row.phase2, s.soft2)):
+            setpoint = params.setpoint_soft if soft else params.setpoint_rigid
+            rows.append(cells(row.t) + [seg] + cells(temp, duty) + [phase]
+                        + cells(setpoint))
+    return rows
+
+
+def thermal_rows_from_trajectory(path, params) -> list[list[str]]:
+    """The same rows rebuilt from a written trajectory.csv alone, each
+    setpoint from ``setpoint_for`` of the segment's commanded stiffness."""
+    header, rows = read_rows(path)
+    col = {name: i for i, name in enumerate(header)}
+    return [[r[col["t"]], seg, r[col[f"T{seg}"]], r[col[f"u{seg}_duty"]],
+             r[col[f"phase{seg}"]],
+             *cells(setpoint_for(r[col[f"s{seg}_cmd"]] == "1", params))]
+            for r in rows for seg in "12"]
 
 
 def integer_scenario():
@@ -150,13 +170,23 @@ def test_run_csvs_match_reference_formatter(tmp_path, case):
     assert (plan.steps == []) == (case == "no_steps")
     assert any(row.paused for row in traj.rows) == (
         case in ("gated", "integers", "signed_zero"))
-    outputs.write_run_csvs(str(tmp_path), plan, traj, params)
-    expected = reference_csvs(plan, traj, params)
+    outputs.write_run_csvs(str(tmp_path), plan, traj)
+    expected = reference_csvs(plan, traj)
+    assert sorted(os.listdir(tmp_path)) == sorted(expected)
     for name, data in expected.items():
         assert (tmp_path / name).read_bytes() == data, name
+    # trajectory.csv and the setpoint rule alone rebuild the per-segment
+    # thermal table, so no separate thermal file is needed
+    thermal = thermal_rows_from_trajectory(str(tmp_path / "trajectory.csv"),
+                                           params)
+    assert thermal == reference_thermal_rows(traj, params)
     if case == "integers":
         assert b"\n1.0," in expected["plan.csv"]
-        assert b",65.0\n" in expected["thermal.csv"]
+        # the integer duty limit reaches trajectory.csv as a float cell, as
+        # the integer soft setpoint reaches the rebuilt rows
+        header, rows = read_rows(str(tmp_path / "trajectory.csv"))
+        assert "1.0" in {r[header.index("u1_duty")] for r in rows}
+        assert "65.0" in {r[5] for r in thermal}
     if case == "signed_zero":
         assert b"\n0.0,-0.0,0.0,0.0,-0.0,0.0," in expected["plan.csv"]
 
@@ -332,9 +362,9 @@ def test_save_keyframes_draws_each_distinct_frame_once(tmp_path,
     draws = []
     body = outputs._frame_body
 
-    def counted(q, s, geom):
+    def counted(q, s, shape):
         draws.append((id(q), s))
-        return body(q, s, geom)
+        return body(q, s, shape)
 
     monkeypatch.setattr(outputs, "_frame_body", counted)
     picks = outputs.save_keyframes(traj, path, GEOM, every=3)
@@ -380,3 +410,37 @@ def test_save_keyframes_keeps_signed_zeros_apart(tmp_path):
     symbols, uses = read_strip(path)
     assert [href for _, href in uses] == ["#f0", "#f1", "#f0"]
     assert len(symbols) == 2
+
+
+def test_save_keyframes_builds_each_shape_once(tmp_path, monkeypatch):
+    # four configuration objects, two poses of one shape (10, 5) and two
+    # shapes equal but for kappa2's zero sign: three shapes from four
+    # segments, each segment's arc and end pose built once, each shape's
+    # wheel layout once
+    row = rollout(make_plan()).rows[0]
+    configs = [AgentConfig(0.0, 0.0, 0.0, 10.0, 5.0),
+               AgentConfig(0.05, 0.02, 0.3, 10.0, 5.0),
+               AgentConfig(0.0, 0.0, 0.0, 10.0, -0.0),
+               AgentConfig(-0.03, 0.01, 1.0, 10.0, 0.0)]
+    calls = {"_arc_points": [], "cc_transform": [], "wheel_layout": []}
+    for name, log in calls.items():
+        def counted(*args, build=getattr(outputs, name), log=log):
+            log.append(args[:2])
+            return build(*args)
+        monkeypatch.setattr(outputs, name, counted)
+    traj = Trajectory([row._replace(config=q, stiffness=s)
+                       for q in configs for s in STIFFNESS_STATES[1:3]])
+    path = str(tmp_path / "keyframes.svg")
+    outputs.save_keyframes(traj, path, GEOM, every=1)
+    segments = [(10.0, 1.0, 1), (5.0, 1.0, 2), (0.0, -1.0, 2), (0.0, 1.0, 2)]
+    for name in ("_arc_points", "cc_transform"):
+        assert [(k, math.copysign(1.0, k), j)
+                for k, j in calls[name]] == segments, name
+    assert len(calls["wheel_layout"]) == 3
+    # each of the eight frames is its own symbol, drawn as render_frame
+    # draws it
+    monkeypatch.undo()
+    symbols, uses = read_strip(path)
+    assert len(symbols) == len(traj.rows)
+    for (_, href), row in zip(uses, traj.rows):
+        assert symbols[href[1:]] == frame_body(row.config, row.stiffness)

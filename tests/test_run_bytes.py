@@ -3,9 +3,9 @@
 Rerun tests compare two runs of the same code; these compare against
 digests recorded from an earlier commit, so a change that claims to leave
 behaviour alone (a speed-up, a refactor) is held to every byte of
-``plan.csv``, ``trajectory.csv``, ``thermal.csv``, ``summary.json``, the
-SVG film strip ``keyframes.svg`` and the ``sweep.csv`` and ``refit.json``
-of the documented sweep.  A change that alters behaviour on purpose (a new
+``plan.csv``, ``trajectory.csv``, ``summary.json``, the SVG film strip
+``keyframes.svg`` and the ``sweep.csv`` and ``refit.json`` of the
+documented sweep.  A change that alters behaviour on purpose (a new
 planner rule, thermal model or output column; ROADMAP items 2-5) updates
 these digests in the same change and says so in CHANGES.md.  The digests
 hold for IEEE double arithmetic with a correctly rounded libm, as on common
@@ -24,16 +24,12 @@ BATCH_DIGESTS = {
         "ed476fc3e08a9a49cd99a1915c56b78bb127960d40c324d7d285a98040547384",
     "run_000/summary.json":
         "90a980419868913e9606973b11764cafbe9f471b114d9f5e1e4dae8e33672c31",
-    "run_000/thermal.csv":
-        "7f78576be617904c46555a46bae424b3f614dd962ab417b86523db9b9992d719",
     "run_000/trajectory.csv":
         "630b111e7a98241ce03381369fa636161d408ef3b8a92f07acf30f91c86a51a6",
     "run_001/plan.csv":
         "46a4de21bc2c577b19b99dd5d0b5d8cece41a2fc62126103241be0081434d170",
     "run_001/summary.json":
         "59f73118b502adabafc894d69c2d35df350f5d0f499eef97fb6763d81e0b811a",
-    "run_001/thermal.csv":
-        "534fb78f93da924a7ae297505f1fe15cef900620deb55908e50c162d86585223",
     "run_001/trajectory.csv":
         "861e4d7903e3d76e183520338446273c12a2ffc921db922cfc6388e80d85d4ce",
     "study.json":
@@ -45,8 +41,6 @@ SINGLE_DIGESTS = {
         "a4981f2a80c303b9fbc61b9a9a7ef88b837e1043ab43f0835eedc24d446b4157",
     "summary.json":
         "44955e636f141baa97e53b8f554d9e4a13372190a60424662fbe8c60666165a0",
-    "thermal.csv":
-        "65a600106fe5fd990111d0b63b94b6e45c9804ea54301b828a6d5ddafaf54b4e",
     "trajectory.csv":
         "fe1bd6aad5fc188621cfc593212729ae34482caa9726fe040404dd6fc6205dfd",
     # picks 150, 200 and 250 pause while segment 1 melts: one configuration,
