@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -103,7 +102,11 @@ def _run_one(scn: Scenario, out_dir: str, args) -> tuple[int, str, str]:
     try:
         plan = plan_motion(scn.q0, scn.target, scn.geometry, scn.planner)
     except StallError as exc:
-        return EXIT_NO_CONVERGE, "", f"{scn.label}: stalled: {exc}\n"
+        # why: each tried pattern's gain, in pattern order ("00" to "11")
+        gains = ", ".join(f"{label} {gain:.3e}" for label, gain
+                          in sorted(exc.diagnostics.items()))
+        return (EXIT_NO_CONVERGE, "",
+                f"{scn.label}: stalled: {exc}; gains {gains}\n")
     gating = scn.thermal_gating and not args.no_thermal
     try:
         traj = rollout(plan, thermal_params=scn.thermal,
@@ -120,7 +123,8 @@ def _run_one(scn: Scenario, out_dir: str, args) -> tuple[int, str, str]:
     summary["sim_rows"] = len(traj.rows)
     outputs.write_json(os.path.join(out_dir, "summary.json"), summary)
     if args.keyframes > 0:
-        outputs.save_keyframes(traj, os.path.join(out_dir, "keyframes.svg"),
+        outputs.save_keyframes(plan, traj,
+                               os.path.join(out_dir, "keyframes.svg"),
                                scn.geometry, every=args.keyframes)
     state = "converged" if plan.converged else "did not converge"
     line = (f"{scn.label}: {state} in {len(plan.steps)} steps, "
@@ -139,18 +143,23 @@ def _run_lane(scenarios: list[Scenario], lane: int, lanes: int, args):
     """Run scenarios lane, lane + lanes, ... in this process, in order.
 
     Yields one record per run: (index, label, exit code, stdout text,
-    stderr text).
+    stderr text).  A run that raises SoftrigError (bad input, such as an
+    --out under a file) ends the lane with the record (index, error).
     """
     for i in range(lane, len(scenarios), lanes):
-        scn = scenarios[i]
-        yield (i, scn.label,
-               *_run_one(scn, os.path.join(args.out, f"run_{i:03d}"), args))
+        scn, out_dir = scenarios[i], os.path.join(args.out, f"run_{i:03d}")
+        try:
+            result = _run_one(scn, out_dir, args)
+        except SoftrigError as exc:
+            yield i, exc
+            return
+        yield i, scn.label, *result
 
 
 def _fork_lane(scenarios: list[Scenario], lane: int, lanes: int,
                args) -> tuple[int, int]:
     """Run one lane in a forked child; return its pid and the pipe it
-    sends its records down, one JSON line per run.
+    sends its records down, one line per run, the record pickled as hex.
 
     Streams are flushed before the fork and the child leaves through
     os._exit, so no buffered line prints twice.  A child that fails prints
@@ -164,11 +173,12 @@ def _fork_lane(scenarios: list[Scenario], lane: int, lanes: int,
         os.close(write_fd)
         return pid, read_fd
     os.close(read_fd)
+    import pickle
     code = 1
     try:
         with open(write_fd, "w") as pipe:
             for record in _run_lane(scenarios, lane, lanes, args):
-                pipe.write(json.dumps(record) + "\n")
+                pipe.write(pickle.dumps(record).hex() + "\n")
         code = 0
     except BaseException:
         import traceback
@@ -179,6 +189,8 @@ def _fork_lane(scenarios: list[Scenario], lane: int, lanes: int,
 
 
 def _run_batch(args) -> int:
+    import pickle
+
     import numpy as np
     if args.batch < 1:
         print("--batch must be at least 1", file=sys.stderr)
@@ -200,16 +212,19 @@ def _run_batch(args) -> int:
         for lane, (pid, read_fd) in children.items():
             # a lane killed mid-write leaves a partial last line
             with open(read_fd) as pipe:
-                records += [tuple(json.loads(line)) for line in pipe
+                records += [pickle.loads(bytes.fromhex(line)) for line in pipe
                             if line.endswith("\n")]
             status[lane] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    done = {record[0] for record in records}
+    records.sort()
+    # in scenario order, the first run that failed ends the batch, as it
+    # does in one process
     for i in range(args.batch):
-        if i not in done:
+        if i == len(records) or records[i][0] != i:
             raise ChildProcessError(
                 f"run_{i:03d} failed: its lane process exited with status "
                 f"{status[i % lanes]}")
-    records.sort()
+        if len(records[i]) == 2:        # (index, error)
+            raise records[i][1]
     for _, _, _, out, err in records:
         sys.stdout.write(out)
         sys.stderr.write(err)

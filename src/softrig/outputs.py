@@ -21,7 +21,7 @@ from operator import attrgetter, itemgetter
 from . import __version__
 from .geometry import (AgentConfig, GeometryParams, StiffnessState,
                        apply_pose, arc_chord, cc_transform, wheel_layout)
-from .planner import PlanResult
+from .planner import PlanResult, PlanStep
 from .simulator import Trajectory
 from .spiral import spiral_model, theta_from_kappa
 
@@ -47,20 +47,6 @@ def _flags(values) -> list[str]:
     return list(map(_FLAG, values))
 
 
-def _by_id(objs, getters, fmt=_fmt) -> list[str]:
-    """The joined cells of each of ``objs``, one cell per getter.
-
-    Each distinct object is formatted once, column by column, and told
-    apart by identity, never by value: 0.0 == -0.0 and both hash alike.
-    ``objs`` holds every object for the call, so no two share an id.
-    """
-    ids = list(map(id, objs))
-    distinct = dict(zip(ids, objs))
-    columns = [fmt(map(get, distinct.values())) for get in getters]
-    text = dict(zip(distinct, map(",".join, zip(*columns))))
-    return list(map(text.__getitem__, ids))
-
-
 def _header(columns) -> list[str]:
     return [f"# softrig {__version__}", ",".join(columns)]
 
@@ -70,49 +56,53 @@ def _write_lines(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _plan_rows(plan: PlanResult) -> list[PlanStep]:
+    """The plan's steps, then its terminal row: the final configuration at
+    the last step's stiffness (``00`` for no steps), with zero speeds,
+    unsaturated, at len(steps) * dt."""
+    steps = plan.steps
+    last = steps[-1].stiffness if steps else StiffnessState(False, False)
+    return [*steps, PlanStep(len(steps) * plan.params.dt, plan.final_config,
+                             last, (0.0,) * 5, False)]
+
+
 def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory) -> None:
     """Write plan.csv and trajectory.csv of one run.
 
-    plan.csv has one row per planner step plus the terminal configuration;
-    trajectory.csv one per playback row, with both segments' temperature,
-    duty and phase and the row's flags.  A segment's setpoint is
-    ``thermal.setpoint_for`` of its commanded stiffness (s1_cmd, s2_cmd), so
-    no file repeats it.  The steps and rows are unpacked into columns, and
-    each float column is formatted in one pass.  A plan step's configuration
-    and speed cells serve its plan.csv row and every playback row that
-    replays it (paused rows included), keyed by object identity.
+    plan.csv has one row per plan row (``_plan_rows``); trajectory.csv one
+    per playback row: the cells of the plan row it replays, then both
+    segments' temperature, duty and phase and the row's flags.  A segment's
+    setpoint is ``thermal.setpoint_for`` of its commanded stiffness (s1_cmd,
+    s2_cmd), so no file repeats it.  Each float column is formatted in one
+    pass, and each plan row once, whatever rows replay it.
     """
-    steps = plan.steps
-    t, configs, stiffs, speeds, _ = zip(*steps) if steps else ((),) * 5
-    last_s = stiffs[-1] if steps else StiffnessState(False, False)
-    (row_t, row_configs, row_stiffs, row_speeds, temp1, duty1, phase1,
-     temp2, duty2, phase2, paused, saturated) = zip(*traj.rows)
-    # the plan.csv rows (the steps, then the terminal row) come first, then
-    # the playback rows
-    n = len(steps) + 1
-    configs = (*configs, plan.final_config, *row_configs)
-    config_cells = _by_id(configs, map(attrgetter, ("x", "y", "phi",
-                                                    "kappa1", "kappa2")))
-    speeds = (*speeds, (0.0,) * 5, *row_speeds)
-    speed_cells = _by_id(speeds, map(itemgetter, range(5)))
-    stiffs = (*stiffs, last_s, *row_stiffs)
-    flag_cells = _by_id(stiffs, map(attrgetter, ("soft1", "soft2")), _flags)
-
+    t, configs, stiffs, speeds, saturated = zip(*_plan_rows(plan))
+    fields = ("x", "y", "phi", "kappa1", "kappa2")
+    states = list(map(",".join, zip(
+        *(_fmt(map(attrgetter(name), configs)) for name in fields),
+        *(_flags(map(attrgetter(f"soft{j}"), stiffs)) for j in (1, 2)))))
+    drives = list(map(",".join, zip(*(_fmt(map(itemgetter(i), speeds))
+                                      for i in range(5)))))
     lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1", "s2",
                      "v1", "v2", "u0", "v0", "r0"])
-    lines += map(",".join, zip(_fmt((*t, len(steps) * plan.params.dt)),
-                               config_cells[:n], flag_cells[:n],
-                               speed_cells[:n]))
+    lines += map(",".join, zip(_fmt(t), states, drives))
     _write_lines(os.path.join(out_dir, "plan.csv"), lines)
 
+    (row_t, row_steps, temp1, duty1, phase1, temp2, duty2, phase2,
+     paused) = zip(*traj.rows)
+    # cells[k][paused]: a paused row holds plan row k's configuration and
+    # stiffness at zero speeds, unsaturated
+    stopped = ",".join(_fmt((0.0,) * 5))
+    cells = [((f"{state},{drive}", f"0,{flag}"), (f"{state},{stopped}", "1,0"))
+             for state, drive, flag in zip(states, drives, _flags(saturated))]
+    motion, flags = zip(*(cells[k][p] for k, p in zip(row_steps, paused)))
     lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1_cmd",
                      "s2_cmd", "v1", "v2", "u0", "v0", "r0", "T1", "u1_duty",
                      "phase1", "T2", "u2_duty", "phase2", "paused",
                      "saturated"])
-    lines += map(",".join, zip(_fmt(row_t), config_cells[n:], flag_cells[n:],
-                               speed_cells[n:], _fmt(temp1), _fmt(duty1),
+    lines += map(",".join, zip(_fmt(row_t), motion, _fmt(temp1), _fmt(duty1),
                                phase1, _fmt(temp2), _fmt(duty2), phase2,
-                               _flags(paused), _flags(saturated)))
+                               flags))
     _write_lines(os.path.join(out_dir, "trajectory.csv"), lines)
 
 
@@ -256,19 +246,20 @@ def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str
                       "</svg>"])
 
 
-def save_keyframes(traj: Trajectory, path: str, geom: GeometryParams,
-                   every: int = 50) -> list[int]:
-    """Write every N-th trajectory row (plus the last) as one SVG film strip.
+def save_keyframes(plan: PlanResult, traj: Trajectory, path: str,
+                   geom: GeometryParams, every: int = 50) -> list[int]:
+    """Write every N-th row of the playback of ``plan`` (plus the last) as
+    one SVG film strip.
 
-    Each distinct (configuration object, stiffness) of the picks is drawn
-    once, as a ``<symbol>`` in ``<defs>``, in first-pick order; paused rows
-    share their plan step's configuration object, so a repeated frame costs
-    one ``<use>``.  Each distinct body shape (kappa1, kappa2) is built once,
+    Each distinct plan row the picks replay is drawn once, as a
+    ``<symbol>`` in ``<defs>``, in first-pick order; paused rows point at
+    the plan row they wait to replay, so a repeated frame costs one
+    ``<use>``.  Each distinct body shape (kappa1, kappa2) is built once,
     and each distinct segment (kappa, j) once, whatever pose shows it.  The
     strip stacks one ``<use>`` per pick, top to bottom, each under a label
     with its row index and time.  Returns the picked row indices.
     """
-    rows = traj.rows
+    rows, plan_rows = traj.rows, _plan_rows(plan)
     picks = [*range(0, len(rows) - 1, max(1, every)), len(rows) - 1]
     size, cell = FRAME_SIZE, FRAME_SIZE + STRIP_LABEL
     height = len(picks) * cell
@@ -284,20 +275,17 @@ def save_keyframes(traj: Trajectory, path: str, geom: GeometryParams,
         return limbs[key]
 
     for n, (idx, t) in enumerate(zip(picks, _fmt(rows[i].t for i in picks))):
-        row = rows[idx]
-        # by identity, which a paused row shares with its step; the key
-        # never compares curvatures, so 0.0 and -0.0 are never merged
-        key = (id(row.config), row.stiffness)
-        name = symbols.get(key)
+        step = rows[idx].step
+        name = symbols.get(step)
         if name is None:
-            name = symbols[key] = f"f{len(symbols)}"
-            k1, k2 = row.config.kappa1, row.config.kappa2
-            form = (k1, math.copysign(1.0, k1), k2, math.copysign(1.0, k2))
+            name = symbols[step] = f"f{len(symbols)}"
+            _, q, s, _, _ = plan_rows[step]
+            form = (q.kappa1, math.copysign(1.0, q.kappa1),
+                    q.kappa2, math.copysign(1.0, q.kappa2))
             if form not in shapes:
-                shapes[form] = _shape(k1, k2, geom, limb)
+                shapes[form] = _shape(q.kappa1, q.kappa2, geom, limb)
             defs += (f'<symbol id="{name}" viewBox="0 0 {size} {size}">',
-                     *_frame_body(row.config, row.stiffness, shapes[form]),
-                     "</symbol>")
+                     *_frame_body(q, s, shapes[form]), "</symbol>")
         y = n * cell
         strip += (f'<text x="8" y="{y + STRIP_LABEL - 7}" '
                   f'font-family="monospace" font-size="14">'

@@ -78,8 +78,6 @@ class PlanStep(NamedTuple):
 
 @dataclass
 class PlanResult:
-    q0: AgentConfig
-    target: AgentConfig
     params: PlannerParams
     steps: list[PlanStep]
     final_config: AgentConfig       # the state after the last step
@@ -229,7 +227,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
 
     for step_no in range(params.max_steps):
         if dist <= params.eps_goal:
-            return PlanResult(q0, target, params, steps, q, distances, True)
+            return PlanResult(params, steps, q, distances, True)
         bend = max(abs(q.kappa1), abs(q.kappa2))
         shared = shared_terms(q)
         tried = [None] * len(STIFFNESS_STATES)
@@ -276,4 +274,4 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
         prev_idx = chosen
         q = q_next
         distances.append(dist)
-    return PlanResult(q0, target, params, steps, q, distances, False)
+    return PlanResult(params, steps, q, distances, False)

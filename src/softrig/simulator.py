@@ -2,10 +2,9 @@
 
 ``fk_step_detailed`` advances the configuration by one explicit Euler step
 under the regime-gated Jacobian; the planner integrates every step with
-it.  ``rollout`` replays the configurations the planner already integrated
-with the segment thermal loops in the loop: at every stiffness change the
-motion pauses (drive speeds zero) until both segments report the
-commanded phase, unless gating is disabled.
+it.  ``rollout`` replays the plan with the segment thermal loops in the
+loop, one row per plan row: at every stiffness change the motion pauses
+until both segments report the commanded phase, unless gating is disabled.
 """
 from __future__ import annotations
 
@@ -80,9 +79,7 @@ class SimRow(NamedTuple):
     playback step and costs a fraction of a frozen dataclass."""
 
     t: float
-    config: AgentConfig
-    stiffness: StiffnessState
-    speeds: tuple[float, ...]       # (v1, v2, u0, v0, r0)
+    step: int  # the plan row it replays; len(plan.steps) is the terminal one
     temp1: float
     duty1: float
     phase1: str
@@ -90,16 +87,11 @@ class SimRow(NamedTuple):
     duty2: float
     phase2: str
     paused: bool
-    saturated: bool
 
 
 @dataclass
 class Trajectory:
     rows: list[SimRow]
-
-    @property
-    def final_config(self) -> AgentConfig:
-        return self.rows[-1].config
 
     def pause_blocks(self) -> list[tuple[int, int]]:
         """Contiguous paused spans as (first row index, row count)."""
@@ -119,11 +111,11 @@ def rollout(plan: PlanResult,
             max_wait: float = 60.0) -> Trajectory:
     """Replay a plan; returns the full row-per-step trajectory.
 
-    Motion rows carry the plan's own configurations, speeds and saturation
-    flags at the plan's dt, so the replay matches the plan exactly.  With
-    gating on, motion holds (speeds zero) after each stiffness change until
-    both segments reach the commanded phase; longer than max_wait raises
-    ThermalTimeoutError.
+    Each plan row gets one motion row at the plan's dt, so the replay
+    matches the plan exactly.  With gating on, motion holds after each
+    stiffness change, in paused rows that point at the step they wait for,
+    until both segments reach the commanded phase; longer than max_wait
+    raises ThermalTimeoutError.
     """
     params = thermal_params if thermal_params is not None else th.ThermalParams()
     dt = float(plan.params.dt)
@@ -135,9 +127,8 @@ def rollout(plan: PlanResult,
     t = 0.0
     rows: list[SimRow] = []
     prev_cmd: StiffnessState | None = None
-    zero = (0.0,) * 5
-    for step in plan.steps:
-        q, cmd = step.config, step.stiffness
+    for k, step in enumerate(plan.steps):
+        cmd = step.stiffness
         if cmd != prev_cmd:
             set1 = th.setpoint_for(cmd.soft1, params)
             set2 = th.setpoint_for(cmd.soft2, params)
@@ -159,18 +150,15 @@ def rollout(plan: PlanResult,
                                                      phase1, params, dt)
             next2, int2, next_phase2, u2 = loop_step(temp2, set2, int2,
                                                      phase2, params, dt)
-            rows.append(SimRow(t, q, cmd, zero if paused else step.speeds,
-                               temp1, u1, phase1, temp2, u2, phase2, paused,
-                               False if paused else step.saturated))
+            rows.append(SimRow(t, k, temp1, u1, phase1, temp2, u2, phase2,
+                               paused))
             temp1, phase1, temp2, phase2 = next1, next_phase1, next2, next_phase2
             t += dt
             if not paused:
                 break
             waited += dt
-    last_cmd = prev_cmd if prev_cmd is not None else StiffnessState(False, False)
     duty1 = loop_step(temp1, set1, int1, phase1, params, 0.0)[3]
     duty2 = loop_step(temp2, set2, int2, phase2, params, 0.0)[3]
-    rows.append(SimRow(t, plan.final_config, last_cmd, zero,
-                       temp1, duty1, phase1, temp2, duty2, phase2,
-                       False, False))
+    rows.append(SimRow(t, len(plan.steps), temp1, duty1, phase1, temp2,
+                       duty2, phase2, False))
     return Trajectory(rows)

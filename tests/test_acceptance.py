@@ -197,12 +197,14 @@ def test_08_playback_beats_straight_line_reference(study):
     n_ok = 0
     for i, traj in study["rollouts"].items():
         target = study["scenarios"][i].target
-        rows = traj.rows
+        plan = study["plans"][i]
+        # each row shows the configuration of the plan row it replays
+        configs = [st.config for st in plan.steps] + [plan.final_config]
+        rows = [configs[r.step] for r in traj.rows]
         m = len(rows) - 1
-        mp = np.array([weighted_distance(config_error(target, r.config), ONES)
-                       for r in rows])
-        fk = np.array(fk_reference(rows[0].config, target, m,
-                                   weights=ONES)[1])
+        mp = np.array([weighted_distance(config_error(target, q), ONES)
+                       for q in rows])
+        fk = np.array(fk_reference(rows[0], target, m, weights=ONES)[1])
         k = max(1, round(0.05 * m))
         shallow = (mp[0] - mp[k]) < (fk[0] - fk[k])
         below = np.nonzero(mp < fk)[0]

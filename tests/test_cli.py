@@ -11,9 +11,10 @@ import softrig
 from softrig import cli, outputs, spiral
 from softrig.cli import (EXIT_INPUT, EXIT_NO_CONVERGE, EXIT_OK, EXIT_THERMAL,
                          main)
-from softrig.errors import FitError, SoftrigError
+from softrig.errors import FitError, SoftrigError, StallError
 from softrig.planner import plan_motion
-from softrig.scenario import example_scenario_dict, sample_scenario
+from softrig.scenario import (example_scenario_dict, load_scenario,
+                              sample_scenario)
 
 
 def write_scenario(tmp_path, name="scn.json", **changes):
@@ -141,9 +142,20 @@ def test_stalled_run_exits_3_and_writes_no_keyframes(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", scn, "--keyframes", "50",
                  "--out", str(out)]) == EXIT_NO_CONVERGE
-    assert "stalled" in capsys.readouterr().err
+    err = capsys.readouterr().err
     assert not (out / "keyframes.svg").exists()
     assert not out.exists()
+    # the line says why: each tried pattern's gain, in pattern order
+    scenario = load_scenario(scn)
+    with pytest.raises(StallError) as info:
+        plan_motion(scenario.q0, scenario.target, scenario.geometry,
+                    scenario.planner)
+    gains = info.value.diagnostics
+    assert sorted(gains) == ["00", "01", "10", "11"]
+    assert err == (f"{scenario.label}: stalled: {info.value}; gains "
+                   + ", ".join(f"{label} {gains[label]:.3e}"
+                               for label in ("00", "01", "10", "11"))
+                   + "\n")
 
 
 def test_thermal_timeout_exits_4(tmp_path, capsys):
@@ -406,21 +418,37 @@ def test_sweep_input_error_exits_2_and_writes_nothing(tmp_path, capsys):
     assert "need at least 10 sweep samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["run", "SCENARIO"],
-                                  ["run", "--batch", "2"],
-                                  ["sweep", "--samples", "10"]],
-                         ids=["run-file", "run-batch", "sweep"])
-def test_out_under_a_file_exits_2(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, cpus", [(["run", "SCENARIO"], None),
+                                        (["run", "--batch", "2"], None),
+                                        (["run", "--batch", "2"], 2),
+                                        (["sweep", "--samples", "10"], None)],
+                         ids=["run-file", "run-batch", "run-batch-lane",
+                              "sweep"])
+def test_out_under_a_file_exits_2(tmp_path, monkeypatch, capfd, writer_log,
+                                  argv, cpus):
     # an --out that names a file, or a path under one, is bad input: one
-    # error line, no traceback, and the file is left as it was
+    # error line, no traceback, and the file is left as it was.  In the
+    # lane case the file is named like the second run's directory, which
+    # the forked lane of 2 usable CPUs makes: the batch ends as it does in
+    # this process, with its lane reaped and no study.json
     argv = [write_scenario(tmp_path) if arg == "SCENARIO" else arg
             for arg in argv]
-    blocker = tmp_path / "taken"
+    blocker = tmp_path / ("taken" if cpus is None else "run_001")
     blocker.write_text("keep")
-    for out in (blocker, blocker / "sub"):
+    # (--out, the path the error names)
+    cases = [(blocker, blocker), (blocker / "sub", blocker / "sub")]
+    if cpus is not None:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        cases = [(tmp_path, blocker)]
+    for out, named in cases:
         assert main([*argv, "--out", str(out)]) == EXIT_INPUT, out
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
+        printed = capfd.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: --out {named}: ")
+        assert printed.err.count("\n") == 1
+    assert writer_log["forked"] == (0 if cpus is None else cpus - 1)
+    assert writer_log["unreaped"] == 0
+    assert not (tmp_path / "study.json").exists()
     assert blocker.read_text() == "keep"
 
 

@@ -11,11 +11,11 @@ from softrig import __version__, outputs
 from softrig.errors import DomainError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState)
-from softrig.planner import PlannerParams, plan_motion
+from softrig.planner import PlannerParams, PlanResult, PlanStep, plan_motion
 from softrig.scenario import example_scenario_dict, scenario_from_dict
-from softrig.simulator import Trajectory, rollout
+from softrig.simulator import SimRow, Trajectory, rollout
 from softrig.spiral import refit_oracle, theta_from_kappa
-from softrig.thermal import ThermalParams, setpoint_for
+from softrig.thermal import PHASE_RIGID, ThermalParams, setpoint_for
 
 GEOM = GeometryParams()
 
@@ -71,6 +71,18 @@ def cells(*values):
     return [repr(float(v)) for v in values]
 
 
+def plan_table(plan) -> list[tuple]:
+    """(t, configuration, stiffness, speeds, saturated) of each plan row a
+    playback row's step names: the steps, then the terminal row, which
+    holds the final configuration at the last stiffness (00 for no steps)
+    with zero speeds, unsaturated."""
+    last = (plan.steps[-1].stiffness if plan.steps
+            else StiffnessState(False, False))
+    return [*map(tuple, plan.steps),
+            (len(plan.steps) * plan.params.dt, plan.final_config, last,
+             (0.0,) * 5, False)]
+
+
 def reference_csvs(plan, traj) -> dict:
     """The two run CSVs rebuilt cell by cell, each float as repr(float(v))."""
     def flags(*values):
@@ -81,26 +93,21 @@ def reference_csvs(plan, traj) -> dict:
         lines += [",".join(row) for row in rows]
         return ("\n".join(lines) + "\n").encode()
 
-    plan_rows = []
-    for step in plan.steps:
-        q, s = step.config, step.stiffness
-        plan_rows.append(cells(step.t, q.x, q.y, q.phi, q.kappa1, q.kappa2)
-                         + flags(s.soft1, s.soft2) + cells(*step.speeds))
-    last = (plan.steps[-1].stiffness if plan.steps
-            else StiffnessState(False, False))
-    q = plan.final_config
-    plan_rows.append(cells(len(plan.steps) * plan.params.dt, q.x, q.y, q.phi,
-                           q.kappa1, q.kappa2)
-                     + flags(last.soft1, last.soft2) + cells(*[0.0] * 5))
+    table_rows = plan_table(plan)
+    plan_rows = [cells(t, q.x, q.y, q.phi, q.kappa1, q.kappa2)
+                 + flags(s.soft1, s.soft2) + cells(*speeds)
+                 for t, q, s, speeds, _ in table_rows]
     traj_rows = []
     for row in traj.rows:
-        q, s = row.config, row.stiffness
+        _, q, s, speeds, saturated = table_rows[row.step]
+        if row.paused:      # the drive stops and nothing is clamped
+            speeds, saturated = (0.0,) * 5, False
         traj_rows.append(
             cells(row.t, q.x, q.y, q.phi, q.kappa1, q.kappa2)
-            + flags(s.soft1, s.soft2) + cells(*row.speeds)
+            + flags(s.soft1, s.soft2) + cells(*speeds)
             + cells(row.temp1, row.duty1) + [row.phase1]
             + cells(row.temp2, row.duty2) + [row.phase2]
-            + flags(row.paused, row.saturated))
+            + flags(row.paused, saturated))
     return {
         "plan.csv": table(["t", "x", "y", "phi", "kappa1", "kappa2", "s1",
                            "s2", "v1", "v2", "u0", "v0", "r0"], plan_rows),
@@ -111,12 +118,13 @@ def reference_csvs(plan, traj) -> dict:
     }
 
 
-def reference_thermal_rows(traj, params) -> list[list[str]]:
+def reference_thermal_rows(plan, traj, params) -> list[list[str]]:
     """The per-segment thermal table (t, segment, T, u, phase, setpoint),
     two rows per playback row, built from the trajectory's records."""
+    table_rows = plan_table(plan)
     rows = []
     for row in traj.rows:
-        s = row.stiffness
+        s = table_rows[row.step][2]
         for seg, temp, duty, phase, soft in (
                 ("1", row.temp1, row.duty1, row.phase1, s.soft1),
                 ("2", row.temp2, row.duty2, row.phase2, s.soft2)):
@@ -160,7 +168,7 @@ def test_run_csvs_match_reference_formatter(tmp_path, case):
         assert any(type(row.duty1) is int for row in traj.rows)
     else:
         # q0 at the target plans no step; -0.0 and 0.0 are equal and hash
-        # alike, so only a cell told apart by identity keeps both
+        # alike, so a cell cache keyed by value would merge them
         q0 = {"no_steps": TARGET,
               "signed_zero": AgentConfig(-0.0, 0.0, 0.0, -0.0, 0.0)}.get(case)
         plan = make_plan() if q0 is None else make_plan(q0)
@@ -179,7 +187,7 @@ def test_run_csvs_match_reference_formatter(tmp_path, case):
     # thermal table, so no separate thermal file is needed
     thermal = thermal_rows_from_trajectory(str(tmp_path / "trajectory.csv"),
                                            params)
-    assert thermal == reference_thermal_rows(traj, params)
+    assert thermal == reference_thermal_rows(plan, traj, params)
     if case == "integers":
         assert b"\n1.0," in expected["plan.csv"]
         # the integer duty limit reaches trajectory.csv as a float cell, as
@@ -189,6 +197,24 @@ def test_run_csvs_match_reference_formatter(tmp_path, case):
         assert "65.0" in {r[5] for r in thermal}
     if case == "signed_zero":
         assert b"\n0.0,-0.0,0.0,0.0,-0.0,0.0," in expected["plan.csv"]
+
+
+def test_paused_row_stops_the_drive_and_clears_the_clamp_flag(tmp_path):
+    # a paused row that waits for a saturated, driven step shows the step's
+    # configuration and stiffness at zero speeds, with saturated 0; the
+    # moving row of the same step shows its speeds and its flag
+    q, s = AgentConfig(0.01, 0.02, 0.3, 10.0, -5.0), STIFFNESS_STATES[2]
+    plan, traj = synthetic_run([(q, s), (q, s)], [0, 0, 1])
+    plan.steps[0] = plan.steps[0]._replace(speeds=(0.5, -0.25, 0.0, 0.0, 0.0),
+                                           saturated=True)
+    traj.rows[0] = traj.rows[0]._replace(paused=True)
+    outputs.write_run_csvs(str(tmp_path), plan, traj)
+    expected = reference_csvs(plan, traj)
+    for name, data in expected.items():
+        assert (tmp_path / name).read_bytes() == data, name
+    _, rows = read_rows(str(tmp_path / "trajectory.csv"))
+    assert rows[0][8:13] == ["0.0"] * 5 and rows[0][-2:] == ["1", "0"]
+    assert rows[1][8:10] == ["0.5", "-0.25"] and rows[1][-2:] == ["0", "1"]
 
 
 def test_write_json_stable_bytes(tmp_path):
@@ -332,32 +358,48 @@ def frame_body(q, s):
     return outputs.render_frame(q, s, GEOM).split("\n", 1)[1].rsplit("\n", 1)[0]
 
 
+def synthetic_run(frames, replayed):
+    """A plan whose steps show the (configuration, stiffness) ``frames`` and
+    a playback whose rows replay the steps ``replayed``, in order."""
+    steps = [PlanStep(0.05 * k, q, s, (0.0,) * 5, False)
+             for k, (q, s) in enumerate(frames)]
+    plan = PlanResult(PlannerParams(), steps, frames[-1][0],
+                      [1.0] * (len(steps) + 1), False)
+    rows = [SimRow(0.05 * n, k, 25.0, 0.0, PHASE_RIGID, 25.0, 0.0,
+                   PHASE_RIGID, False) for n, k in enumerate(replayed)]
+    return plan, Trajectory(rows)
+
+
 def test_save_keyframes(tmp_path):
     plan = make_plan()
     traj = rollout(plan, thermal_gating=False)
     path = str(tmp_path / "keyframes.svg")
-    picks = outputs.save_keyframes(traj, path, GEOM, every=40)
+    picks = outputs.save_keyframes(plan, traj, path, GEOM, every=40)
     assert picks == [*range(0, len(traj.rows) - 1, 40), len(traj.rows) - 1]
     assert os.listdir(tmp_path) == ["keyframes.svg"]
     symbols, uses = read_strip(path)
     assert len(uses) == len(picks)
+    table = plan_table(plan)
     for (label, href), idx in zip(uses, picks):
         row = traj.rows[idx]
         assert label == f"row {idx}, t = {row.t!r} s"
-        assert symbols[href.removeprefix("#")] == frame_body(row.config,
-                                                             row.stiffness)
+        # the last pick draws the terminal row
+        _, q, s, _, _ = table[row.step]
+        assert symbols[href.removeprefix("#")] == frame_body(q, s)
 
 
 def test_save_keyframes_draws_each_distinct_frame_once(tmp_path,
                                                         monkeypatch):
     # a gated run that starts on the curvature bound with kappa2 = -0.0:
     # segment 1 bends back under 10 while segment 2 keeps -0.0, then 00
-    # holds both.  Paused rows share their step's configuration object, so
+    # holds both.  Paused rows point at the step they wait to replay, so
     # several picks show the same frame; each is drawn once, as a symbol,
     # and every pick that shows it is a <use> of that symbol
     q0 = AgentConfig(0.0, 0.0, 0.0, KMAX, -0.0)
-    traj = rollout(make_plan(q0))
+    plan = make_plan(q0)
+    traj = rollout(plan)
     rows = traj.rows
+    table = plan_table(plan)
     path = str(tmp_path / "keyframes.svg")
     draws = []
     body = outputs._frame_body
@@ -367,57 +409,55 @@ def test_save_keyframes_draws_each_distinct_frame_once(tmp_path,
         return body(q, s, shape)
 
     monkeypatch.setattr(outputs, "_frame_body", counted)
-    picks = outputs.save_keyframes(traj, path, GEOM, every=3)
+    picks = outputs.save_keyframes(plan, traj, path, GEOM, every=3)
     assert picks == [*range(0, len(rows) - 1, 3), len(rows) - 1]
-    shown = [rows[idx] for idx in picks]
-    kappas = [k for row in shown for k in (row.config.kappa1,
-                                            row.config.kappa2)]
+    shown = [table[rows[idx].step][1:3] for idx in picks]
+    kappas = [k for q, _ in shown for k in (q.kappa1, q.kappa2)]
     assert KMAX in kappas
     assert {math.copysign(1.0, k) for k in kappas if k == 0.0} == {1.0, -1.0}
-    # each key drawn exactly once, in first-pick order
-    keys = [(id(row.config), row.stiffness) for row in shown]
+    # each plan row drawn exactly once, as its own configuration object and
+    # stiffness, in first-pick order
+    keys = [rows[idx].step for idx in picks]
     distinct = list(dict.fromkeys(keys))
-    assert draws == distinct
+    assert draws == [(id(table[k][1]), table[k][2]) for k in distinct]
     assert len(draws) < len(picks)
     symbols, uses = read_strip(path)
     assert list(symbols) == [f"f{i}" for i in range(len(distinct))]
     # one <use> per pick, in pick order, each of its key's symbol
     assert [href for _, href in uses] == [
         f"#f{distinct.index(key)}" for key in keys]
-    for (label, href), idx, row in zip(uses, picks, shown):
+    for (label, href), idx, (q, s) in zip(uses, picks, shown):
         assert label.startswith(f"row {idx}, ")
-        assert symbols[href[1:]] == frame_body(row.config, row.stiffness)
+        assert symbols[href[1:]] == frame_body(q, s)
     # 0.0 and -0.0 stay apart: a row with kappa2 = +0.0 never shows the
     # symbol of a configuration with kappa2 = -0.0, nor the other way round
     sign_of = {}
-    for (_, href), row in zip(uses, shown):
-        if row.config.kappa2 == 0.0:
-            sign = math.copysign(1.0, row.config.kappa2)
+    for (_, href), (q, _) in zip(uses, shown):
+        if q.kappa2 == 0.0:
+            sign = math.copysign(1.0, q.kappa2)
             assert sign_of.setdefault(href, sign) == sign
     assert set(sign_of.values()) == {1.0, -1.0}
 
 
 def test_save_keyframes_keeps_signed_zeros_apart(tmp_path):
-    # two configurations equal by value, one with kappa2 = -0.0, get a
-    # symbol each; a pick that shows the first configuration object again
-    # reuses its symbol
-    row = rollout(make_plan()).rows[0]
-    plus = row._replace(config=AgentConfig(0.0, 0.0, 0.0, 10.0, 0.0))
-    minus = row._replace(config=AgentConfig(0.0, 0.0, 0.0, 10.0, -0.0))
+    # two plan rows equal by value but for kappa2 = -0.0 get a symbol each;
+    # a pick that replays the first plan row again reuses its symbol
+    plan, traj = synthetic_run(
+        [(AgentConfig(0.0, 0.0, 0.0, 10.0, 0.0), STIFFNESS_STATES[0]),
+         (AgentConfig(0.0, 0.0, 0.0, 10.0, -0.0), STIFFNESS_STATES[0])],
+        [0, 1, 0])
     path = str(tmp_path / "keyframes.svg")
-    outputs.save_keyframes(Trajectory([plus, minus, plus]), path, GEOM,
-                           every=1)
+    outputs.save_keyframes(plan, traj, path, GEOM, every=1)
     symbols, uses = read_strip(path)
     assert [href for _, href in uses] == ["#f0", "#f1", "#f0"]
     assert len(symbols) == 2
 
 
 def test_save_keyframes_builds_each_shape_once(tmp_path, monkeypatch):
-    # four configuration objects, two poses of one shape (10, 5) and two
-    # shapes equal but for kappa2's zero sign: three shapes from four
-    # segments, each segment's arc and end pose built once, each shape's
-    # wheel layout once
-    row = rollout(make_plan()).rows[0]
+    # four configurations, two poses of one shape (10, 5) and two shapes
+    # equal but for kappa2's zero sign: three shapes from four segments,
+    # each segment's arc and end pose built once, each shape's wheel layout
+    # once
     configs = [AgentConfig(0.0, 0.0, 0.0, 10.0, 5.0),
                AgentConfig(0.05, 0.02, 0.3, 10.0, 5.0),
                AgentConfig(0.0, 0.0, 0.0, 10.0, -0.0),
@@ -428,10 +468,10 @@ def test_save_keyframes_builds_each_shape_once(tmp_path, monkeypatch):
             log.append(args[:2])
             return build(*args)
         monkeypatch.setattr(outputs, name, counted)
-    traj = Trajectory([row._replace(config=q, stiffness=s)
-                       for q in configs for s in STIFFNESS_STATES[1:3]])
+    frames = [(q, s) for q in configs for s in STIFFNESS_STATES[1:3]]
+    plan, traj = synthetic_run(frames, range(len(frames)))
     path = str(tmp_path / "keyframes.svg")
-    outputs.save_keyframes(traj, path, GEOM, every=1)
+    outputs.save_keyframes(plan, traj, path, GEOM, every=1)
     segments = [(10.0, 1.0, 1), (5.0, 1.0, 2), (0.0, -1.0, 2), (0.0, 1.0, 2)]
     for name in ("_arc_points", "cc_transform"):
         assert [(k, math.copysign(1.0, k), j)
@@ -442,5 +482,5 @@ def test_save_keyframes_builds_each_shape_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     symbols, uses = read_strip(path)
     assert len(symbols) == len(traj.rows)
-    for (_, href), row in zip(uses, traj.rows):
-        assert symbols[href[1:]] == frame_body(row.config, row.stiffness)
+    for (_, href), (q, s) in zip(uses, frames):
+        assert symbols[href[1:]] == frame_body(q, s)

@@ -5,7 +5,8 @@ digests recorded from an earlier commit, so a change that claims to leave
 behaviour alone (a speed-up, a refactor) is held to every byte of
 ``plan.csv``, ``trajectory.csv``, ``summary.json``, the SVG film strip
 ``keyframes.svg`` and the ``sweep.csv`` and ``refit.json`` of the
-documented sweep.  A change that alters behaviour on purpose (a new
+documented sweep.  The runs cover gated and ungated playback, and
+saturated rows.  A change that alters behaviour on purpose (a new
 planner rule, thermal model or output column; ROADMAP items 2-5) updates
 these digests in the same change and says so in CHANGES.md.  The digests
 hold for IEEE double arithmetic with a correctly rounded libm, as on common
@@ -47,6 +48,27 @@ SINGLE_DIGESTS = {
     # so one symbol drawn once and used three times
     "keyframes.svg":
         "517dbee8b140c28481f9cd6d6347ddcd624febab3e442ecbe9add65cc967e961",
+}
+
+# run_006 of a 7-run unweighted batch, 52 of whose playback rows are
+# saturated
+SATURATED_DIGESTS = {
+    "plan.csv":
+        "f8be35adf8e8c82c206afbff31a11288fe397d13bc9b39bb7dcaa660e4663f9a",
+    "summary.json":
+        "b2cf5b83bfe1ded0bf623b45ca5288a730607e55fbda2763c6c1c76df3daabb2",
+    "trajectory.csv":
+        "84449011280ef4413df221762287cf627177bb7c7f9c268ab8d6667d3e65fcf7",
+}
+
+# the README example with gating off: no paused row
+UNGATED_DIGESTS = {
+    "plan.csv":
+        "a4981f2a80c303b9fbc61b9a9a7ef88b837e1043ab43f0835eedc24d446b4157",
+    "summary.json":
+        "d16b9c245cf6ae2dbbfde06d923e032fa5e8746808bbec09db21c48773c99d25",
+    "trajectory.csv":
+        "d56893e38428e5441619c1e6c571282e5a5979fa457146f2c937a3fae8bc44ef",
 }
 
 SWEEP_DIGESTS = {
@@ -93,6 +115,24 @@ def test_gated_keyframed_run_bytes_are_pinned(tmp_path, capsys):
     assert main(["run", str(scn), "--keyframes", "50",
                  "--out", str(out)]) == EXIT_OK
     assert digests(out) == SINGLE_DIGESTS
+
+
+def test_saturated_run_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "batch"
+    assert main(["run", "--batch", "7", "--seed", "0", "--preset",
+                 "unweighted", "--out", str(out)]) == EXIT_OK
+    assert digests(out / "run_006") == SATURATED_DIGESTS
+    lines = (out / "run_006" / "trajectory.csv").read_text().splitlines()
+    assert sum(line.endswith(",1") for line in lines[2:]) == 52
+
+
+def test_ungated_run_bytes_are_pinned(tmp_path, capsys):
+    scn = tmp_path / "scenario.json"
+    scn.write_text(json.dumps(example_scenario_dict()))
+    out = tmp_path / "single"
+    assert main(["run", str(scn), "--no-thermal",
+                 "--out", str(out)]) == EXIT_OK
+    assert digests(out) == UNGATED_DIGESTS
 
 
 def test_sweep_bytes_are_pinned(tmp_path, capsys):

@@ -119,9 +119,8 @@ def test_rollout_without_gating_replays_plan():
     traj = rollout(plan, thermal_gating=False)
     assert not any(row.paused for row in traj.rows)
     assert len(traj.rows) == len(plan.steps) + 1
-    assert traj.final_config == plan.final_config
-    assert [row.config for row in traj.rows[:-1]] == [
-        step.config for step in plan.steps]
+    # row k replays plan step k; the last row is the terminal plan row
+    assert [row.step for row in traj.rows] == list(range(len(plan.steps) + 1))
 
 
 def test_rollout_gating_pauses_at_stiffness_changes():
@@ -133,26 +132,30 @@ def test_rollout_gating_pauses_at_stiffness_changes():
     boundaries = len(labels) - 1 + (1 if labels[0] != "00" else 0)
     assert len(blocks) == boundaries
     # motion rows reproduce the plan exactly despite the inserted pauses:
-    # each carries its step's configuration, pattern, inputs and clamp flag
-    moving = [r for r in traj.rows[:-1] if not r.paused]
-    assert [(r.config, r.stiffness, r.speeds, r.saturated)
-            for r in moving] == [(st.config, st.stiffness, st.speeds,
-                                  st.saturated) for st in plan.steps]
-    assert traj.final_config == plan.final_config
-    # paused rows freeze the configuration and command zero speeds
+    # one per step, in order, then the terminal row
+    moving = [r for r in traj.rows if not r.paused]
+    assert [r.step for r in moving] == list(range(len(plan.steps) + 1))
+    # paused rows hold the configuration of the step they wait to replay:
+    # each block waits for the first step of a new stiffness
     for start, count in blocks:
-        for row in traj.rows[start:start + count]:
-            assert row.speeds == (0.0,) * 5
+        block = traj.rows[start:start + count]
+        k = traj.rows[start + count].step
+        assert {row.step for row in block} == {k}
+        assert k == 0 or (plan.steps[k].stiffness
+                          != plan.steps[k - 1].stiffness)
 
 
 def test_rollout_thermal_phases_track_commands():
     plan = small_plan()
     traj = rollout(plan)
+    stiffness = [st.stiffness for st in plan.steps]
+    stiffness.append(stiffness[-1])     # the terminal row keeps the last
     for row in traj.rows:
         if row.paused:
             continue
-        assert row.phase1 == (PHASE_SOFT if row.stiffness.soft1 else PHASE_RIGID)
-        assert row.phase2 == (PHASE_SOFT if row.stiffness.soft2 else PHASE_RIGID)
+        s = stiffness[row.step]
+        assert row.phase1 == (PHASE_SOFT if s.soft1 else PHASE_RIGID)
+        assert row.phase2 == (PHASE_SOFT if s.soft2 else PHASE_RIGID)
     temps = [row.temp1 for row in traj.rows] + [row.temp2 for row in traj.rows]
     assert max(temps) < ThermalParams().sensor_t_hi
 
@@ -169,9 +172,11 @@ def test_rollout_matches_the_public_thermal_chain():
     dt = plan.params.dt
     states = [initial_state(params), initial_state(params)]
     commanded = None
+    stiffness = [st.stiffness for st in plan.steps]
+    stiffness.append(stiffness[-1])     # the terminal row keeps the last
     for row in traj.rows:
-        if row.stiffness != commanded:
-            commanded = row.stiffness
+        if stiffness[row.step] != commanded:
+            commanded = stiffness[row.step]
             states = [(temp, setpoint_for(soft, params), integral, phase)
                       for (temp, _, integral, phase), soft
                       in zip(states, (commanded.soft1, commanded.soft2))]
@@ -216,17 +221,12 @@ def test_rollout_time_axis_is_uniform():
 def test_pause_blocks_and_runs_bookkeeping():
     from softrig.simulator import SimRow
 
-    q = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
-    zero = np.zeros(5)
+    def row(paused, step):
+        return SimRow(0.0, step, 25.0, 0.0, PHASE_RIGID,
+                      25.0, 0.0, PHASE_RIGID, paused)
 
-    def row(paused, s):
-        return SimRow(0.0, q, s, zero, 25.0, 0.0, PHASE_RIGID,
-                      25.0, 0.0, PHASE_RIGID, paused, False)
-
-    rows = [row(True, S01), row(True, S01), row(False, S01),
-            row(False, S01), row(True, RIGID), row(False, RIGID),
-            row(False, RIGID)]
+    rows = [row(True, 0), row(True, 0), row(False, 0), row(False, 1),
+            row(True, 2), row(False, 2), row(False, 3)]
     traj = Trajectory(rows=rows)
     assert traj.pause_blocks() == [(0, 2), (4, 1)]
-    assert traj.final_config == q
     assert Trajectory(rows=rows[2:4]).pause_blocks() == []
