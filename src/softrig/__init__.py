@@ -17,7 +17,7 @@ from .errors import (ContractError, DomainError, FitError, ScenarioError,
                      ThermalTimeoutError)
 from .geometry import (BETA, STIFFNESS_STATES, AgentConfig, GeometryParams,
                        StiffnessState, apply_pose, cc_transform, wrap_angle)
-from .jacobian import active_columns, delta_coeff, shared_terms
+from .jacobian import active_columns, delta_coeff
 from .planner import (PlannerParams, PlanResult, PlanStep, config_error,
                       damped_speeds, plan_motion, weighted_distance)
 from .scenario import (Scenario, example_scenario_dict, load_scenario,

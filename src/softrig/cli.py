@@ -84,11 +84,11 @@ def _apply_preset(scn: Scenario, args) -> Scenario:
 
 
 def _make_out_dir(path: str) -> None:
-    """Create the output directory ``path`` and its parents; a file at or
-    above it is bad input."""
+    """Create the output directory ``path`` and its parents; a path that
+    cannot be one (empty, or a file at or above it) is bad input."""
     try:
         os.makedirs(path, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+    except OSError as exc:
         raise ContractError(f"--out {path}: cannot make a directory there "
                             f"({exc.strerror})") from None
 

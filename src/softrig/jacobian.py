@@ -33,14 +33,8 @@ from .spiral import rate_coeffs
 Columns = tuple[tuple[float, ...], ...]
 
 
-# Terms every pattern's columns share at one configuration, filled as the
-# patterns ask for them: [heading (cos, sin), segment 1's ``delta_coeff``
-# pair or None, segment 2's pair or None]
-Shared = list
-
-
-def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams,
-                rot: tuple[float, float]) -> tuple[float, float]:
+def delta_coeff(q: AgentConfig, j: int,
+                geom: GeometryParams) -> tuple[float, float]:
     """Position-rate column entry before the gain: d(body origin)/d(kappa_j).
 
     Closed-form derivative of the body origin along the constant-curvature
@@ -52,10 +46,10 @@ def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams,
         y = l h + l^2 (1 - cos alpha) / alpha^2
 
     with + for segment 1 and - for segment 2, rotated to the world by the
-    body heading, whose (cos, sin) is ``rot``, and returned as an (x, y)
-    pair of floats.  Near alpha = 0 both fractions
-    use their series.  The caller scales it by the mode's gain K (modes 2
-    and 3; mode 1 leaves the body frame stationary and has no pose rows).
+    body heading and returned as an (x, y) pair of floats.  Near alpha = 0
+    both fractions use their series.  The caller scales it by the mode's
+    gain K (modes 2 and 3; mode 1 leaves the body frame stationary and has
+    no pose rows).
     Raises ContractError for a segment index other than 1 or 2.
     """
     kap = q.kappa(j)
@@ -70,67 +64,41 @@ def delta_coeff(q: AgentConfig, j: int, geom: GeometryParams,
         cos_part = (1.0 - math.cos(alpha)) / (alpha * alpha)
     dx = l * l * sin_part if j == 1 else -l * l * sin_part
     dy = l * geom.mid_link / 2 + l * l * cos_part
-    c, s = rot
+    c, s = math.cos(q.phi), math.sin(q.phi)
     return c * dx - s * dy, s * dx + c * dy
 
 
-def _rigid_columns(c: float, s: float) -> Columns:
-    # the body twist rotated to the world by the heading (cos, sin)
-    return ((c, s, 0.0, 0.0, 0.0), (-s, c, 0.0, 0.0, 0.0),
-            (0.0, 0.0, 1.0, 0.0, 0.0))
-
-
-def shared_terms(q: AgentConfig) -> Shared:
-    """The terms all four patterns' columns at q share, each built once.
-
-    The planner tries several patterns at the same configuration; passing
-    this to ``active_columns`` spares each candidate the heading rotation,
-    and each segment's arc derivative is worked out on the first pattern
-    that bends that segment, so a step that tries only the rigid pattern
-    builds none.
-    """
-    return [(math.cos(q.phi), math.sin(q.phi)), None, None]
-
-
-def _arc_term(shared: Shared, q: AgentConfig, j: int,
-              geom: GeometryParams) -> tuple[float, float]:
-    # segment j's delta_coeff pair, built on first use
-    term = shared[j]
-    if term is None:
-        term = shared[j] = delta_coeff(q, j, geom, shared[0])
-    return term
-
-
-def active_columns(q: AgentConfig, s: StiffnessState, geom: GeometryParams,
-                   shared: Shared | None = None) -> Columns:
+def active_columns(q: AgentConfig, s: StiffnessState,
+                   geom: GeometryParams) -> Columns:
     """Jacobian columns of the driven inputs ``s.inputs``, float 5-tuples.
 
     The one place the columns are built (see the module docstring); the
-    inputs outside ``s.inputs`` have no column.  ``shared`` is
-    ``shared_terms(q)`` when the caller tries several patterns at q.
+    inputs outside ``s.inputs`` have no column, and a pattern works out the
+    arc derivative of only the segments it bends.
     """
-    if shared is None:
-        shared = shared_terms(q)
     if not s.any_soft:
-        return _rigid_columns(*shared[0])
+        # the body twist rotated to the world by the heading
+        c, sn = math.cos(q.phi), math.sin(q.phi)
+        return ((c, sn, 0.0, 0.0, 0.0), (-sn, c, 0.0, 0.0, 0.0),
+                (0.0, 0.0, 1.0, 0.0, 0.0))
     l = geom.seg_len
     if not s.soft1:
         # segment 2 soft: v1 drives it from the far side, v2 from next door
-        dx2, dy2 = _arc_term(shared, q, 2, geom)
+        dx2, dy2 = delta_coeff(q, 2, geom)
         k2 = rate_coeffs(2, q.kappa2, l)
         k1 = rate_coeffs(1, q.kappa2, l)
         return ((k2 * dx2, k2 * dy2, -l * k2, 0.0, k2),
                 (0.0, 0.0, 0.0, 0.0, k1))
     if not s.soft2:
         # segment 1 soft: mirror pairing
-        dx1, dy1 = _arc_term(shared, q, 1, geom)
+        dx1, dy1 = delta_coeff(q, 1, geom)
         k2 = rate_coeffs(2, q.kappa1, l)
         k1 = rate_coeffs(1, q.kappa1, l)
         return ((0.0, 0.0, 0.0, k1, 0.0),
                 (k2 * dx1, k2 * dy1, l * k2, k2, 0.0))
     # both soft: the segment by the stationary unit carries the pose
-    dx1, dy1 = _arc_term(shared, q, 1, geom)
-    dx2, dy2 = _arc_term(shared, q, 2, geom)
+    dx1, dy1 = delta_coeff(q, 1, geom)
+    dx2, dy2 = delta_coeff(q, 2, geom)
     k31 = rate_coeffs(3, q.kappa1, l)
     k32 = rate_coeffs(3, q.kappa2, l)
     return ((k32 * dx2, k32 * dy2, -l * k32, k31, k32),

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .errors import ContractError, DomainError, StallError
 from .geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                        StiffnessState, past_bound, wrap_angle)
-from .jacobian import Columns, active_columns, shared_terms
+from .jacobian import Columns, active_columns
 from .simulator import fk_step_detailed
 
 
@@ -207,12 +207,12 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
 
     def trial(idx: int) -> tuple:
         # (distance, error, inputs, configuration, saturated) of one step
-        # under pattern idx from the loop's current q, err and shared terms,
-        # worked out once per step and kept in its tried list
+        # under pattern idx from the loop's current q and err, worked out
+        # once per step and kept in its tried list
         found = tried[idx]
         if found is None:
             s = STIFFNESS_STATES[idx]
-            cols = active_columns(q, s, geom, shared)
+            cols = active_columns(q, s, geom)
             ups = damped_speeds(cols, s, err, lam, mu)
             q_next, sat = fk_step_detailed(q, s, ups, dt, geom, cols=cols)
             err_next = config_error(target, q_next)
@@ -229,7 +229,6 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
         if dist <= params.eps_goal:
             return PlanResult(params, steps, q, distances, True)
         bend = max(abs(q.kappa1), abs(q.kappa2))
-        shared = shared_terms(q)
         tried = [None] * len(STIFFNESS_STATES)
         chosen = None
         # the held pattern's bound is tested alone; the reachable list is

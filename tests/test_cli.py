@@ -17,6 +17,11 @@ from softrig.scenario import (example_scenario_dict, load_scenario,
                               sample_scenario)
 
 
+def read_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 def write_scenario(tmp_path, name="scn.json", **changes):
     data = example_scenario_dict()
     for key, value in changes.items():
@@ -34,7 +39,7 @@ def test_run_scenario_writes_outputs(tmp_path, capsys):
     # trajectory.csv carries the thermal readings, so no thermal.csv
     assert sorted(os.listdir(out)) == ["keyframes.svg", "plan.csv",
                                        "summary.json", "trajectory.csv"]
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["converged"] is True
     assert summary["label"] == "sidestep-and-bend"
     assert summary["pause_blocks"] >= 1
@@ -58,7 +63,7 @@ def test_no_thermal_skips_pauses(tmp_path):
     scn = write_scenario(tmp_path)
     out = str(tmp_path / "out")
     assert main(["run", scn, "--out", out, "--no-thermal"]) == EXIT_OK
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = read_json(os.path.join(out, "summary.json"))
     assert summary["pause_blocks"] == 0
     assert summary["thermal_gating"] is False
 
@@ -69,8 +74,8 @@ def test_unweighted_preset_changes_plan(tmp_path):
     out_u = str(tmp_path / "u")
     assert main(["run", scn, "--out", out_d]) == EXIT_OK
     assert main(["run", scn, "--out", out_u, "--preset", "unweighted"]) == EXIT_OK
-    sd = json.load(open(os.path.join(out_d, "summary.json")))
-    su = json.load(open(os.path.join(out_u, "summary.json")))
+    sd = read_json(os.path.join(out_d, "summary.json"))
+    su = read_json(os.path.join(out_u, "summary.json"))
     assert sd["runs"] != su["runs"]
     # the unweighted metric drives the curvature home before finishing
     assert su["runs"][-1]["stiffness"] == "00"
@@ -173,7 +178,7 @@ def test_batch_study(tmp_path, capsys):
     code = main(["run", "--batch", "3", "--seed", "5", "--out", out,
                  "--preset", "unweighted"])
     assert code == EXIT_OK
-    study = json.load(open(os.path.join(out, "study.json")))
+    study = read_json(os.path.join(out, "study.json"))
     assert study["n_runs"] == 3 and study["seed"] == 5
     assert len(study["runs"]) == 3
     for i in range(3):
@@ -191,7 +196,7 @@ def test_batch_exit_0_records_each_run_exit(tmp_path, capsys):
     out = str(tmp_path / "study")
     assert main(["run", "--batch", "3", "--max-wait", "0",
                  "--out", out]) == EXIT_OK
-    study = json.load(open(os.path.join(out, "study.json")))
+    study = read_json(os.path.join(out, "study.json"))
     assert [run["exit"] for run in study["runs"]] == [EXIT_THERMAL,
                                                       EXIT_THERMAL, EXIT_OK]
     assert study["n_converged"] == 1
@@ -206,7 +211,7 @@ def test_batch_no_thermal_skips_pauses(tmp_path, capsys):
     assert main(["run", "--batch", "2", "--no-thermal", "--out", out]) == EXIT_OK
     for i in range(2):
         path = os.path.join(out, f"run_{i:03d}", "summary.json")
-        summary = json.load(open(path))
+        summary = read_json(path)
         assert summary["thermal_gating"] is False
         assert summary["pause_blocks"] == 0
     capsys.readouterr()
@@ -426,17 +431,19 @@ def test_sweep_input_error_exits_2_and_writes_nothing(tmp_path, capsys):
                               "sweep"])
 def test_out_under_a_file_exits_2(tmp_path, monkeypatch, capfd, writer_log,
                                   argv, cpus):
-    # an --out that names a file, or a path under one, is bad input: one
-    # error line, no traceback, and the file is left as it was.  In the
-    # lane case the file is named like the second run's directory, which
-    # the forked lane of 2 usable CPUs makes: the batch ends as it does in
-    # this process, with its lane reaped and no study.json
+    # an --out that names a file, a path under one, or nothing at all is
+    # bad input: one error line, no traceback, and the file is left as it
+    # was.  In the lane case the file is named like the second run's
+    # directory, which the forked lane of 2 usable CPUs makes: the batch
+    # ends as it does in this process, with its lane reaped and no
+    # study.json
     argv = [write_scenario(tmp_path) if arg == "SCENARIO" else arg
             for arg in argv]
     blocker = tmp_path / ("taken" if cpus is None else "run_001")
     blocker.write_text("keep")
     # (--out, the path the error names)
-    cases = [(blocker, blocker), (blocker / "sub", blocker / "sub")]
+    cases = [(blocker, blocker), (blocker / "sub", blocker / "sub"),
+             ("", "")]
     if cpus is not None:
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         cases = [(tmp_path, blocker)]

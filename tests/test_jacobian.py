@@ -167,8 +167,7 @@ def test_delta_coeff_matches_direct_difference():
         hi = frame_inverse(frame(*cc_transform(kap + h, j, GEOM)))[:2, 2]
         lo = frame_inverse(frame(*cc_transform(kap - h, j, GEOM)))[:2, 2]
         fd = k_gain * anchor[:2, :2] @ (hi - lo) / (2 * h)
-        rot = (math.cos(q.phi), math.sin(q.phi))
-        d = k_gain * np.array(delta_coeff(q, j, GEOM, rot))
+        d = k_gain * np.array(delta_coeff(q, j, GEOM))
         assert np.linalg.norm(d - fd) <= 1e-6 * np.linalg.norm(fd), (
             f"mode {mode} segment {j} kappa {kap:.6g}")
 
@@ -176,7 +175,7 @@ def test_delta_coeff_matches_direct_difference():
 def test_delta_coeff_rejects_bad_segment():
     q = AgentConfig(0.0, 0.0, 0.0, 5.0, 5.0)
     with pytest.raises(ContractError):
-        delta_coeff(q, 3, GEOM, (1.0, 0.0))
+        delta_coeff(q, 3, GEOM)
 
 
 def test_stationary_anchor_under_integration():

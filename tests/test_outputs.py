@@ -28,7 +28,8 @@ def make_plan(q0=AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)):
 
 
 def read_rows(path):
-    lines = open(path).read().splitlines()
+    with open(path) as f:
+        lines = f.read().splitlines()
     assert lines[0] == f"# softrig {__version__}"
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
@@ -222,7 +223,8 @@ def test_write_json_stable_bytes(tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     outputs.write_json(p1, payload)
     outputs.write_json(p2, payload)
-    b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        b1, b2 = f1.read(), f2.read()
     assert b1 == b2
     assert b1.endswith(b"\n")
     assert json.loads(b1) == payload
@@ -287,7 +289,8 @@ def test_refit_json_report(tmp_path):
     path = str(tmp_path / "refit.json")
     fits = refit_oracle((1, 2, 3), GEOM, 120)
     report = outputs.write_refit_json(path, fits)
-    on_disk = json.load(open(path))
+    with open(path) as f:
+        on_disk = json.load(f)
     assert on_disk == json.loads(json.dumps(report))
     assert len(report["modes"]) == 3
     for entry in report["modes"]:
@@ -337,7 +340,8 @@ def read_strip(path):
     The symbol bodies are cut from the file text, so they compare byte for
     byte; the structure comes from parsing it.
     """
-    text = open(path, encoding="ascii").read()
+    with open(path, encoding="ascii") as f:
+        text = f.read()
     root = ET.fromstring(text)
     assert root.tag == f"{SVG}svg"
     (defs,) = root.findall(f"{SVG}defs")

@@ -134,41 +134,39 @@ def test_planning_makes_no_lapack_call(monkeypatch):
     assert got == expected
 
 
-def test_each_step_builds_shared_terms_once(monkeypatch):
-    # the candidates of a step share one heading rotation and at most one
-    # arc derivative per segment, built when a soft pattern first needs it:
-    # a step that tries only the rigid pattern builds none
-    original_shared = jacobian.shared_terms
+def test_each_trial_builds_only_the_arc_derivatives_it_bends(monkeypatch):
+    # a pattern's columns need the arc derivative of each segment it bends
+    # and no other: a rigid trial builds none, a one-segment trial that
+    # segment's, and the both-soft trial both
     original_cols = jacobian.active_columns
     original_delta = jacobian.delta_coeff
-    steps = []
+    trials = []
 
-    def shared(q):
-        steps.append({"soft_tried": False, "segments": []})
-        return original_shared(q)
+    def columns(q, s, geom):
+        trials.append((q, s, []))
+        return original_cols(q, s, geom)
 
-    def columns(q, s, geom, shared=None):
-        steps[-1]["soft_tried"] |= s.any_soft
-        return original_cols(q, s, geom, shared)
+    def counted(q, j, geom):
+        # any build outside a trial is charged to the last trial
+        assert trials and trials[-1][0] is q
+        trials[-1][2].append(j)
+        return original_delta(q, j, geom)
 
-    def counted(q, j, geom, rot):
-        assert rot == (math.cos(q.phi), math.sin(q.phi))
-        steps[-1]["segments"].append(j)
-        return original_delta(q, j, geom, rot)
-
-    monkeypatch.setattr(planner, "shared_terms", shared)
     monkeypatch.setattr(planner, "active_columns", columns)
     monkeypatch.setattr(jacobian, "delta_coeff", counted)
     plan = plan_motion(ORIGIN, AgentConfig(0.12, 0.08, 0.6, 60.0, -40.0), GEOM)
     assert plan.converged and plan.steps
+    for _, s, segments in trials:
+        assert sorted(segments) == [j for j in (1, 2) if s.soft(j)], s
+    assert {s for _, s, _ in trials} == set(STIFFNESS_STATES)
+    # the trials of one step share its configuration object
+    steps = [[s for _, s, _ in group]
+             for _, group in groupby(trials, key=lambda trial: id(trial[0]))]
     assert len(steps) == len(plan.steps)
-    for step in steps:
-        assert len(step["segments"]) == len(set(step["segments"]))
-        if not step["soft_tried"]:
-            assert step["segments"] == []
-    # both kinds of step occur, so neither rule holds vacuously
-    assert any(step["segments"] for step in steps)
-    assert any(not step["soft_tried"] for step in steps)
+    # both kinds of step occur: one that bends a segment, one that tries
+    # only rigid patterns and so builds no arc derivative
+    assert any(any(s.any_soft for s in step) for step in steps)
+    assert any(not any(s.any_soft for s in step) for step in steps)
 
 
 def test_trivial_goal_needs_no_steps():

@@ -15,6 +15,7 @@ tree with the standard library.
 """
 import ast
 import pathlib
+from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "softrig").glob("*.py"))
@@ -32,45 +33,52 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
             if name.startswith("_") and not name.startswith("__")]
 
 
-def package_modules(tree: ast.Module) -> set[str]:
-    """Names the tree binds to package modules with ``from . import``."""
-    return {alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            and node.module is None
-            for alias in node.names}
+def reads(trees) -> dict[str, set[int]]:
+    """The ids of the nodes that read each name, walking each tree once: a
+    loaded name, or an attribute of a module the same tree binds to a
+    package module with ``from . import``."""
+    found = defaultdict(set)
+    for tree in trees:
+        modules, attributes = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found[node.id].add(id(node))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)):
+                attributes.append(node)
+            elif (isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module is None):
+                modules.update(alias.asname or alias.name
+                               for alias in node.names)
+        for node in attributes:
+            if node.value.id in modules:
+                found[node.attr].add(id(node))
+    return found
 
 
-def read_elsewhere(name: str, definition: ast.AST, trees) -> bool:
-    """True when a tree reads ``name`` outside its own definition, as a
-    name or as an attribute of a package module."""
-    inside = {id(n) for n in ast.walk(definition)}
-    return any(
-        id(node) not in inside
-        and ((isinstance(node, ast.Name) and node.id == name
-              and isinstance(node.ctx, ast.Load))
-             or (isinstance(node, ast.Attribute) and node.attr == name
-                 and isinstance(node.value, ast.Name)
-                 and node.value.id in modules))
-        for tree in trees for modules in [package_modules(tree)]
-        for node in ast.walk(tree))
+def read_elsewhere(name: str, definition: ast.AST, read) -> bool:
+    """True when ``read`` (from ``reads``) has a read of ``name`` outside
+    its own definition."""
+    return not read[name] <= {id(n) for n in ast.walk(definition)}
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = reads(trees.values())
     return [f"{module}: {name}"
             for module, tree in trees.items()
             for name, definition in private_definitions(tree)
-            if not read_elsewhere(name, definition, trees.values())]
+            if not read_elsewhere(name, definition, read)]
 
 
 def unread_public_functions(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = reads(trees.values())
     return [node.name
             for tree in trees.values() for node in tree.body
             if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_")
-            and not read_elsewhere(node.name, node, trees.values())]
+            and not read_elsewhere(node.name, node, read)]
 
 
 def test_detects_an_unused_private_name():
