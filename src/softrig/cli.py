@@ -161,9 +161,12 @@ def _fork_lane(scenarios: list[Scenario], lane: int, lanes: int,
     """Run one lane in a forked child; return its pid and the pipe it
     sends its records down, one line per run, the record pickled as hex.
 
-    Streams are flushed before the fork and the child leaves through
-    os._exit, so no buffered line prints twice.  A child that fails prints
-    its traceback and exits 1 after sending the records it finished.
+    The child sends its records once its lane has ended: the parent reads
+    the pipe only after its own lane, and a lane that wrote as it went
+    would stop at a full pipe with runs still to do.  Streams are flushed
+    before the fork and the child leaves through os._exit, so no buffered
+    line prints twice.  A child that fails prints its traceback and exits
+    1 after sending the records it finished.
     """
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()
@@ -174,11 +177,15 @@ def _fork_lane(scenarios: list[Scenario], lane: int, lanes: int,
         return pid, read_fd
     os.close(read_fd)
     import pickle
-    code = 1
+    code, records = 1, []
     try:
-        with open(write_fd, "w") as pipe:
+        try:
             for record in _run_lane(scenarios, lane, lanes, args):
-                pipe.write(pickle.dumps(record).hex() + "\n")
+                records.append(record)
+        finally:
+            with open(write_fd, "w") as pipe:
+                pipe.writelines(pickle.dumps(record).hex() + "\n"
+                                for record in records)
         code = 0
     except BaseException:
         import traceback

@@ -13,10 +13,6 @@ class ContractError(SoftrigError, ValueError):
     """An argument combination violates an operation's contract."""
 
 
-class SingularityError(SoftrigError, RuntimeError):
-    """A matrix block required for an inversion has no usable rank."""
-
-
 class FitError(SoftrigError, RuntimeError):
     """A least-squares fit failed to reach the required residual."""
 

@@ -104,18 +104,6 @@ class GeometryParams:
         """Curvature bound when both segments bend together."""
         return math.pi / self.seg_len
 
-    def scaled(self, seg_len: float) -> "GeometryParams":
-        """Geometry with all fibre lengths scaled to a new segment length."""
-        r = seg_len / self.seg_len
-        return GeometryParams(
-            seg_len=seg_len,
-            mid_link=self.mid_link * r,
-            end_link=self.end_link * r,
-            block_side=self.block_side,
-            wheel_thickness=self.wheel_thickness,
-            wheel_radius=self.wheel_radius,
-        )
-
 
 @dataclass(frozen=True, init=False)
 class AgentConfig:

@@ -194,7 +194,7 @@ def _shape(kappa1: float, kappa2: float, geom: GeometryParams, limb=_limb):
 
 
 def _frame_body(q: AgentConfig, s: StiffnessState, shape) -> list[str]:
-    """The drawing of one frame: the lines inside ``render_frame``'s <svg>.
+    """The drawing of one frame: the lines of one film-strip ``<symbol>``.
 
     ``shape`` is ``_shape`` of the configuration's curvatures; the pose of
     ``q`` places it and ``s`` colours its segments.
@@ -235,15 +235,6 @@ def _frame_body(q: AgentConfig, s: StiffnessState, shape) -> list[str]:
         parts.append(f'<path d="M{wx:.2f},{wy:.2f} L{hx:.2f},{hy:.2f}" '
                      f'stroke="#222222" stroke-width="1.5"/>')
     return parts
-
-
-def render_frame(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> str:
-    """One SVG snapshot of the agent pose, world box +-FRAME_WORLD metres."""
-    size = FRAME_SIZE
-    return "\n".join([f'<svg xmlns="{SVG_NS}" width="{size}" height="{size}" '
-                      f'viewBox="0 0 {size} {size}">',
-                      *_frame_body(q, s, _shape(q.kappa1, q.kappa2, geom)),
-                      "</svg>"])
 
 
 def save_keyframes(plan: PlanResult, traj: Trajectory, path: str,

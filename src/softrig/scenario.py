@@ -95,6 +95,32 @@ def _build_config(obj, path: str, geom: GeometryParams) -> AgentConfig:
     return AgentConfig(**{k: float(obj[k]) for k in _CONFIG_KEYS})
 
 
+def _check_thermal_step(thermal: ThermalParams, dt: float) -> None:
+    """Reject a tau whose explicit-Euler step in ``thermal.loop_step`` can
+    carry a segment past the sensor ceiling at the plan's step dt.
+
+    One step maps T to (1 - a) T + a (t_ambient + gain u), a = dt / tau.
+    The integral term adds at most u_max to the duty (its anti-windup cap),
+    so below the higher setpoint sp the duty can be u_max, and above sp it
+    falls by kp per degree.  For a < 1 the step's worst case below the
+    ceiling is then T = sp at full duty, which lands at
+    sp + a (t_ambient + gain u_max - sp).  That stays below sensor_t_hi
+    when tau > dt (t_ambient + gain u_max - sp) / (sensor_t_hi - sp), and
+    a < 1 asks tau > dt.  (Past sp the bound also needs the duty at the
+    ceiling too weak to hold it there, which the gains decide, not tau.)
+    """
+    sp = max(thermal.setpoint_soft, thermal.setpoint_rigid)
+    room = thermal.sensor_t_hi - sp
+    rise = thermal.t_ambient + thermal.gain * thermal.u_max - sp
+    # a setpoint at or past the ceiling is no fault of tau's
+    bound = dt * max(1.0, rise / room) if room > 0 else 0.0
+    if thermal.tau <= bound:
+        raise ScenarioError(
+            f"thermal.tau = {thermal.tau:g} s must exceed {bound:g} s at "
+            f"planner.dt = {dt:g} s: a shorter one lets the heating step "
+            f"pass the sensor ceiling {thermal.sensor_t_hi:g} deg C")
+
+
 def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     data = _require_mapping(data, "scenario")
     known = {"label", "geometry", "planner", "thermal", "q0", "target",
@@ -105,6 +131,7 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     geom = _build_params(GeometryParams, data.get("geometry", {}), "geometry")
     planner = _build_params(PlannerParams, data.get("planner", {}), "planner")
     thermal = _build_params(ThermalParams, data.get("thermal", {}), "thermal")
+    _check_thermal_step(thermal, planner.dt)
     for key in ("q0", "target"):
         if key not in data:
             raise ScenarioError(f"scenario.{key} is required")
@@ -154,15 +181,3 @@ def sample_scenario(rng: np.random.Generator, index: int = 0) -> Scenario:
     return Scenario(q0=draw(), target=draw(), geometry=geometry,
                     planner=PlannerParams(), thermal=ThermalParams(),
                     label=f"sample-{index:03d}")
-
-
-def example_scenario_dict() -> dict:
-    """A small hand-written scenario, also used by the docs."""
-    return {
-        "label": "sidestep-and-bend",
-        "q0": {"x": 0.0, "y": 0.0, "phi": 0.0, "kappa1": 0.0, "kappa2": 0.0},
-        "target": {"x": 0.12, "y": 0.08, "phi": 0.6,
-                   "kappa1": 20.0, "kappa2": -15.0},
-        "planner": {"dt": 0.05, "eps_goal": 0.02},
-        "thermal_gating": True,
-    }

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContractError, ThermalTimeoutError
+from .errors import ContractError
 
 PHASE_SOFT = "soft"
 PHASE_RIGID = "rigid"
-_TRANSITION_DT = 0.01         # s, integration step of transition_time
-_TRANSITION_LIMIT = 120.0     # s, transition_time gives up past this
-_SOFT_SETTLE = 60.0           # s, soft hold before the cooling transition
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,8 @@ def loop_step(temperature: float, setpoint: float, integral: float,
     Advances one segment by dt and returns (temperature, integral, phase)
     after the step plus the duty applied during it; the duty does not
     depend on dt, so dt = 0.0 reads it.  dt is not checked here: playback
-    steps at the plan's validated dt, transition_time at _TRANSITION_DT.
+    steps at the plan's validated dt, which a scenario's tau is checked
+    against when the scenario is loaded.
     """
     err = setpoint - temperature
     raw = params.kp * err + params.ki * integral
@@ -94,36 +92,3 @@ def loop_step(temperature: float, setpoint: float, integral: float,
 def target_phase(soft: bool) -> str:
     """The alloy phase a segment commanded to this stiffness must reach."""
     return PHASE_SOFT if soft else PHASE_RIGID
-
-
-def transition_time(params: ThermalParams, to_soft: bool) -> float:
-    """Simulated time for a settled segment to switch phase.
-
-    Starts from the steady state of the opposite command (ambient for
-    rigid, the soft hold after _SOFT_SETTLE for soft) and integrates until
-    the phase flips in steps of _TRANSITION_DT.  Raises ThermalTimeoutError
-    when the soft hold has not melted the segment, or past
-    _TRANSITION_LIMIT.
-    """
-    dt = _TRANSITION_DT
-    temp, _, integral, phase = initial_state(params)
-    if not to_soft:
-        soft_set = setpoint_for(True, params)
-        for _ in range(int(round(_SOFT_SETTLE / dt))):
-            temp, integral, phase, _ = loop_step(temp, soft_set, integral,
-                                                 phase, params, dt)
-        if phase != PHASE_SOFT:
-            raise ThermalTimeoutError(
-                "segment never reached the soft phase while settling",
-                temperatures=(temp,), elapsed=_SOFT_SETTLE)
-    setpoint = setpoint_for(to_soft, params)
-    t = 0.0
-    while phase != target_phase(to_soft):
-        if t >= _TRANSITION_LIMIT:
-            raise ThermalTimeoutError(
-                f"no phase change after {_TRANSITION_LIMIT:g} s",
-                temperatures=(temp,), elapsed=t)
-        temp, integral, phase, _ = loop_step(temp, setpoint, integral, phase,
-                                             params, dt)
-        t += dt
-    return t

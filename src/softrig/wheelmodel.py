@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import ContractError, SingularityError
+from .errors import ContractError
 from .geometry import (AgentConfig, GeometryParams, StiffnessState,
                        cc_transform, wheel_layout)
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # wheel rate magnitude treated as the drive limit (rad/s)
 OMEGA_MAX_DEFAULT = 4.0 * math.pi
-
-_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,8 +37,8 @@ def wheel_rows(q: AgentConfig, s: StiffnessState,
                geom: GeometryParams) -> tuple[tuple[float, ...], ...]:
     """Active block of V: one float row per wheel over the inputs ``s.inputs``.
 
-    The one place the wheel-rate rule is built; ``config_matrix`` and the
-    pseudoinverse below are filled from it.  Soft: wheel 1 drives the unit
+    The one place the wheel-rate rule is built; V is this block over the
+    columns ``s.inputs`` and zero elsewhere.  Soft: wheel 1 drives the unit
     at {b1} with omega1 = v1 / wheel_radius, wheel 3 drives the unit at
     {b2} mounted mirrored, omega3 = -v2 / wheel_radius, and the lateral
     wheels idle.  Rigid: row i is (cos psi_i, sin psi_i,
@@ -61,14 +55,6 @@ def wheel_rows(q: AgentConfig, s: StiffnessState,
         c, sn = math.cos(psi), math.sin(psi)
         rows.append((c / r, sn / r, (x * sn - y * c) / r))
     return tuple(rows)
-
-
-def config_matrix(q: AgentConfig, s: StiffnessState, geom: GeometryParams) -> np.ndarray:
-    """Unified wheel configuration matrix V, (4, 5), gated by stiffness."""
-    import numpy as np
-    v = np.zeros((4, 5))
-    v[:, s.inputs] = wheel_rows(q, s, geom)
-    return v
 
 
 def wheel_speeds(q: AgentConfig, s: StiffnessState, ups,
@@ -94,26 +80,3 @@ def wheel_speeds(q: AgentConfig, s: StiffnessState, ups,
         scale = OMEGA_MAX_DEFAULT / peak
         return WheelSpeeds(tuple(w * scale for w in omega), saturated=True)
     return WheelSpeeds(tuple(omega), saturated=False)
-
-
-def body_twist_from_wheels(q: AgentConfig, s: StiffnessState, omega,
-                           geom: GeometryParams) -> np.ndarray:
-    """Least-squares velocity input recovered from wheel rates.
-
-    Inverts only the active block of V with the Moore-Penrose pseudoinverse
-    and pads the inactive entries with zeros.
-    """
-    import numpy as np
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (4,):
-        raise ContractError(f"wheel rates must have 4 entries, got {omega.shape}")
-    block = np.array(wheel_rows(q, s, geom))
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[-1] / sv[0] < _RANK_TOL:
-        regime = "soft" if s.any_soft else "rigid"
-        raise SingularityError(
-            f"{regime} wheel block is rank deficient at kappa="
-            f"({q.kappa1:.4g}, {q.kappa2:.4g})")
-    ups = np.zeros(5)
-    ups[s.inputs] = np.linalg.pinv(block) @ omega
-    return ups

@@ -1,19 +1,51 @@
 """Reference forms for the tests: planar frames, the array Jacobian, the
-rk4 flow, the straight-line configuration sweep and the log-spiral
-residual written with ``np.unwrap``.
+rk4 flow, the straight-line configuration sweep, the log-spiral residual
+written with ``np.unwrap``, the wheel matrix and its pseudoinverse, and
+the thermal switching latency; plus a scaled geometry and the README's
+example scenario.
 
 The package maps points through (x, y, theta) poses and steps the
 configuration with one explicit Euler step, all in float arithmetic; the
 tests check it against these independent array forms.
 """
+import dataclasses
 import math
 
 import numpy as np
 
-from softrig.errors import ContractError
+from softrig.errors import ContractError, ThermalTimeoutError
 from softrig.geometry import AgentConfig, wrap_angle
 from softrig.jacobian import active_columns
 from softrig.planner import PlannerParams, config_error, weighted_distance
+from softrig.thermal import (PHASE_SOFT, initial_state, loop_step,
+                             setpoint_for, target_phase)
+from softrig.wheelmodel import wheel_rows
+
+TRANSITION_DT = 0.01        # s, integration step of transition_time
+TRANSITION_LIMIT = 120.0    # s, transition_time gives up past this
+SOFT_SETTLE = 60.0          # s, soft hold before the cooling transition
+RANK_TOL = 1e-10            # smallest singular value ratio body_twist inverts
+
+
+def example_scenario_dict():
+    """A small hand-written scenario: the README's example."""
+    return {
+        "label": "sidestep-and-bend",
+        "q0": {"x": 0.0, "y": 0.0, "phi": 0.0, "kappa1": 0.0, "kappa2": 0.0},
+        "target": {"x": 0.12, "y": 0.08, "phi": 0.6,
+                   "kappa1": 20.0, "kappa2": -15.0},
+        "planner": {"dt": 0.05, "eps_goal": 0.02},
+        "thermal_gating": True,
+    }
+
+
+def scaled_geometry(geom, seg_len):
+    """``geom`` with its fibre lengths scaled to the segment length
+    ``seg_len``; the wheel units are off-the-shelf parts and keep theirs."""
+    r = seg_len / geom.seg_len
+    return dataclasses.replace(geom, seg_len=seg_len,
+                               mid_link=geom.mid_link * r,
+                               end_link=geom.end_link * r)
 
 
 def frame(x, y, theta):
@@ -138,3 +170,66 @@ def spiral_residual(d):
     d_log_a = mean(d_log_rho) - theta_mean * d_b - b * mean(d_theta)
     jac = d_rho - model * (d_log_a + theta * d_b + b * d_theta)
     return rho - model, jac, log_a, b, theta
+
+
+def config_matrix(q, s, geom):
+    """Unified wheel configuration matrix V, (4, 5): the active block
+    ``wheel_rows`` in the columns ``s.inputs``, zero elsewhere."""
+    v = np.zeros((4, 5))
+    v[:, s.inputs] = wheel_rows(q, s, geom)
+    return v
+
+
+def body_twist_from_wheels(q, s, omega, geom):
+    """Least-squares velocity input recovered from wheel rates.
+
+    Inverts only the active block of V with the Moore-Penrose pseudoinverse
+    and pads the inactive entries with zeros; raises LinAlgError when the
+    block has no usable rank.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (4,):
+        raise ContractError(f"wheel rates must have 4 entries, got {omega.shape}")
+    block = np.array(wheel_rows(q, s, geom))
+    sv = np.linalg.svd(block, compute_uv=False)
+    if sv[-1] / sv[0] < RANK_TOL:
+        regime = "soft" if s.any_soft else "rigid"
+        raise np.linalg.LinAlgError(
+            f"{regime} wheel block is rank deficient at kappa="
+            f"({q.kappa1:.4g}, {q.kappa2:.4g})")
+    ups = np.zeros(5)
+    ups[s.inputs] = np.linalg.pinv(block) @ omega
+    return ups
+
+
+def transition_time(params, to_soft):
+    """Simulated time for a settled segment to switch phase.
+
+    Starts from the steady state of the opposite command (ambient for
+    rigid, the soft hold after SOFT_SETTLE for soft) and steps
+    ``loop_step`` by TRANSITION_DT until the phase flips.  Raises
+    ThermalTimeoutError when the soft hold has not melted the segment, or
+    past TRANSITION_LIMIT.
+    """
+    dt = TRANSITION_DT
+    temp, _, integral, phase = initial_state(params)
+    if not to_soft:
+        soft_set = setpoint_for(True, params)
+        for _ in range(int(round(SOFT_SETTLE / dt))):
+            temp, integral, phase, _ = loop_step(temp, soft_set, integral,
+                                                 phase, params, dt)
+        if phase != PHASE_SOFT:
+            raise ThermalTimeoutError(
+                "segment never reached the soft phase while settling",
+                temperatures=(temp,), elapsed=SOFT_SETTLE)
+    setpoint = setpoint_for(to_soft, params)
+    t = 0.0
+    while phase != target_phase(to_soft):
+        if t >= TRANSITION_LIMIT:
+            raise ThermalTimeoutError(
+                f"no phase change after {TRANSITION_LIMIT:g} s",
+                temperatures=(temp,), elapsed=t)
+        temp, integral, phase, _ = loop_step(temp, setpoint, integral, phase,
+                                             params, dt)
+        t += dt
+    return t

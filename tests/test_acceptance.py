@@ -14,14 +14,15 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState, wrap_angle)
 from softrig.planner import (PlannerParams, config_error, plan_motion,
                              weighted_distance)
-from softrig.scenario import example_scenario_dict, sample_scenario
+from softrig.scenario import sample_scenario
 from softrig.simulator import rollout
 from softrig.spiral import SPIRALS, refit_oracle
 from softrig.thermal import (ThermalParams, initial_state, loop_step,
-                             setpoint_for, transition_time)
-from softrig.wheelmodel import body_twist_from_wheels, config_matrix
+                             setpoint_for)
 
-from conftest import as_array, fk_reference, hybrid_jacobian, rk4_step
+from conftest import (as_array, body_twist_from_wheels, config_matrix,
+                      example_scenario_dict, fk_reference, hybrid_jacobian,
+                      rk4_step, scaled_geometry, transition_time)
 
 GEOM = GeometryParams()
 ONES = (1.0,) * 5
@@ -69,7 +70,8 @@ def test_02_refit_scale_invariance():
     # dimensionless spiral constants drift < 1% across segment lengths
     scales = (0.01, 0.04, 0.1, 0.5, 1.0)
     for sp in SPIRALS:
-        fits = [refit_oracle([sp.mode], GEOM.scaled(l), 200)[0] for l in scales]
+        fits = [refit_oracle([sp.mode], scaled_geometry(GEOM, l), 200)[0]
+                for l in scales]
         a = [f.a_over_l for f in fits]
         b = [abs(f.b) for f in fits]
         spread_a = (max(a) - min(a)) / min(a)

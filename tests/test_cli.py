@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from softrig.cli import (EXIT_INPUT, EXIT_NO_CONVERGE, EXIT_OK, EXIT_THERMAL,
                          main)
 from softrig.errors import FitError, SoftrigError, StallError
 from softrig.planner import plan_motion
-from softrig.scenario import (example_scenario_dict, load_scenario,
-                              sample_scenario)
+from softrig.scenario import load_scenario, sample_scenario
+
+from conftest import example_scenario_dict
 
 
 def read_json(path):
@@ -131,6 +133,19 @@ def test_contract_edges_exit_2(tmp_path, capsys, section, values, message):
     out = tmp_path / "never"
     assert main(["run", scn, "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", [0.06, 0.05])
+def test_short_thermal_tau_exits_2(tmp_path, capsys, tau):
+    # at dt = 0.05 s these let the explicit-Euler heating step peak at
+    # 93.6 and 105 deg C on this scenario, past the 85 deg C ceiling
+    scn = write_scenario(tmp_path, thermal={"tau": tau})
+    out = tmp_path / "never"
+    assert main(["run", scn, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: thermal.tau = {tau:g} s ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -350,6 +365,39 @@ def test_batch_reaps_lanes_when_its_own_lane_fails(tmp_path, monkeypatch,
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err == "error: forced planner failure\n"
+
+
+def test_batch_lane_runs_on_past_a_full_pipe(tmp_path, monkeypatch, capsys,
+                                             writer_log):
+    # each forked-lane record is padded past the 64 KiB a pipe holds, and
+    # this process's last run waits for the forked lane's last run: a lane
+    # that blocked on its pipe until this process read it would never get
+    # there
+    done = tmp_path / "lane-1-done"
+    padding = "x" * 70_000
+    waited = []
+
+    def fake_run(scn, out_dir, args):
+        name = os.path.basename(out_dir)
+        if name == "run_003":
+            done.touch()
+        if name == "run_002":
+            deadline = time.monotonic() + 5.0
+            while not done.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            waited.append(done.exists())
+        return EXIT_OK, f"{scn.label}: {padding}\n", ""
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_run_one", fake_run)
+    out = tmp_path / "out"
+    assert main(["run", "--batch", "4", "--out", str(out)]) == EXIT_OK
+    assert waited == [True]
+    assert writer_log["forked"] == 1 and writer_log["unreaped"] == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == [
+        "sample-000", "sample-001", "sample-002", "sample-003", "batch"]
+    assert all(line.endswith(padding) for line in printed[:4])
 
 
 def test_piped_batch_prints_each_run_once_in_order(tmp_path):

@@ -8,7 +8,7 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState, cc_transform, wheel_layout,
                               wrap_angle)
 
-from conftest import frame
+from conftest import frame, scaled_geometry
 
 GEOM = GeometryParams()
 
@@ -42,7 +42,7 @@ def test_geometry_rejects_nonpositive():
 
 
 def test_scaled_keeps_fibre_proportions():
-    g = GEOM.scaled(0.1)
+    g = scaled_geometry(GEOM, 0.1)
     assert g.seg_len == 0.1
     assert math.isclose(g.mid_link / g.seg_len, GEOM.mid_link / GEOM.seg_len)
     assert math.isclose(g.end_link / g.seg_len, GEOM.end_link / GEOM.seg_len)

@@ -1,6 +1,6 @@
 """Every imported name is used by the module that imports it, the CLI
 loads no process-pool module at start-up, and numpy is loaded only by the
-functions that build arrays, in the three modules that have any.
+functions that build arrays, in the two modules that have any.
 
 No linter ships with the package, so this walks the syntax tree with the
 standard library: a name bound by an import statement must appear as a
@@ -8,8 +8,8 @@ name somewhere else in the same file.  The package ``__init__`` is left
 out, since its imports are the public re-exports.  No module may import
 numpy when it is itself imported: every numpy import sits in a function
 body or under ``if TYPE_CHECKING:``, so ``softrig run FILE`` never pays for
-loading numpy.  Only ``spiral``, ``cli`` and ``wheelmodel`` import it at
-all, so the planning and playback step stays on plain floats.
+loading numpy.  Only ``spiral`` and ``cli`` import it at all, so the
+planning and playback step stays on plain floats.
 """
 import ast
 import json
@@ -20,14 +20,14 @@ import sys
 
 import pytest
 
-from softrig.scenario import example_scenario_dict
+from conftest import example_scenario_dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "softrig").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-# the sweep and refit, the batch's random draws, the gate helpers' matrices
-NUMPY_MODULES = ("spiral.py", "cli.py", "wheelmodel.py")
+# the sweep and refit, and the batch's random draws
+NUMPY_MODULES = ("spiral.py", "cli.py")
 
 
 def unused_imports(source: str) -> list[str]:

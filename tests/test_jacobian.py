@@ -10,10 +10,9 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState, cc_transform, wrap_angle)
 from softrig.jacobian import active_columns, delta_coeff
 from softrig.spiral import rate_coeffs
-from softrig.wheelmodel import config_matrix
 
-from conftest import (as_array, frame, frame_inverse, hybrid_jacobian,
-                      rk4_step)
+from conftest import (as_array, config_matrix, frame, frame_inverse,
+                      hybrid_jacobian, rk4_step)
 
 GEOM = GeometryParams()
 

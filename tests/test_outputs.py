@@ -12,10 +12,12 @@ from softrig.errors import DomainError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState)
 from softrig.planner import PlannerParams, PlanResult, PlanStep, plan_motion
-from softrig.scenario import example_scenario_dict, scenario_from_dict
+from softrig.scenario import scenario_from_dict
 from softrig.simulator import SimRow, Trajectory, rollout
 from softrig.spiral import refit_oracle, theta_from_kappa
 from softrig.thermal import PHASE_RIGID, ThermalParams, setpoint_for
+
+from conftest import example_scenario_dict
 
 GEOM = GeometryParams()
 
@@ -298,14 +300,30 @@ def test_refit_json_report(tmp_path):
         assert entry["rel_err_b"] < 0.05
 
 
+def frame_body(q, s):
+    """The drawing of one frame, built afresh: the lines of its film-strip
+    symbol."""
+    return "\n".join(outputs._frame_body(
+        q, s, outputs._shape(q.kappa1, q.kappa2, GEOM)))
+
+
+def render_frame(q, s):
+    """One SVG snapshot of the agent pose, world box +-FRAME_WORLD metres:
+    ``frame_body`` inside an <svg> of one frame's size."""
+    size = outputs.FRAME_SIZE
+    return "\n".join([f'<svg xmlns="{outputs.SVG_NS}" width="{size}" '
+                      f'height="{size}" viewBox="0 0 {size} {size}">',
+                      frame_body(q, s), "</svg>"])
+
+
 def test_render_frame_svg_structure():
     q = AgentConfig(0.05, -0.02, 0.4, 30.0, -50.0)
-    svg = outputs.render_frame(q, StiffnessState(True, False), GEOM)
+    svg = render_frame(q, StiffnessState(True, False))
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("<circle") == 4  # one per wheel
     assert outputs.SOFT_COLOR in svg and outputs.RIGID_COLOR in svg
     # soft-only frame never shows the soft colour twice
-    svg_rigid = outputs.render_frame(q, StiffnessState(False, False), GEOM)
+    svg_rigid = render_frame(q, StiffnessState(False, False))
     assert outputs.SOFT_COLOR not in svg_rigid
 
 
@@ -327,7 +345,7 @@ KMAX, KMAX_UNIFORM = GEOM.kappa_max, GEOM.kappa_max_uniform
 def test_render_frame_bytes_pinned(label, q, digest):
     # pinned digests: any change to the drawn geometry or to its number
     # format fails here
-    svg = outputs.render_frame(q, STIFFNESS_STATES[int(label, 2)], GEOM)
+    svg = render_frame(q, STIFFNESS_STATES[int(label, 2)])
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -355,11 +373,6 @@ def read_strip(path):
     labels = [el.text for el in root.findall(f"{SVG}text")]
     hrefs = [el.get(XLINK_HREF) for el in root.findall(f"{SVG}use")]
     return symbols, list(zip(labels, hrefs))
-
-
-def frame_body(q, s):
-    """render_frame's drawing without its <svg> and </svg> lines."""
-    return outputs.render_frame(q, s, GEOM).split("\n", 1)[1].rsplit("\n", 1)[0]
 
 
 def synthetic_run(frames, replayed):
@@ -481,8 +494,8 @@ def test_save_keyframes_builds_each_shape_once(tmp_path, monkeypatch):
         assert [(k, math.copysign(1.0, k), j)
                 for k, j in calls[name]] == segments, name
     assert len(calls["wheel_layout"]) == 3
-    # each of the eight frames is its own symbol, drawn as render_frame
-    # draws it
+    # each of the eight frames is its own symbol, drawn as one frame is
+    # drawn on its own
     monkeypatch.undo()
     symbols, uses = read_strip(path)
     assert len(symbols) == len(traj.rows)

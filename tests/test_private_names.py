@@ -9,9 +9,9 @@ not count, since a helper only the tests call is dead code, and neither
 does an attribute of anything else, such as ``args.command``.  A public
 module-level function must be read the same way (the re-exports of
 ``__init__.py`` are imports, not reads), unless it is one of
-REFERENCE_HELPERS, which the acceptance gates, the tests or the benchmark
-check the package against.  Like ``test_imports.py`` this walks the syntax
-tree with the standard library.
+REFERENCE_HELPERS, which the benchmark calls.  A helper only the tests
+call lives in the tests, beside its readers.  Like ``test_imports.py``
+this walks the syntax tree with the standard library.
 """
 import ast
 import pathlib
@@ -98,13 +98,7 @@ def test_no_unused_private_names():
 
 # public functions the package never calls itself, each with what calls it
 REFERENCE_HELPERS = {
-    "transition_time": "acceptance gate 9",
-    "config_matrix": "acceptance gates 5 and 6",
-    "body_twist_from_wheels": "acceptance gate 6",
-    "wheel_speeds": "perfbench/checks.py",
-    "example_scenario_dict": "the tests",
-    "render_frame": "the tests: its bytes are pinned, and keyframes.svg's "
-                    "symbols are checked against it",
+    "wheel_speeds": "perfbench/checks.py (the wheel audit)",
 }
 
 

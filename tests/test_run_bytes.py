@@ -18,7 +18,8 @@ import json
 import pytest
 
 from softrig.cli import EXIT_OK, main
-from softrig.scenario import example_scenario_dict
+
+from conftest import example_scenario_dict
 
 BATCH_DIGESTS = {
     "run_000/plan.csv":

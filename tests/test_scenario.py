@@ -6,8 +6,10 @@ import pytest
 
 from softrig.errors import ScenarioError
 from softrig.geometry import GeometryParams
-from softrig.scenario import (Scenario, example_scenario_dict, load_scenario,
-                              sample_scenario, scenario_from_dict)
+from softrig.scenario import (Scenario, load_scenario, sample_scenario,
+                              scenario_from_dict)
+
+from conftest import example_scenario_dict
 
 
 def test_example_scenario_round_trips():
@@ -124,6 +126,26 @@ def test_missing_sections_use_defaults():
     assert scn.geometry == GeometryParams()
     assert scn.planner.max_steps == 10000
     assert scn.thermal.tau == 8.0
+
+
+def test_thermal_tau_bound_follows_the_step():
+    # with the default gains the heating step from the soft setpoint
+    # (65 deg C) at full duty rises by dt / tau * 40 deg C, and 20 deg C
+    # of room under the ceiling asks tau > 2 dt: 2 dt is refused, and the
+    # next float up is taken
+    data = example_scenario_dict()
+    for dt, tau in ((0.05, 0.1), (4.0, 8.0)):
+        data["planner"] = {"dt": dt}
+        data["thermal"] = {"tau": tau}
+        with pytest.raises(ScenarioError, match=r"^thermal\.tau = "):
+            scenario_from_dict(data)
+        data["thermal"] = {"tau": math.nextafter(tau, math.inf)}
+        assert scenario_from_dict(data).thermal.tau > tau
+    # a ceiling far above the plant's reach leaves only tau > dt
+    data["planner"] = {"dt": 0.05}
+    data["thermal"] = {"tau": 0.05, "sensor_t_hi": 200.0}
+    with pytest.raises(ScenarioError, match="must exceed 0.05 s"):
+        scenario_from_dict(data)
 
 
 def test_gating_and_label_types():

@@ -16,7 +16,7 @@ from softrig.geometry import (ARC_SERIES_ALPHA, GeometryParams, arc_chord,
 from softrig.spiral import (SPIRALS, _solve_centre, rate_coeffs, refit_oracle,
                             spiral_model, sweep_curve, theta_from_kappa)
 
-from conftest import frame, frame_inverse, spiral_residual
+from conftest import frame, frame_inverse, scaled_geometry, spiral_residual
 from test_run_bytes import OTHER_SWEEP_DIGESTS
 
 GEOM = GeometryParams()
@@ -283,7 +283,7 @@ def test_refit_tracks_reference_table():
 
 def test_refit_scale_free():
     ref, = refit_oracle([2], GEOM, 100)
-    big, = refit_oracle([2], GEOM.scaled(0.5), 100)
+    big, = refit_oracle([2], scaled_geometry(GEOM, 0.5), 100)
     assert math.isclose(big.a_over_l, ref.a_over_l, rel_tol=1e-6)
     assert math.isclose(big.b, ref.b, rel_tol=1e-6)
 

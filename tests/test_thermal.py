@@ -3,7 +3,9 @@ import pytest
 from softrig.errors import ContractError, ThermalTimeoutError
 from softrig.thermal import (PHASE_RIGID, PHASE_SOFT, ThermalParams,
                              initial_state, loop_step, setpoint_for,
-                             target_phase, transition_time)
+                             target_phase)
+
+from conftest import transition_time
 
 PARAMS = ThermalParams()
 

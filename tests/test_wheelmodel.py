@@ -8,8 +8,9 @@ from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               apply_pose, cc_transform, wheel_layout)
 from softrig.planner import PlannerParams, plan_motion
 from softrig.scenario import sample_scenario
-from softrig.wheelmodel import (OMEGA_MAX_DEFAULT, body_twist_from_wheels,
-                                config_matrix, wheel_rows, wheel_speeds)
+from softrig.wheelmodel import OMEGA_MAX_DEFAULT, wheel_rows, wheel_speeds
+
+from conftest import body_twist_from_wheels, config_matrix
 
 GEOM = GeometryParams()
 RIGID = STIFFNESS_STATES[0]
