@@ -23,8 +23,7 @@ from .scenario import (Scenario, load_scenario, sample_scenario,
                        scenario_from_dict)
 from .simulator import SimRow, Trajectory, fk_step_detailed, rollout
 from .spiral import (SPIRALS, SpiralFit, SpiralModel, rate_coeffs,
-                     refit_oracle, spiral_model, sweep_curve,
-                     theta_from_kappa)
-from .thermal import (ThermalParams, initial_state, loop_step, setpoint_for,
-                      target_phase)
+                     refit_oracle, spiral_model, sweep_curve)
+from .thermal import (ThermalParams, check_step, initial_state, loop_step,
+                      setpoint_for, target_phase)
 from .wheelmodel import WheelSpeeds, wheel_rows, wheel_speeds

@@ -23,7 +23,7 @@ from .geometry import (AgentConfig, GeometryParams, StiffnessState,
                        apply_pose, arc_chord, cc_transform, wheel_layout)
 from .planner import PlanResult, PlanStep
 from .simulator import Trajectory
-from .spiral import spiral_model, theta_from_kappa
+from .spiral import spiral_model
 
 SOFT_COLOR = "#1f77b4"
 RIGID_COLOR = "#d62728"
@@ -59,11 +59,10 @@ def _write_lines(path: str, lines) -> None:
 def _plan_rows(plan: PlanResult) -> list[PlanStep]:
     """The plan's steps, then its terminal row: the final configuration at
     the last step's stiffness (``00`` for no steps), with zero speeds,
-    unsaturated, at len(steps) * dt."""
+    unsaturated.  Plan row k is at time k * dt."""
     steps = plan.steps
     last = steps[-1].stiffness if steps else StiffnessState(False, False)
-    return [*steps, PlanStep(len(steps) * plan.params.dt, plan.final_config,
-                             last, (0.0,) * 5, False)]
+    return [*steps, PlanStep(plan.final_config, last, (0.0,) * 5, False)]
 
 
 def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory) -> None:
@@ -76,7 +75,8 @@ def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory) -> None:
     s2_cmd), so no file repeats it.  Each float column is formatted in one
     pass, and each plan row once, whatever rows replay it.
     """
-    t, configs, stiffs, speeds, saturated = zip(*_plan_rows(plan))
+    configs, stiffs, speeds, saturated = zip(*_plan_rows(plan))
+    dt = plan.params.dt
     fields = ("x", "y", "phi", "kappa1", "kappa2")
     states = list(map(",".join, zip(
         *(_fmt(map(attrgetter(name), configs)) for name in fields),
@@ -85,7 +85,8 @@ def write_run_csvs(out_dir: str, plan: PlanResult, traj: Trajectory) -> None:
                                       for i in range(5)))))
     lines = _header(["t", "x", "y", "phi", "kappa1", "kappa2", "s1", "s2",
                      "v1", "v2", "u0", "v0", "r0"])
-    lines += map(",".join, zip(_fmt(t), states, drives))
+    lines += map(",".join, zip(_fmt(k * dt for k in range(len(configs))),
+                               states, drives))
     _write_lines(os.path.join(out_dir, "plan.csv"), lines)
 
     (row_t, row_steps, temp1, duty1, phase1, temp2, duty2, phase2,
@@ -113,7 +114,7 @@ def write_sweep_csv(path: str, fits, seg_len: float) -> None:
     # one is formatted once, keyed by its bytes: 0.0 == -0.0 as values
     cells = {}
     for fit in fits:
-        thetas = theta_from_kappa(fit.mode, fit.kappas, seg_len)
+        thetas = math.pi + fit.kappas * seg_len / spiral_model(fit.mode).m
         keyed = [(column.tobytes(), column)
                  for column in (thetas, fit.kappas, *fit.points.T)]
         for key, column in keyed:
@@ -180,10 +181,11 @@ def _limb(kappa: float, j: int, geom: GeometryParams):
     return end, (_arc_points(kappa, j, geom), link, corners)
 
 
-def _shape(kappa1: float, kappa2: float, geom: GeometryParams, limb=_limb):
-    """The body-frame geometry of one body shape, built by ``limb`` per
-    segment: the middle link's ends, each segment's arc, end link and block
-    points, and each wheel's centre and heading tip."""
+def _shape(kappa1: float, kappa2: float, geom: GeometryParams, limb):
+    """The body-frame geometry of one body shape, built by ``limb`` (``_limb``
+    or a cache of it) per segment: the middle link's ends, each segment's
+    arc, end link and block points, and each wheel's centre and heading
+    tip."""
     (end1, paths1), (end2, paths2) = limb(kappa1, 1, geom), limb(kappa2, 2,
                                                                  geom)
     half_mid, r = geom.mid_link / 2, geom.wheel_radius
@@ -238,7 +240,7 @@ def _frame_body(q: AgentConfig, s: StiffnessState, shape) -> list[str]:
 
 
 def save_keyframes(plan: PlanResult, traj: Trajectory, path: str,
-                   geom: GeometryParams, every: int = 50) -> list[int]:
+                   geom: GeometryParams, every: int = 50) -> None:
     """Write every N-th row of the playback of ``plan`` (plus the last) as
     one SVG film strip.
 
@@ -248,7 +250,7 @@ def save_keyframes(plan: PlanResult, traj: Trajectory, path: str,
     ``<use>``.  Each distinct body shape (kappa1, kappa2) is built once,
     and each distinct segment (kappa, j) once, whatever pose shows it.  The
     strip stacks one ``<use>`` per pick, top to bottom, each under a label
-    with its row index and time.  Returns the picked row indices.
+    with its row index and time.
     """
     rows, plan_rows = traj.rows, _plan_rows(plan)
     picks = [*range(0, len(rows) - 1, max(1, every)), len(rows) - 1]
@@ -270,7 +272,7 @@ def save_keyframes(plan: PlanResult, traj: Trajectory, path: str,
         name = symbols.get(step)
         if name is None:
             name = symbols[step] = f"f{len(symbols)}"
-            _, q, s, _, _ = plan_rows[step]
+            q, s, _, _ = plan_rows[step]
             form = (q.kappa1, math.copysign(1.0, q.kappa1),
                     q.kappa2, math.copysign(1.0, q.kappa2))
             if form not in shapes:
@@ -289,4 +291,3 @@ def save_keyframes(plan: PlanResult, traj: Trajectory, path: str,
              f'<rect width="{size}" height="{height}" fill="white"/>',
              "<defs>", *defs, "</defs>", *strip, "</svg>"]
     _write_lines(path, lines)
-    return picks

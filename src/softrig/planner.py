@@ -66,11 +66,11 @@ class PlannerParams:
 
 
 class PlanStep(NamedTuple):
-    """One planner step.  Immutable; a named tuple because one is built per
-    step and costs a fraction of a frozen dataclass."""
+    """One planner step, taken at time (its index) * dt.  Immutable; a named
+    tuple because one is built per step and costs a fraction of a frozen
+    dataclass."""
 
-    t: float
-    config: AgentConfig
+    config: AgentConfig             # the state the step starts from
     stiffness: StiffnessState
     speeds: tuple[float, ...]       # (v1, v2, u0, v0, r0)
     saturated: bool                 # the step's curvature clamp engaged
@@ -81,12 +81,8 @@ class PlanResult:
     params: PlannerParams
     steps: list[PlanStep]
     final_config: AgentConfig       # the state after the last step
-    distances: list[float]          # weighted, len(steps) + 1
+    final_error: float              # its weighted distance to the target
     converged: bool
-
-    @property
-    def final_error(self) -> float:
-        return self.distances[-1]
 
     def runs(self) -> list[tuple[str, int]]:
         """Consecutive same-stiffness spans as (label, step count)."""
@@ -200,7 +196,6 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
     err = config_error(target, q)
     dist = weighted_distance(err, weights)
     steps: list[PlanStep] = []
-    distances = [dist]
     prev_idx: int | None = None
     witness: int | None = None    # last pattern to pass the stall test
     bounds = [s.kappa_bound(geom) for s in STIFFNESS_STATES]
@@ -214,7 +209,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
             s = STIFFNESS_STATES[idx]
             cols = active_columns(q, s, geom)
             ups = damped_speeds(cols, s, err, lam, mu)
-            q_next, sat = fk_step_detailed(q, s, ups, dt, geom, cols=cols)
+            q_next, sat = fk_step_detailed(q, s, ups, dt, geom, cols)
             err_next = config_error(target, q_next)
             found = tried[idx] = (weighted_distance(err_next, weights),
                                   err_next, ups, q_next, sat)
@@ -227,7 +222,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
 
     for step_no in range(params.max_steps):
         if dist <= params.eps_goal:
-            return PlanResult(params, steps, q, distances, True)
+            return PlanResult(params, steps, q, dist, True)
         bend = max(abs(q.kappa1), abs(q.kappa2))
         tried = [None] * len(STIFFNESS_STATES)
         chosen = None
@@ -268,9 +263,7 @@ def plan_motion(q0: AgentConfig, target: AgentConfig, geom: GeometryParams,
                         STIFFNESS_STATES[i].label(): dist - c[0]
                         for i, c in candidates.items()})
         dist, err, ups, q_next, sat = tried[chosen]
-        steps.append(PlanStep(step_no * dt, q, STIFFNESS_STATES[chosen], ups,
-                              sat))
+        steps.append(PlanStep(q, STIFFNESS_STATES[chosen], ups, sat))
         prev_idx = chosen
         q = q_next
-        distances.append(dist)
-    return PlanResult(params, steps, q, distances, False)
+    return PlanResult(params, steps, q, dist, False)

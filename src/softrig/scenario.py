@@ -15,10 +15,10 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ScenarioError
+from .errors import ContractError, ScenarioError
 from .geometry import AgentConfig, GeometryParams, past_bound
 from .planner import PlannerParams
-from .thermal import ThermalParams
+from .thermal import ThermalParams, check_step
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,32 +95,6 @@ def _build_config(obj, path: str, geom: GeometryParams) -> AgentConfig:
     return AgentConfig(**{k: float(obj[k]) for k in _CONFIG_KEYS})
 
 
-def _check_thermal_step(thermal: ThermalParams, dt: float) -> None:
-    """Reject a tau whose explicit-Euler step in ``thermal.loop_step`` can
-    carry a segment past the sensor ceiling at the plan's step dt.
-
-    One step maps T to (1 - a) T + a (t_ambient + gain u), a = dt / tau.
-    The integral term adds at most u_max to the duty (its anti-windup cap),
-    so below the higher setpoint sp the duty can be u_max, and above sp it
-    falls by kp per degree.  For a < 1 the step's worst case below the
-    ceiling is then T = sp at full duty, which lands at
-    sp + a (t_ambient + gain u_max - sp).  That stays below sensor_t_hi
-    when tau > dt (t_ambient + gain u_max - sp) / (sensor_t_hi - sp), and
-    a < 1 asks tau > dt.  (Past sp the bound also needs the duty at the
-    ceiling too weak to hold it there, which the gains decide, not tau.)
-    """
-    sp = max(thermal.setpoint_soft, thermal.setpoint_rigid)
-    room = thermal.sensor_t_hi - sp
-    rise = thermal.t_ambient + thermal.gain * thermal.u_max - sp
-    # a setpoint at or past the ceiling is no fault of tau's
-    bound = dt * max(1.0, rise / room) if room > 0 else 0.0
-    if thermal.tau <= bound:
-        raise ScenarioError(
-            f"thermal.tau = {thermal.tau:g} s must exceed {bound:g} s at "
-            f"planner.dt = {dt:g} s: a shorter one lets the heating step "
-            f"pass the sensor ceiling {thermal.sensor_t_hi:g} deg C")
-
-
 def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     data = _require_mapping(data, "scenario")
     known = {"label", "geometry", "planner", "thermal", "q0", "target",
@@ -131,7 +105,10 @@ def scenario_from_dict(data: dict, label: str = "scenario") -> Scenario:
     geom = _build_params(GeometryParams, data.get("geometry", {}), "geometry")
     planner = _build_params(PlannerParams, data.get("planner", {}), "planner")
     thermal = _build_params(ThermalParams, data.get("thermal", {}), "thermal")
-    _check_thermal_step(thermal, planner.dt)
+    try:
+        check_step(thermal, planner.dt)
+    except ContractError as exc:
+        raise ScenarioError(str(exc)) from exc
     for key in ("q0", "target"):
         if key not in data:
             raise ScenarioError(f"scenario.{key} is required")

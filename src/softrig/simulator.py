@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import thermal as th
 from .errors import ContractError, ThermalTimeoutError
 from .geometry import AgentConfig, GeometryParams, StiffnessState
-from .jacobian import Columns, active_columns
+from .jacobian import Columns
 
 if TYPE_CHECKING:
     from .planner import PlanResult
@@ -25,16 +25,14 @@ _SAT_TOL = 1e-12
 
 def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
                      dt: float, geom: GeometryParams,
-                     cols: Columns | None = None
-                     ) -> tuple[AgentConfig, bool]:
+                     cols: Columns) -> tuple[AgentConfig, bool]:
     """One explicit Euler step; returns (new config, curvature saturated).
 
-    The step is straight-line float arithmetic over the Jacobian's active
-    columns at q, the two unit-speed or the three body-twist ones:
-    ``cols`` when the caller already built them with ``active_columns``.
-    The planner steps every candidate with it.  Curvatures are clamped to
-    ``s.kappa_bound(geom)`` after the step; the flag reports whether the
-    clamp engaged.
+    The step is straight-line float arithmetic over ``cols``, the
+    Jacobian's active columns at q that ``active_columns`` builds: the two
+    unit-speed or the three body-twist ones.  The planner steps every
+    candidate with it.  Curvatures are clamped to ``s.kappa_bound(geom)``
+    after the step; the flag reports whether the clamp engaged.
     """
     if dt <= 0:
         raise ContractError(f"step dt must be positive, got {dt}")
@@ -42,8 +40,6 @@ def fk_step_detailed(q: AgentConfig, s: StiffnessState, speeds,
         raise ContractError(
             f"speed vector must have 5 entries, got {len(speeds)}")
     bound = s.kappa_bound(geom)
-    if cols is None:
-        cols = active_columns(q, s, geom)
     # each rate is the sum J u accumulated from +0.0, column by column, so
     # a rate that is exactly zero is +0.0 and a -0.0 coordinate leaves the
     # step as 0.0
@@ -115,10 +111,12 @@ def rollout(plan: PlanResult,
     matches the plan exactly.  With gating on, motion holds after each
     stiffness change, in paused rows that point at the step they wait for,
     until both segments reach the commanded phase; longer than max_wait
-    raises ThermalTimeoutError.
+    raises ThermalTimeoutError.  A tau too short for the plan's dt
+    (``thermal.check_step``) raises ContractError.
     """
     params = thermal_params if thermal_params is not None else th.ThermalParams()
     dt = float(plan.params.dt)
+    th.check_step(params, dt)
     # each segment's loop as plain floats (temperature, setpoint, integral,
     # phase), advanced by th.loop_step
     temp1, set1, int1, phase1 = th.initial_state(params)

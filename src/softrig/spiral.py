@@ -41,7 +41,6 @@ from .geometry import ARC_SERIES_ALPHA, GeometryParams, past_bound
 if TYPE_CHECKING:
     import numpy as np
 
-_THETA_TOL = 1e-9
 _EPS = sys.float_info.epsilon
 _OFFSET_TOL = 1e-12          # converged relative offset of the centre solve
 _MAX_ITER = 100
@@ -58,8 +57,7 @@ class SpiralModel:
     cx_over_l: float
     cy_over_l: float
     m: float                  # curvature map slope: kappa = m * (theta - pi) / l
-    theta_lo: float
-    theta_hi: float
+    theta_hi: float           # the span is mirror symmetric about theta = pi
 
     @property
     def kappa_bound(self) -> float:
@@ -83,9 +81,9 @@ class SpiralModel:
 
 # reference spiral table for the desk-scale fibre
 SPIRALS = (
-    SpiralModel(1, 2.325, 0.3165, -0.1223, 0.1782, 1.5, -math.pi / 3, 7 * math.pi / 3),
-    SpiralModel(2, 3.3041, 0.083, 0.1988, 0.1640, 1.0, -math.pi, 3 * math.pi),
-    SpiralModel(3, 2.4471, 0.2229, -0.2722, 0.3949, 0.75, -math.pi / 3, 7 * math.pi / 3),
+    SpiralModel(1, 2.325, 0.3165, -0.1223, 0.1782, 1.5, 7 * math.pi / 3),
+    SpiralModel(2, 3.3041, 0.083, 0.1988, 0.1640, 1.0, 3 * math.pi),
+    SpiralModel(3, 2.4471, 0.2229, -0.2722, 0.3949, 0.75, 7 * math.pi / 3),
 )
 
 
@@ -93,20 +91,6 @@ def spiral_model(mode: int) -> SpiralModel:
     if mode not in (1, 2, 3):
         raise ContractError(f"deformation mode must be 1, 2 or 3, got {mode}")
     return SPIRALS[mode - 1]
-
-
-def theta_from_kappa(mode: int, kappas, seg_len: float) -> np.ndarray:
-    """Spiral angles of curvatures, theta = pi + kappa * l / m.  theta rises
-    with kappa, so the extremes decide whether all lie in the mode's span."""
-    import numpy as np
-    sp = spiral_model(mode)
-    thetas = math.pi + np.asarray(kappas, dtype=float) * seg_len / sp.m
-    if thetas.size and not (sp.theta_lo - _THETA_TOL <= thetas.min()
-                            and thetas.max() <= sp.theta_hi + _THETA_TOL):
-        raise DomainError(
-            f"mode {mode} curvatures map to theta [{thetas.min():.6g}, "
-            f"{thetas.max():.6g}] outside [{sp.theta_lo:.6g}, {sp.theta_hi:.6g}]")
-    return thetas
 
 
 def rate_coeffs(mode: int, kappa: float, seg_len: float) -> float:

@@ -45,6 +45,38 @@ class ThermalParams:
         if not self.setpoint_soft < self.sensor_t_hi:
             raise ContractError("soft setpoint must sit below the sensor "
                                 f"ceiling {self.sensor_t_hi:g} deg C")
+        # a setpoint on the wrong side of its phase threshold holds the
+        # loop where the phase it commands never comes
+        if not self.setpoint_soft > self.t_melt:
+            raise ContractError("soft setpoint must sit above the melt "
+                                f"threshold {self.t_melt:g} deg C")
+        if not self.setpoint_rigid <= self.t_solid:
+            raise ContractError("rigid setpoint must sit at or below the "
+                                f"solidify threshold {self.t_solid:g} deg C")
+
+
+def check_step(params: ThermalParams, dt: float) -> None:
+    """Reject a tau whose explicit-Euler step in ``loop_step`` can carry a
+    segment past the sensor ceiling at the step dt.
+
+    One step maps T to (1 - a) T + a (t_ambient + gain u), a = dt / tau.
+    The integral term adds at most u_max to the duty (its anti-windup cap),
+    so below the soft setpoint sp, the higher one, the duty can be u_max,
+    and above sp it falls by kp per degree.  For a < 1 the step's worst
+    case below the ceiling is then T = sp at full duty, which lands at
+    sp + a (t_ambient + gain u_max - sp).  That stays below sensor_t_hi
+    when tau > dt (t_ambient + gain u_max - sp) / (sensor_t_hi - sp), and
+    a < 1 asks tau > dt.  (Past sp the bound also needs the duty at the
+    ceiling too weak to hold it there, which the gains decide, not tau.)
+    """
+    sp = params.setpoint_soft
+    rise = params.t_ambient + params.gain * params.u_max - sp
+    bound = dt * max(1.0, rise / (params.sensor_t_hi - sp))
+    if params.tau <= bound:
+        raise ContractError(
+            f"thermal.tau = {params.tau:g} s must exceed {bound:g} s at "
+            f"planner.dt = {dt:g} s: a shorter one lets the heating step "
+            f"pass the sensor ceiling {params.sensor_t_hi:g} deg C")
 
 
 def setpoint_for(soft: bool, params: ThermalParams) -> float:
@@ -66,8 +98,8 @@ def loop_step(temperature: float, setpoint: float, integral: float,
     Advances one segment by dt and returns (temperature, integral, phase)
     after the step plus the duty applied during it; the duty does not
     depend on dt, so dt = 0.0 reads it.  dt is not checked here: playback
-    steps at the plan's validated dt, which a scenario's tau is checked
-    against when the scenario is loaded.
+    steps at the plan's validated dt, against which ``check_step`` checks
+    tau once per playback.
     """
     err = setpoint - temperature
     raw = params.kp * err + params.ki * integral

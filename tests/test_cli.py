@@ -122,6 +122,31 @@ def test_soft_setpoint_above_sensor_ceiling_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("thermal, code, message", [
+    ({"setpoint_rigid": 56.0}, EXIT_INPUT, "solidify threshold 55"),
+    ({"setpoint_rigid": 90.0}, EXIT_INPUT, "solidify threshold 55"),
+    ({"setpoint_soft": 62.0}, EXIT_INPUT, "melt threshold 62"),
+    ({"setpoint_rigid": 55.0}, EXIT_OK, None),
+    ({"setpoint_soft": 62.5}, EXIT_OK, None),
+], ids=["rigid-56", "rigid-90", "soft-62", "rigid-55", "soft-62.5"])
+def test_setpoints_must_reach_their_phase(tmp_path, capsys, thermal, code,
+                                          message):
+    # seed-0 sample-000 melts segment 1, then solidifies it to soften 2: a
+    # rigid setpoint above t_solid or a soft one at or below t_melt would
+    # hold a segment short of its phase until the wait ran out (exit 4)
+    scn = sample_scenario(np.random.default_rng(0), 0)
+    path = write_scenario(tmp_path, q0=vars(scn.q0), target=vars(scn.target),
+                          thermal=thermal)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == "" and out.is_dir()
+    else:
+        assert err.startswith("scenario error: thermal: ") and message in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("section, values, message", [
     ("planner", {"eps_goal": 0.0}, "scenario error: planner: planner.eps_goal"),
     ("planner", {"eps_goal": -1e-3}, "scenario error: planner: planner.eps_goal"),

@@ -8,13 +8,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from softrig import __version__, outputs
-from softrig.errors import DomainError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState)
 from softrig.planner import PlannerParams, PlanResult, PlanStep, plan_motion
 from softrig.scenario import scenario_from_dict
 from softrig.simulator import SimRow, Trajectory, rollout
-from softrig.spiral import refit_oracle, theta_from_kappa
+from softrig.spiral import refit_oracle, spiral_model
 from softrig.thermal import PHASE_RIGID, ThermalParams, setpoint_for
 
 from conftest import example_scenario_dict
@@ -78,12 +77,11 @@ def plan_table(plan) -> list[tuple]:
     """(t, configuration, stiffness, speeds, saturated) of each plan row a
     playback row's step names: the steps, then the terminal row, which
     holds the final configuration at the last stiffness (00 for no steps)
-    with zero speeds, unsaturated."""
+    with zero speeds, unsaturated.  Row k is at time k * dt."""
     last = (plan.steps[-1].stiffness if plan.steps
             else StiffnessState(False, False))
-    return [*map(tuple, plan.steps),
-            (len(plan.steps) * plan.params.dt, plan.final_config, last,
-             (0.0,) * 5, False)]
+    rows = [*plan.steps, (plan.final_config, last, (0.0,) * 5, False)]
+    return [(k * plan.params.dt, *row) for k, row in enumerate(rows)]
 
 
 def reference_csvs(plan, traj) -> dict:
@@ -250,7 +248,9 @@ def reference_sweep_csv(fits, seg_len) -> bytes:
     its own, each float as repr(float(v))."""
     lines = [f"# softrig {__version__}", "mode,theta,kappa,x,y"]
     for fit in fits:
-        thetas = theta_from_kappa(fit.mode, fit.kappas, seg_len)
+        m = spiral_model(fit.mode).m
+        thetas = [math.pi + kappa * seg_len / m
+                  for kappa in fit.kappas.tolist()]
         lines += [",".join([str(fit.mode)] + [repr(float(v)) for v in row])
                   for row in zip(thetas, fit.kappas, *fit.points.T)]
     return ("\n".join(lines) + "\n").encode()
@@ -277,16 +277,6 @@ def test_sweep_csv_matches_reference_formatter(tmp_path, case):
         assert path.read_bytes().count(b",-0.0\n") == 1
 
 
-def test_sweep_csv_rejects_kappas_outside_the_theta_span(tmp_path):
-    fit, = refit_oracle([3], GEOM, 50)
-    # twice mode 3's bound leaves its theta span, from the middle sample on
-    bad = dataclasses.replace(fit, kappas=fit.kappas * 2)
-    path = tmp_path / "sweep.csv"
-    with pytest.raises(DomainError):
-        outputs.write_sweep_csv(str(path), [fit, bad], GEOM.seg_len)
-    assert not path.exists()
-
-
 def test_refit_json_report(tmp_path):
     path = str(tmp_path / "refit.json")
     fits = refit_oracle((1, 2, 3), GEOM, 120)
@@ -304,7 +294,7 @@ def frame_body(q, s):
     """The drawing of one frame, built afresh: the lines of its film-strip
     symbol."""
     return "\n".join(outputs._frame_body(
-        q, s, outputs._shape(q.kappa1, q.kappa2, GEOM)))
+        q, s, outputs._shape(q.kappa1, q.kappa2, GEOM, outputs._limb)))
 
 
 def render_frame(q, s):
@@ -375,13 +365,17 @@ def read_strip(path):
     return symbols, list(zip(labels, hrefs))
 
 
+def picked_rows(uses) -> list[int]:
+    """The playback row index N of each ``row N, t = ...`` label, in strip
+    order."""
+    return [int(label.split(",")[0].removeprefix("row ")) for label, _ in uses]
+
+
 def synthetic_run(frames, replayed):
     """A plan whose steps show the (configuration, stiffness) ``frames`` and
     a playback whose rows replay the steps ``replayed``, in order."""
-    steps = [PlanStep(0.05 * k, q, s, (0.0,) * 5, False)
-             for k, (q, s) in enumerate(frames)]
-    plan = PlanResult(PlannerParams(), steps, frames[-1][0],
-                      [1.0] * (len(steps) + 1), False)
+    steps = [PlanStep(q, s, (0.0,) * 5, False) for q, s in frames]
+    plan = PlanResult(PlannerParams(), steps, frames[-1][0], 1.0, False)
     rows = [SimRow(0.05 * n, k, 25.0, 0.0, PHASE_RIGID, 25.0, 0.0,
                    PHASE_RIGID, False) for n, k in enumerate(replayed)]
     return plan, Trajectory(rows)
@@ -391,11 +385,11 @@ def test_save_keyframes(tmp_path):
     plan = make_plan()
     traj = rollout(plan, thermal_gating=False)
     path = str(tmp_path / "keyframes.svg")
-    picks = outputs.save_keyframes(plan, traj, path, GEOM, every=40)
-    assert picks == [*range(0, len(traj.rows) - 1, 40), len(traj.rows) - 1]
+    outputs.save_keyframes(plan, traj, path, GEOM, every=40)
     assert os.listdir(tmp_path) == ["keyframes.svg"]
     symbols, uses = read_strip(path)
-    assert len(uses) == len(picks)
+    picks = picked_rows(uses)
+    assert picks == [*range(0, len(traj.rows) - 1, 40), len(traj.rows) - 1]
     table = plan_table(plan)
     for (label, href), idx in zip(uses, picks):
         row = traj.rows[idx]
@@ -426,7 +420,9 @@ def test_save_keyframes_draws_each_distinct_frame_once(tmp_path,
         return body(q, s, shape)
 
     monkeypatch.setattr(outputs, "_frame_body", counted)
-    picks = outputs.save_keyframes(plan, traj, path, GEOM, every=3)
+    outputs.save_keyframes(plan, traj, path, GEOM, every=3)
+    symbols, uses = read_strip(path)
+    picks = picked_rows(uses)
     assert picks == [*range(0, len(rows) - 1, 3), len(rows) - 1]
     shown = [table[rows[idx].step][1:3] for idx in picks]
     kappas = [k for q, _ in shown for k in (q.kappa1, q.kappa2)]
@@ -438,7 +434,6 @@ def test_save_keyframes_draws_each_distinct_frame_once(tmp_path,
     distinct = list(dict.fromkeys(keys))
     assert draws == [(id(table[k][1]), table[k][2]) for k in distinct]
     assert len(draws) < len(picks)
-    symbols, uses = read_strip(path)
     assert list(symbols) == [f"f{i}" for i in range(len(distinct))]
     # one <use> per pick, in pick order, each of its key's symbol
     assert [href for _, href in uses] == [

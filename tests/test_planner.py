@@ -108,10 +108,17 @@ def test_damped_speeds_match_stacked_least_squares():
             check(s, q, config_error(random_config(kb), q))
 
 
-def plan_record(plan):
-    return (plan.converged, plan.final_config, plan.distances,
-            [(st.t, st.config, st.stiffness, st.speeds, st.saturated)
-             for st in plan.steps])
+def distances(plan, target) -> list[float]:
+    """The weighted distance to the target before each step and after the
+    last."""
+    weights = plan.params.weights
+    return [weighted_distance(config_error(target, q), weights)
+            for q in [st.config for st in plan.steps] + [plan.final_config]]
+
+
+def plan_record(plan, target):
+    return (plan.converged, plan.final_config, plan.final_error,
+            distances(plan, target), list(plan.steps))
 
 
 def test_planning_makes_no_lapack_call(monkeypatch):
@@ -121,7 +128,7 @@ def test_planning_makes_no_lapack_call(monkeypatch):
     problems += [(sc.q0, sc.target)
                  for sc in (sample_scenario(rng, i) for i in range(3))]
     presets = (PlannerParams(), PlannerParams.unweighted())
-    expected = [plan_record(plan_motion(q0, target, GEOM, params))
+    expected = [plan_record(plan_motion(q0, target, GEOM, params), target)
                 for q0, target in problems for params in presets]
 
     def no_lapack(*args, **kwargs):
@@ -129,7 +136,7 @@ def test_planning_makes_no_lapack_call(monkeypatch):
 
     for name in ("solve", "lstsq", "inv", "pinv", "svd"):
         monkeypatch.setattr(np.linalg, name, no_lapack)
-    got = [plan_record(plan_motion(q0, target, GEOM, params))
+    got = [plan_record(plan_motion(q0, target, GEOM, params), target)
            for q0, target in problems for params in presets]
     assert got == expected
 
@@ -201,9 +208,9 @@ def test_pose_and_bend_goal_converges():
 def test_distances_strictly_decrease():
     target = AgentConfig(0.12, 0.08, 0.6, 60.0, -40.0)
     plan = plan_motion(ORIGIN, target, GEOM)
-    d = np.array(plan.distances)
+    d = np.array(distances(plan, target))
     assert np.all(np.diff(d) < 0.0)
-    assert len(plan.distances) == len(plan.steps) + 1
+    assert d[-1] == plan.final_error
 
 
 def test_planned_configs_hold_plain_floats():

@@ -6,6 +6,7 @@ import pytest
 from softrig.errors import ContractError, ThermalTimeoutError
 from softrig.geometry import (STIFFNESS_STATES, AgentConfig, GeometryParams,
                               StiffnessState)
+from softrig.jacobian import active_columns
 from softrig.planner import PlannerParams, plan_motion
 from softrig.simulator import Trajectory, fk_step_detailed, rollout
 from softrig.thermal import (PHASE_RIGID, PHASE_SOFT, ThermalParams,
@@ -37,7 +38,8 @@ def test_euler_step_is_exact_first_order():
     q = AgentConfig(0.01, -0.02, 0.4, 8.0, -6.0)
     ups = np.array([0.02, -0.01, 0.0, 0.0, 0.0])
     jac = hybrid_jacobian(q, S01, GEOM)
-    q1 = fk_step_detailed(q, S01, ups, 0.05, GEOM)[0]
+    q1 = fk_step_detailed(q, S01, ups, 0.05, GEOM,
+                          active_columns(q, S01, GEOM))[0]
     expect = as_array(q) + 0.05 * (jac @ ups)
     np.testing.assert_allclose(as_array(q1), expect, atol=1e-15)
     # the float step also equals q + dt J u followed by the clip when the
@@ -56,7 +58,8 @@ def test_euler_step_is_exact_first_order():
         arr = as_array(q) + 0.5 * (hybrid_jacobian(q, s, GEOM) @ ups)
         expect = np.concatenate([arr[:3], np.clip(arr[3:], -bound, bound)])
         expect[2] = AgentConfig(0.0, 0.0, arr[2], 0.0, 0.0).phi
-        q1, saturated = fk_step_detailed(q, s, ups, 0.5, GEOM)
+        q1, saturated = fk_step_detailed(q, s, ups, 0.5, GEOM,
+                                         active_columns(q, s, GEOM))
         assert saturated == bool(np.max(np.abs(arr[3:])) > bound + 1e-12)
         np.testing.assert_allclose(as_array(q1), expect, rtol=1e-13, atol=0)
         flags.append(saturated)
@@ -66,36 +69,41 @@ def test_euler_step_is_exact_first_order():
     still = AgentConfig(0.0, 0.0, 0.0, -0.0, -0.0)
     for s, ups in ((RIGID, (0.0, 0.0, -0.1, -0.1, -0.1)),
                    (S01, (-0.1, -0.1, 0.0, 0.0, 0.0))):
-        q1 = fk_step_detailed(still, s, ups, 0.05, GEOM)[0]
+        q1 = fk_step_detailed(still, s, ups, 0.05, GEOM,
+                              active_columns(still, s, GEOM))[0]
         assert math.copysign(1.0, q1.kappa1) == 1.0, s.label()
 
 
 def test_rk4_converges_to_euler_for_small_dt():
     q = AgentConfig(0.0, 0.0, 0.0, 5.0, 5.0)
     ups = np.array([0.03, 0.0, 0.0, 0.0, 0.0])
-    qe = fk_step_detailed(q, S01, ups, 1e-6, GEOM)[0]
+    qe = fk_step_detailed(q, S01, ups, 1e-6, GEOM,
+                          active_columns(q, S01, GEOM))[0]
     qr = rk4_step(q, S01, ups, 1e-6, GEOM)[0]
     np.testing.assert_allclose(as_array(qe), as_array(qr), atol=1e-12)
 
 
 def test_step_rejects_bad_inputs():
     q = AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0)
+    cols = active_columns(q, RIGID, GEOM)
     with pytest.raises(ContractError):
-        fk_step_detailed(q, RIGID, np.zeros(4), 0.05, GEOM)
+        fk_step_detailed(q, RIGID, np.zeros(4), 0.05, GEOM, cols)
     with pytest.raises(ContractError):
-        fk_step_detailed(q, RIGID, np.zeros(5), 0.0, GEOM)
+        fk_step_detailed(q, RIGID, np.zeros(5), 0.0, GEOM, cols)
 
 
 def test_curvature_clipping_flags_saturation():
     q = AgentConfig(0.0, 0.0, 0.0, 0.0, GEOM.kappa_max * 0.999)
     ups = np.array([0.0, 0.5, 0.0, 0.0, 0.0])  # winds kappa2 hard
-    q1, saturated = fk_step_detailed(q, S01, ups, 0.5, GEOM)
+    q1, saturated = fk_step_detailed(q, S01, ups, 0.5, GEOM,
+                                     active_columns(q, S01, GEOM))
     assert saturated
     assert abs(q1.kappa2) <= GEOM.kappa_max
     # the equal-bend pattern saturates at the tighter shared bound
     q = AgentConfig(0.0, 0.0, 0.0, GEOM.kappa_max_uniform * 0.999,
                     GEOM.kappa_max_uniform * 0.999)
-    q1, saturated = fk_step_detailed(q, S11, ups, 0.5, GEOM)
+    q1, saturated = fk_step_detailed(q, S11, ups, 0.5, GEOM,
+                                     active_columns(q, S11, GEOM))
     assert saturated
     assert abs(q1.kappa1) <= GEOM.kappa_max_uniform
     assert abs(q1.kappa2) <= GEOM.kappa_max_uniform
@@ -107,7 +115,7 @@ def test_clamp_bound_is_the_pattern_kappa_bound():
         bound = s.kappa_bound(GEOM)
         zero_cols = ((0.0,) * 5,) * len(s.inputs)
         q1, saturated = fk_step_detailed(q, s, np.zeros(5), 0.05, GEOM,
-                                         cols=zero_cols)
+                                         zero_cols)
         assert saturated
         assert (q1.kappa1, q1.kappa2) == (bound, -bound), s.label()
     assert [s.kappa_bound(GEOM) for s in STIFFNESS_STATES] == [
@@ -158,6 +166,21 @@ def test_rollout_thermal_phases_track_commands():
         assert row.phase2 == (PHASE_SOFT if s.soft2 else PHASE_RIGID)
     temps = [row.temp1 for row in traj.rows] + [row.temp2 for row in traj.rows]
     assert max(temps) < ThermalParams().sensor_t_hi
+
+
+def test_rollout_rejects_a_tau_too_short_for_the_plan_step():
+    # at the defaults and dt = 0.05 s the bound is 2 dt = 0.1 s; unchecked,
+    # tau 0.05 s let the heating step peak at 105 deg C, past the 85 deg C
+    # ceiling
+    plan = plan_motion(AgentConfig(0.0, 0.0, 0.0, 0.0, 0.0),
+                       AgentConfig(0.12, 0.08, 0.6, 20.0, -15.0), GEOM)
+    assert plan.params.dt == 0.05 and plan.n_switches >= 1
+    for tau in (0.05, 0.1):
+        with pytest.raises(ContractError, match="must exceed 0.1 s"):
+            rollout(plan, thermal_params=ThermalParams(tau=tau))
+    traj = rollout(plan, thermal_params=ThermalParams(tau=0.11))
+    peak = max(max(row.temp1, row.temp2) for row in traj.rows)
+    assert 65.0 < peak < ThermalParams().sensor_t_hi
 
 
 def test_rollout_matches_the_public_thermal_chain():

@@ -14,7 +14,7 @@ from softrig.errors import ContractError, DomainError, FitError
 from softrig.geometry import (ARC_SERIES_ALPHA, GeometryParams, arc_chord,
                               cc_transform)
 from softrig.spiral import (SPIRALS, _solve_centre, rate_coeffs, refit_oracle,
-                            spiral_model, sweep_curve, theta_from_kappa)
+                            spiral_model, sweep_curve)
 
 from conftest import frame, frame_inverse, scaled_geometry, spiral_residual
 from test_run_bytes import OTHER_SWEEP_DIGESTS
@@ -52,31 +52,6 @@ def test_model_table():
 def test_eps_is_the_float64_epsilon():
     # the centre solve's rounding floor, read without importing numpy
     assert spiral._EPS == np.finfo(float).eps
-
-
-def test_theta_kappa_round_trip():
-    for mode in (1, 2, 3):
-        bound = spiral_model(mode).kappa_bound / L
-        for kap in np.linspace(-bound, bound, 7):
-            # the whole curvature range maps inside the mode's theta span
-            theta_from_kappa(mode, kap, L)
-    assert math.isclose(theta_from_kappa(2, 0.0, L), math.pi)
-    with pytest.raises(DomainError):
-        theta_from_kappa(1, 3 * math.pi / L, L)
-
-
-def test_theta_from_kappa_maps_a_whole_sweep():
-    # one array expression, equal to the formula taken one curvature at a time
-    for sp in SPIRALS:
-        bound = sp.kappa_bound / L
-        kappas = np.linspace(-bound, bound, 201)
-        assert theta_from_kappa(sp.mode, kappas, L).tolist() == [
-            math.pi + kap * L / sp.m for kap in kappas.tolist()]
-        # a curvature outside the span fails wherever it sits in the sweep
-        for bad in (-1.01 * bound, 1.01 * bound, math.nan):
-            with pytest.raises(DomainError):
-                theta_from_kappa(sp.mode, [0.0, bad, bound], L)
-    assert theta_from_kappa(1, [], L).shape == (0,)
 
 
 def test_radius_symmetric_and_shrinking():
